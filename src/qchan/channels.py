@@ -17,12 +17,16 @@ value, while :func:`rtn_kernel` / :func:`nmd_kernel` produce those values from
 physical parameters. The kernel functional forms are documented defaults taken
 from the standard open-systems literature, not channel-intrinsic content, and
 can be swapped for any other map into [-1, 1].
+
+:data:`CHANNELS` is the one table of per-label facts: constructor, parameter
+names, closed forms and sweep kernel. Everything that dispatches on a channel
+label reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping, Optional
 
 import numpy as np
 
@@ -30,6 +34,7 @@ from .linalg import DensityMatrix, IDENTITY2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z,
 
 COMPLETENESS_TOL = 1e-10
 KERNEL_TOL = 1e-12
+_BASIS = np.stack((IDENTITY2,) + PAULIS)
 
 
 @dataclass(frozen=True)
@@ -86,17 +91,9 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     if ch.dim != 2:
         raise ValueError("Bloch representation is qubit-only")
 
-    def phi(m):
-        return sum(k @ m @ k.conj().T for k in ch.ops)
-
-    a = np.empty((3, 3), dtype=float)
-    for j, pj in enumerate(PAULIS):
-        out = phi(pj)
-        for i, pi in enumerate(PAULIS):
-            a[i, j] = 0.5 * np.trace(pi @ out).real
-    img = phi(np.asarray(IDENTITY2))
-    c = np.array([0.5 * np.trace(p @ img).real for p in PAULIS])
-    return a, c
+    # m[i, j] = Tr(s_i Phi(s_j))/2 over the basis s = (I, X, Y, Z)
+    m = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", _BASIS, np.stack(ch.ops), _BASIS, np.conj(ch.ops)).real
+    return m[1:, 1:], m[1:, 0]
 
 
 def _check_kernel_value(value: float, name: str) -> float:
@@ -112,13 +109,13 @@ def _dephasing_pair(value: float):
     return (k_plus * np.asarray(IDENTITY2), k_minus * np.asarray(SIGMA_Z))
 
 
-def rtn(lam: float) -> KrausChannel:
+def rtn(lambda_: float) -> KrausChannel:
     """Random telegraph noise dephasing for kernel value Lambda in [-1, 1].
 
     K0 = k+ I and K1 = k- sigma_z with k_pm = sqrt((1 +- Lambda)/2); the map
     scales off-diagonal entries by Lambda and leaves populations untouched.
     """
-    value = _check_kernel_value(lam, "lambda")
+    value = _check_kernel_value(lambda_, "lambda")
     return KrausChannel(_dephasing_pair(value), "rtn", {"lambda": value})
 
 
@@ -293,3 +290,111 @@ def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
     if name == "nmd-linear":
         return nmd_memory_kernel()
     raise ValueError(f"unknown kernel {name!r} (available: rtn-damped, nmd-linear)")
+
+
+@dataclass(frozen=True)
+class GadReferenceMu:
+    """Both quoted closed-form candidates for the gad channel.
+
+    The two expressions reference regimes xi > 1 and xi < 1 that conflict with
+    xi being a damping parameter in [0, 1]; neither reproduces the numerically
+    maximized value, so they are reference data only, never an oracle.
+    """
+
+    branch_xi_below_one: float
+    branch_xi_above_one: float
+    verified: ClassVar[bool] = False
+
+
+def _squared(v: float) -> float:
+    return v**2
+
+
+def _one_minus(gamma: float) -> float:
+    return 1.0 - gamma
+
+
+def _cos_squared(r: float) -> float:
+    return float(np.cos(r) ** 2)
+
+
+def _gad_reference(alpha: float, xi: float) -> GadReferenceMu:
+    return GadReferenceMu(
+        branch_xi_below_one=xi * (2.0 * xi - 1.0) ** 2,
+        branch_xi_above_one=xi * (xi - np.sqrt(2.0) * (xi - 1.0)) ** 2,
+    )
+
+
+def _ad_coherence(gamma: float) -> float:
+    if gamma > 1.0 / 6.0:
+        return 1.0 - gamma
+    return (6.0 * gamma * gamma - 3.0 * gamma + 2.0) / 6.0
+
+
+def _gad_coherence(alpha: float, xi: float) -> dict:
+    xi_tilde = 2.5 * (alpha - 1.0) ** 2 * (1.0 - xi) ** 2
+    return {"late": xi, "early": 0.5 * xi + xi_tilde}
+
+
+@dataclass(frozen=True)
+class ChannelSpec:
+    """The facts about one channel family, keyed by its label in :data:`CHANNELS`.
+
+    Every callable takes the parameters positionally, in ``params`` order.
+    ``closed_form`` is the exact probe-domain maximum wherever ``holds`` is
+    true; gad has none and carries its unverified ``reference`` instead.
+    ``coherence`` is the coherence-based measure's reference curve. Sweeping
+    ``kernel_param`` drives the first parameter through a memory kernel,
+    ``default_kernel`` unless another is chosen.
+    """
+
+    make: Callable[..., KrausChannel]
+    params: tuple
+    coherence: Callable
+    closed_form: Optional[Callable[..., float]] = None
+    holds: Callable[..., bool] = lambda *args: True
+    reference: Optional[Callable[..., GadReferenceMu]] = None
+    kernel_param: Optional[str] = None
+    default_kernel: Optional[str] = None
+
+
+CHANNELS = {
+    "rtn": ChannelSpec(
+        rtn, ("lambda",), closed_form=_squared, coherence=_squared, kernel_param="t", default_kernel="rtn-damped"
+    ),
+    "nmd": ChannelSpec(
+        nmd, ("omega",), closed_form=_squared, coherence=_squared, kernel_param="p", default_kernel="nmd-linear"
+    ),
+    "pd": ChannelSpec(pd, ("gamma",), closed_form=_one_minus, coherence=_one_minus),
+    "ad": ChannelSpec(ad, ("gamma",), closed_form=_one_minus, coherence=_ad_coherence),
+    "gad": ChannelSpec(gad, ("alpha", "xi"), reference=_gad_reference, coherence=_gad_coherence),
+    "unruh": ChannelSpec(unruh, ("r",), closed_form=_cos_squared, coherence=_cos_squared),
+    "gdc": ChannelSpec(
+        gdc,
+        ("p0", "p1", "p2", "p3"),
+        closed_form=lambda p0, p1, p2, p3: (p0 + p1 - p2 - p3) ** 2 * (p0 - p1 - p2 + p3) ** 2,
+        # otherwise the probe maximum sits at another azimuth and exceeds it
+        holds=lambda p0, p1, p2, p3: (p0 - p3) * (p1 - p2) >= 0.0,
+        coherence=lambda p0, p1, p2, p3: (p0 - p1) ** 2 + (p2 - p3) ** 2,
+    ),
+}
+
+
+def channel_args(label: str, params: Mapping[str, float]) -> tuple[ChannelSpec, list]:
+    """Registry entry for ``label`` and its parameter values in ``params`` order."""
+    spec = CHANNELS.get(label)
+    if spec is None:
+        raise ValueError(f"unknown channel {label!r} (available: {', '.join(sorted(CHANNELS))})")
+    missing = [k for k in spec.params if k not in params]
+    if missing:
+        raise ValueError(f"missing parameter(s) for {label}: {', '.join(missing)}")
+    return spec, [float(params[k]) for k in spec.params]
+
+
+def make_channel(label: str, params: Mapping[str, float]) -> KrausChannel:
+    """Build a channel from its label and exactly its named parameters."""
+    spec, args = channel_args(label, params)
+    extra = [k for k in params if k not in spec.params]
+    if extra:
+        raise ValueError(f"channel {label} does not take parameter(s): {', '.join(extra)}")
+    return spec.make(*args)

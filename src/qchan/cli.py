@@ -15,60 +15,16 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from . import channels as ch_mod
-from .channels import KrausChannel, apply, builtin_kernel
-from .measures import GadReferenceMu, closed_form_mu, visibilities
-from .optimize import DOMAIN_ALL_PAIRS, DOMAIN_PROBE, OptimizerConfig, maximize_mu
+from .channels import CHANNELS, ChannelSpec, apply, builtin_kernel, make_channel
+from .measures import closed_form_mu, visibilities
+from .optimize import DOMAIN_PROBE, DOMAINS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
 
 DEFAULT_GRID = 24
 GRID_ENV_VAR = "QCHAN_DEFAULT_GRID"
-
-CHANNEL_PARAMS = {
-    "rtn": ("lambda",),
-    "nmd": ("omega",),
-    "pd": ("gamma",),
-    "ad": ("gamma",),
-    "gad": ("alpha", "xi"),
-    "unruh": ("r",),
-    "gdc": ("p0", "p1", "p2", "p3"),
-}
-
-# Sweeping these drives the channel through a memory kernel instead of a
-# direct parameter: rtn over time t, nmd over probability p.
-KERNEL_SWEEP_PARAMS = {"rtn": "t", "nmd": "p"}
-DEFAULT_KERNELS = {"rtn": "rtn-damped", "nmd": "nmd-linear"}
-
-
-def make_channel(label: str, params: Mapping[str, float]) -> KrausChannel:
-    """Build a channel from its label and named parameters."""
-    if label not in CHANNEL_PARAMS:
-        raise ValueError(
-            f"unknown channel {label!r} (available: {', '.join(sorted(CHANNEL_PARAMS))})"
-        )
-    required = CHANNEL_PARAMS[label]
-    missing = [k for k in required if k not in params]
-    if missing:
-        raise ValueError(f"channel {label} needs parameter(s): {', '.join(missing)}")
-    extra = [k for k in params if k not in required]
-    if extra:
-        raise ValueError(f"channel {label} does not take parameter(s): {', '.join(extra)}")
-    args = [float(params[k]) for k in required]
-    factory = {
-        "rtn": ch_mod.rtn,
-        "nmd": ch_mod.nmd,
-        "pd": ch_mod.pd,
-        "ad": ch_mod.ad,
-        "gad": ch_mod.gad,
-        "unruh": ch_mod.unruh,
-        "gdc": ch_mod.gdc,
-    }[label]
-    return factory(*args)
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -109,19 +65,14 @@ class SweepRow:
     kernel_value: Optional[float]
 
 
-def _sweep_point(spec: SweepSpec, value: float, cfg: OptimizerConfig) -> SweepRow:
-    label = spec.channel_label
+def _sweep_point(spec: SweepSpec, entry: ChannelSpec, value: float, cfg: OptimizerConfig) -> SweepRow:
     kernel_value = None
-    if spec.sweep_param == KERNEL_SWEEP_PARAMS.get(label):
-        kernel_name = spec.kernel_choice or DEFAULT_KERNELS[label]
-        kernel = builtin_kernel(kernel_name, spec.fixed_params)
+    if spec.sweep_param == entry.kernel_param:
+        kernel = builtin_kernel(spec.kernel_choice or entry.default_kernel, spec.fixed_params)
         kernel_value = kernel.evaluate(value)
-        direct = {CHANNEL_PARAMS[label][0]: kernel_value}
-        channel = make_channel(label, direct)
+        channel = make_channel(spec.channel_label, {entry.params[0]: kernel_value})
     else:
-        params = dict(spec.fixed_params)
-        params[spec.sweep_param] = value
-        channel = make_channel(label, params)
+        channel = make_channel(spec.channel_label, {**spec.fixed_params, spec.sweep_param: value})
     result = maximize_mu(channel, cfg)
     return SweepRow(
         value=value,
@@ -132,25 +83,15 @@ def _sweep_point(spec: SweepSpec, value: float, cfg: OptimizerConfig) -> SweepRo
     )
 
 
-def run_sweep(spec: SweepSpec, cfg: OptimizerConfig, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate every sweep point; row order follows ascending sweep values.
-
-    Points are independent and deterministic, so results do not depend on the
-    worker count.
-    """
+def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
+    """Evaluate every sweep point in turn; rows follow ascending sweep values."""
     values = spec.values()
-    if spec.sweep_param not in CHANNEL_PARAMS.get(spec.channel_label, ()) and (
-        spec.sweep_param != KERNEL_SWEEP_PARAMS.get(spec.channel_label)
-    ):
+    entry = CHANNELS.get(spec.channel_label)
+    if entry is None or spec.sweep_param not in entry.params + (entry.kernel_param,):
         raise ValueError(
             f"cannot sweep {spec.sweep_param!r} for channel {spec.channel_label!r}"
         )
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda v: _sweep_point(spec, v, cfg), values))
-    else:
-        rows = [_sweep_point(spec, v, cfg) for v in values]
-    return rows
+    return [_sweep_point(spec, entry, v, cfg) for v in values]
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -281,7 +222,6 @@ def run_validation(
     for params in GAD_INFO_GRID:
         result = maximize_mu(make_channel("gad", params), cfg)
         reference = closed_form_mu("gad", params)
-        assert isinstance(reference, GadReferenceMu)
         rows.append(
             ValidationRow(
                 channel_label="gad",
@@ -370,8 +310,8 @@ def _result_document(args, channel, result) -> dict:
         "evaluations": result.evaluations,
         "converged": result.converged,
     }
-    if channel.label == "gad":
-        reference = closed_form_mu("gad", channel.params)
+    if CHANNELS[channel.label].reference is not None:
+        reference = closed_form_mu(channel.label, channel.params)
         doc["unverified_reference"] = {
             "xi_below_one": reference.branch_xi_below_one,
             "xi_above_one": reference.branch_xi_above_one,
@@ -397,7 +337,7 @@ def _cmd_sweep(args) -> int:
         step=step,
         kernel_choice=args.kernel,
     )
-    rows = run_sweep(spec, _optimizer_config(args), jobs=args.jobs)
+    rows = run_sweep(spec, _optimizer_config(args))
     if args.format == "csv":
         with open(args.out, "w", newline="") as stream:
             write_sweep_csv(spec, rows, stream)
@@ -434,7 +374,7 @@ def _cmd_validate(args) -> int:
     for row in report.rows:
         status = "info" if row.passed is None else ("pass" if row.passed else "FAIL")
         closed = "" if row.mu_closed_form is None else f"{row.mu_closed_form:.12g}"
-        if row.channel_label == "gad":
+        if row.passed is None:  # informational rows carry gad's unverified reference
             closed += " (unverified)"
         err = "" if row.abs_error is None else f"{row.abs_error:.3e}"
         print(
@@ -496,14 +436,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, domain=True):
-        p.add_argument("--channel", required=True, help="channel label (rtn, nmd, pd, ad, gad, unruh, gdc)")
+        p.add_argument("--channel", required=True, help=f"channel label ({', '.join(CHANNELS)})")
         p.add_argument("--set", default="", metavar="k=v[,k=v...]", help="channel/kernel parameters")
         if domain:
             p.add_argument("--grid", type=int, default=None, help=f"grid points per angle (default {DEFAULT_GRID}, env {GRID_ENV_VAR})")
             p.add_argument("--seed", type=int, default=0, help="seed for diagnostics")
             p.add_argument(
                 "--domain",
-                choices=(DOMAIN_PROBE, DOMAIN_ALL_PAIRS),
+                choices=tuple(DOMAINS),
                 default=DOMAIN_PROBE,
                 help="probe: maximally noncommuting inputs (matches the analytic closed forms); "
                 "all-pairs: unrestricted pure-state maximization",
@@ -519,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kernel", default=None, help="kernel for rtn/nmd time sweeps (rtn-damped, nmd-linear)")
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "structured"), default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent sweep-point workers")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect, points run serially")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")

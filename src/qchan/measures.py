@@ -11,11 +11,11 @@ factors are the interferometric visibilities: M = 4 (v1 - v2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
+from .channels import channel_args
 from .linalg import BLOCH_NORM_TOL, as_matrix, commutator, hs_norm_sq
 
 IMAG_RESIDUE_TOL = 1e-12
@@ -66,10 +66,7 @@ def incompatibility_trace_form(rho, sigma) -> float:
 
     Algebraically identical to :func:`incompatibility` for Hermitian inputs.
     """
-    a, b = _pair(rho, sigma)
-    ab = a @ b
-    v1 = _real_trace(np.trace(a @ a @ b @ b), "Tr[rho^2 sigma^2]")
-    v2 = _real_trace(np.trace(ab @ ab), "Tr[(rho sigma)^2]")
+    v1, v2 = visibilities(rho, sigma)
     return 4.0 * (v1 - v2)
 
 
@@ -122,64 +119,23 @@ def check_outer_inequality(rho0, rhot, tol: float = 1e-10) -> OuterInequalityChe
     return OuterInequalityCheck(holds=slack >= -tol, slack=slack)
 
 
-@dataclass(frozen=True)
-class GadReferenceMu:
-    """Both quoted closed-form candidates for the gad channel.
-
-    The two expressions reference regimes xi > 1 and xi < 1 that conflict with
-    xi being a damping parameter in [0, 1]; neither reproduces the numerically
-    maximized value, so they are reference data only, never an oracle.
-    """
-
-    branch_xi_below_one: float
-    branch_xi_above_one: float
-    verified: ClassVar[bool] = False
-
-
-TRUSTED_CLOSED_FORM_LABELS = frozenset({"rtn", "nmd", "pd", "ad", "unruh", "gdc"})
-
-_REQUIRED_PARAMS = {
-    "rtn": ("lambda",),
-    "nmd": ("omega",),
-    "pd": ("gamma",),
-    "ad": ("gamma",),
-    "unruh": ("r",),
-    "gdc": ("p0", "p1", "p2", "p3"),
-    "gad": ("xi",),
-}
-
-
 def closed_form_mu(label: str, params: Mapping[str, float]):
-    """Analytic quantumness for a channel label.
+    """Analytic quantumness for a channel label, from the registry.
 
     Values are exact maxima over the maximally noncommuting probe family:
     rtn -> Lambda^2, nmd -> Omega^2, pd -> 1 - gamma, ad -> 1 - gamma,
-    unruh -> cos^2 r, gdc -> (p0+p1-p2-p3)^2 (p0-p1-p2+p3)^2.
+    unruh -> cos^2 r, gdc -> (p0+p1-p2-p3)^2 (p0-p1-p2+p3)^2 where
+    (p0 - p3)(p1 - p2) >= 0; outside that region a ValueError is raised.
 
     ``gad`` has no trusted closed form; both quoted branch expressions are
     returned together as a :class:`GadReferenceMu`, flagged unverified.
     """
-    if label not in _REQUIRED_PARAMS:
-        raise ValueError(f"unknown channel label {label!r}")
-    missing = [k for k in _REQUIRED_PARAMS[label] if k not in params]
-    if missing:
-        raise ValueError(f"missing parameter(s) for {label}: {', '.join(missing)}")
-    if label == "rtn":
-        return float(params["lambda"]) ** 2
-    if label == "nmd":
-        return float(params["omega"]) ** 2
-    if label in ("pd", "ad"):
-        return 1.0 - float(params["gamma"])
-    if label == "unruh":
-        return float(np.cos(params["r"]) ** 2)
-    if label == "gdc":
-        p0, p1, p2, p3 = (float(params[f"p{i}"]) for i in range(4))
-        return (p0 + p1 - p2 - p3) ** 2 * (p0 - p1 - p2 + p3) ** 2
-    xi = float(params["xi"])
-    return GadReferenceMu(
-        branch_xi_below_one=xi * (2.0 * xi - 1.0) ** 2,
-        branch_xi_above_one=xi * (xi - np.sqrt(2.0) * (xi - 1.0)) ** 2,
-    )
+    spec, args = channel_args(label, params)
+    if spec.closed_form is None:
+        return spec.reference(*args)
+    if not spec.holds(*args):
+        raise ValueError(f"the {label} closed form does not hold at {dict(params)}")
+    return spec.closed_form(*args)
 
 
 def coherence_reference_mu(label: str, params: Mapping[str, float]):
@@ -191,28 +147,8 @@ def coherence_reference_mu(label: str, params: Mapping[str, float]):
     as a dict together with the crossover time helper
     :func:`gad_reference_crossover_time`.
     """
-    if label == "rtn":
-        return float(params["lambda"]) ** 2
-    if label == "nmd":
-        return float(params["omega"]) ** 2
-    if label == "pd":
-        return 1.0 - float(params["gamma"])
-    if label == "unruh":
-        return float(np.cos(params["r"]) ** 2)
-    if label == "gdc":
-        p0, p1, p2, p3 = (float(params[f"p{i}"]) for i in range(4))
-        return (p0 - p1) ** 2 + (p2 - p3) ** 2
-    if label == "ad":
-        g = float(params["gamma"])
-        if g > 1.0 / 6.0:
-            return 1.0 - g
-        return (6.0 * g * g - 3.0 * g + 2.0) / 6.0
-    if label == "gad":
-        alpha = float(params["alpha"])
-        xi = float(params["xi"])
-        xi_tilde = 2.5 * (alpha - 1.0) ** 2 * (1.0 - xi) ** 2
-        return {"late": xi, "early": 0.5 * xi + xi_tilde}
-    raise ValueError(f"unknown channel label {label!r}")
+    spec, args = channel_args(label, params)
+    return spec.coherence(*args)
 
 
 def gad_reference_crossover_time(gamma: float, n: float) -> float:

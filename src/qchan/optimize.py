@@ -1,6 +1,6 @@
 """Global maximization of output-state incompatibility over input pairs.
 
-Two optimization domains are supported:
+Two optimization domains are supported, one entry each in :data:`DOMAINS`:
 
 ``probe`` (default)
     The maximally noncommuting probe protocol: input pairs are
@@ -14,7 +14,7 @@ Two optimization domains are supported:
     The literal maximization over all pure input pairs, a 4-angle grid over
     two full Bloch spheres. For the non-unital channels (ad, gad, unruh) this
     strictly exceeds the probe value (for example ad at gamma = 0.25 yields
-    about 0.945 against the probe value 0.75), because those channels can
+    0.94447 against the probe value 0.75), because those channels can
     increase the incompatibility of inputs that are not maximally
     noncommuting. Convexity of the objective in each Bloch argument pushes
     the maximum to pure states, so this domain also dominates every mixed
@@ -28,25 +28,27 @@ grid point on the negated objective, with angles clipped (polar) or wrapped
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy import optimize as _sciopt
 
-from .channels import KrausChannel, bloch_map
-from .measures import TRUSTED_CLOSED_FORM_LABELS, closed_form_mu
+from .channels import CHANNELS, KrausChannel, bloch_map
+from .measures import closed_form_mu
 from .states import StatePairParams
-
-logger = logging.getLogger("qchan")
 
 TWO_PI = 2.0 * np.pi
 HALF_PI = 0.5 * np.pi
 
 DOMAIN_PROBE = "probe"
 DOMAIN_ALL_PAIRS = "all-pairs"
-_DOMAINS = (DOMAIN_PROBE, DOMAIN_ALL_PAIRS)
+
+
+def _domain(name: str) -> Domain:
+    if name not in DOMAINS:
+        raise ValueError(f"domain must be one of {tuple(DOMAINS)}, got {name!r}")
+    return DOMAINS[name]
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class OptimizerConfig:
     grid_points_per_angle: int = 24
     refinement_iterations: int = 200
     refinement_tolerance: float = 1e-10
-    include_mixed_diagnostic: bool = False
     mixed_samples: int = 2000
     seed: int = 0
     domain: str = DOMAIN_PROBE
@@ -68,8 +69,7 @@ class OptimizerConfig:
             raise ValueError("refinement_tolerance must be positive")
         if self.mixed_samples < 1:
             raise ValueError("mixed_samples must be positive")
-        if self.domain not in _DOMAINS:
-            raise ValueError(f"domain must be one of {_DOMAINS}, got {self.domain!r}")
+        _domain(self.domain)
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,10 @@ class QuantumnessResult:
     """Maximized output incompatibility with provenance.
 
     ``closed_form`` and ``abs_error`` are populated only for channels with a
-    trusted analytic value (gad is reported numerically only). ``converged``
-    is False when the refinement stage hit its iteration cap, which is not an
-    error: the best value seen is still returned.
+    trusted analytic value, and only where it holds (gad is reported
+    numerically only). ``converged`` is False when the refinement stage hit
+    its iteration cap, which is not an error: the best value seen is still
+    returned.
     """
 
     mu: float
@@ -121,6 +122,70 @@ def _pairs_objective(a_mat, c_vec, angles):
     return _cross_sq(out_a, out_b)
 
 
+def _probe_grid(a_mat, c_vec, xs, phis):
+    grid_x, grid_p = np.meshgrid(xs, phis, indexing="ij")
+    values = _probe_objective(a_mat, c_vec, grid_x, grid_p)
+    ix, ip = divmod(int(np.argmax(values)), len(phis))
+    return np.array([xs[ix], phis[ip]]), float(values[ix, ip]), values.size
+
+
+def _pairs_grid(a_mat, c_vec, thetas, phis):
+    """Every ordered pair of single-state grid points, scanned in row blocks."""
+    n = len(phis)
+    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
+    outs = _single_bloch(grid_t.ravel(), grid_p.ravel()) @ a_mat.T + c_vec
+    m = outs.shape[0]
+    best_value = -1.0
+    best_flat = 0
+    block = 256
+    for start in range(0, m, block):
+        vals = _cross_sq(outs[start : start + block, None, :], outs[None, :, :])
+        k = int(np.argmax(vals))
+        if float(vals.flat[k]) > best_value:
+            best_value = float(vals.flat[k])
+            best_flat = start * m + k
+    ia, ib = divmod(best_flat, m)
+    start_angles = np.array([thetas[ia // n], phis[ia % n], thetas[ib // n], phis[ib % n]])
+    return start_angles, best_value, m * m
+
+
+@dataclass(frozen=True)
+class Domain:
+    """One optimization domain; its angles alternate polar and azimuthal.
+
+    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``grid``
+    scans the uniform grid on :meth:`axes` and returns (start angles, best
+    value, evaluations); ``objective`` evaluates one angle tuple; ``pair``
+    turns canonical angles into the reported :class:`StatePairParams`.
+    """
+
+    polar_max: float
+    grid: Callable
+    objective: Callable
+    pair: Callable[..., StatePairParams]
+
+    def axes(self, n: int):
+        return np.linspace(0.0, self.polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+    def canonical(self, angles) -> tuple:
+        """Clip polar angles into range and wrap azimuths, as plain floats."""
+        return tuple(
+            float(v) % TWO_PI if i % 2 else min(max(float(v), 0.0), self.polar_max)
+            for i, v in enumerate(angles)
+        )
+
+
+DOMAINS = {
+    DOMAIN_PROBE: Domain(
+        HALF_PI,
+        _probe_grid,
+        objective=lambda a_mat, c_vec, angles: _probe_objective(a_mat, c_vec, *angles),
+        pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi),
+    ),
+    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_grid, _pairs_objective, StatePairParams),
+}
+
+
 def _refine(neg_objective, start, cfg: OptimizerConfig):
     res = _sciopt.minimize(
         neg_objective,
@@ -141,13 +206,14 @@ def _require_qubit(ch: KrausChannel):
 
 
 def _closed_form_fields(ch: KrausChannel, mu: float):
-    if ch.label in TRUSTED_CLOSED_FORM_LABELS:
-        try:
-            cf = float(closed_form_mu(ch.label, ch.params))
-        except ValueError:
-            return None, None
-        return cf, abs(mu - cf)
-    return None, None
+    spec = CHANNELS.get(ch.label)
+    if spec is None or spec.closed_form is None:
+        return None, None
+    try:
+        cf = float(closed_form_mu(ch.label, ch.params))
+    except ValueError:  # missing parameters, or outside the region where it holds
+        return None, None
+    return cf, abs(mu - cf)
 
 
 def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> QuantumnessResult:
@@ -162,100 +228,25 @@ def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> Q
     """
     cfg = config or OptimizerConfig()
     _require_qubit(ch)
+    domain = DOMAINS[cfg.domain]
     a_mat, c_vec = bloch_map(ch)
-    n = cfg.grid_points_per_angle
+    start, best_value, evaluations = domain.grid(a_mat, c_vec, *domain.axes(cfg.grid_points_per_angle))
+    best_angles = domain.canonical(start)
 
-    if cfg.domain == DOMAIN_PROBE:
-        xs = np.linspace(0.0, HALF_PI, n)
-        phis = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        grid_x, grid_p = np.meshgrid(xs, phis, indexing="ij")
-        values = _probe_objective(a_mat, c_vec, grid_x, grid_p)
-        flat = int(np.argmax(values))
-        ix, ip = divmod(flat, n)
-        best_angles = np.array([xs[ix], phis[ip]])
-        best_value = float(values[ix, ip])
-        evaluations = values.size
+    def neg(p):
+        return -float(domain.objective(a_mat, c_vec, domain.canonical(p)))
 
-        def neg(p):
-            x = float(np.clip(p[0], 0.0, HALF_PI))
-            phi = float(p[1]) % TWO_PI
-            return -float(_probe_objective(a_mat, c_vec, x, phi))
-
-        res = _refine(neg, best_angles, cfg)
-        evaluations += res.nfev
-        if -res.fun > best_value:
-            best_value = float(-res.fun)
-            best_angles = np.array(
-                [np.clip(res.x[0], 0.0, HALF_PI), res.x[1] % TWO_PI]
-            )
-        x_best, phi_best = (float(v) for v in best_angles)
-        params = StatePairParams(x_best, phi_best, x_best + HALF_PI, phi_best)
-    else:
-        thetas = np.linspace(0.0, np.pi, n)
-        phis = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-        singles = _single_bloch(grid_t.ravel(), grid_p.ravel())
-        outs = singles @ a_mat.T + c_vec
-        m = outs.shape[0]
-        best_value = -1.0
-        best_flat = 0
-        block = 256
-        for start in range(0, m, block):
-            vals = _cross_sq(outs[start : start + block, None, :], outs[None, :, :])
-            k = int(np.argmax(vals))
-            v = float(vals.flat[k])
-            if v > best_value:
-                ia = start + k // vals.shape[1]
-                ib = k % vals.shape[1]
-                best_value = v
-                best_flat = ia * m + ib
-        evaluations = m * m
-        ia, ib = divmod(best_flat, m)
-        start_angles = np.array(
-            [
-                thetas[ia // n],
-                phis[ia % n],
-                thetas[ib // n],
-                phis[ib % n],
-            ]
-        )
-
-        def neg(p):
-            ta = float(np.clip(p[0], 0.0, np.pi))
-            pa = float(p[1]) % TWO_PI
-            tb = float(np.clip(p[2], 0.0, np.pi))
-            pb = float(p[3]) % TWO_PI
-            return -float(_pairs_objective(a_mat, c_vec, (ta, pa, tb, pb)))
-
-        res = _refine(neg, start_angles, cfg)
-        evaluations += res.nfev
-        best_angles = start_angles
-        if -res.fun > best_value:
-            best_value = float(-res.fun)
-            best_angles = np.array(
-                [
-                    np.clip(res.x[0], 0.0, np.pi),
-                    res.x[1] % TWO_PI,
-                    np.clip(res.x[2], 0.0, np.pi),
-                    res.x[3] % TWO_PI,
-                ]
-            )
-        params = StatePairParams(*(float(v) for v in best_angles))
-
-    if cfg.include_mixed_diagnostic:
-        diag = mixed_state_diagnostic(ch, cfg)
-        logger.info(
-            "mixed-state diagnostic for %s: max M = %.12g (reported mu = %.12g)",
-            ch.label, diag, best_value,
-        )
-
+    res = _refine(neg, start, cfg)
+    if -res.fun > best_value:
+        best_value = float(-res.fun)
+        best_angles = domain.canonical(res.x)
     cf, err = _closed_form_fields(ch, best_value)
     return QuantumnessResult(
         mu=best_value,
-        argmax_params=params,
+        argmax_params=domain.pair(*best_angles),
         closed_form=cf,
         abs_error=err,
-        evaluations=int(evaluations),
+        evaluations=int(evaluations + res.nfev),
         converged=bool(res.success),
     )
 
@@ -271,8 +262,8 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     _require_qubit(ch)
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    if domain not in _DOMAINS:
-        raise ValueError(f"domain must be one of {_DOMAINS}, got {domain!r}")
+    polars, phis = _domain(domain).axes(n)
+    grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
 
     def push(states):
@@ -288,19 +279,14 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
         out[..., 1, 1] = 0.5 * (1.0 - z)
         return out
 
-    phis = np.linspace(0.0, TWO_PI, n, endpoint=False)
     if domain == DOMAIN_PROBE:
-        xs = np.linspace(0.0, HALF_PI, n)
-        grid_x, grid_p = np.meshgrid(xs, phis, indexing="ij")
         a, b = _pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
         out_a = push(density(a))
         out_b = push(density(b))
         comm = out_a @ out_b - out_b @ out_a
         return float(np.max(2.0 * np.sum(np.abs(comm) ** 2, axis=(-2, -1))))
 
-    thetas = np.linspace(0.0, np.pi, n)
-    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-    outs = push(density(_single_bloch(grid_t.ravel(), grid_p.ravel())))
+    outs = push(density(_single_bloch(grid_x.ravel(), grid_p.ravel())))
     m = outs.shape[0]
     best = 0.0
     block = 128
@@ -321,9 +307,7 @@ def mixed_state_diagnostic(ch: KrausChannel, config: Optional[OptimizerConfig] =
     exceed the probe-domain value, which is exactly the restriction the
     diagnostic is meant to expose.
     """
-    cfg = config or OptimizerConfig(include_mixed_diagnostic=True)
-    if not cfg.include_mixed_diagnostic:
-        raise ValueError("mixed_state_diagnostic requires include_mixed_diagnostic=True")
+    cfg = config or OptimizerConfig()
     _require_qubit(ch)
     rng = np.random.default_rng(cfg.seed)
     a_mat, c_vec = bloch_map(ch)

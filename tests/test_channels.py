@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from qchan import (
     rtn_kernel,
     unruh,
 )
+from qchan.channels import CHANNELS
 from conftest import sample_ball
 
 ALL_CONSTRUCTORS = {
@@ -281,3 +284,12 @@ def test_builtin_kernel_registry():
         builtin_kernel("nope", {})
     with pytest.raises(ValueError, match="needs parameter"):
         builtin_kernel("rtn-damped", {"gamma": 1.0})
+
+
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+def test_registry_params_match_constructor_signature(label):
+    # A keyword-named parameter (lambda) takes a trailing underscore in Python.
+    spec = CHANNELS[label]
+    names = tuple(p.rstrip("_") for p in inspect.signature(spec.make).parameters)
+    assert names == spec.params
+    assert spec.make(*([0.25] * len(names))).label == label

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qchan import (
     DOMAIN_ALL_PAIRS,
+    DOMAIN_PROBE,
     KrausChannel,
     OptimizerConfig,
     ad,
     apply,
     brute_force_mu,
+    closed_form_mu,
     gad,
     gdc,
     incompatibility,
@@ -19,6 +23,7 @@ from qchan import (
     rtn,
     unruh,
 )
+from conftest import random_kraus_ops
 
 IDENTITY = KrausChannel((np.eye(2),), "identity")
 
@@ -43,6 +48,27 @@ def test_gdc_example_against_brute_force_oracle():
     res = maximize_mu(ch)
     assert abs(oracle - 0.1296) < 1e-6
     assert abs(res.mu - 0.1296) < 1e-6
+
+
+def test_gdc_closed_form_withheld_outside_its_region():
+    # Bloch map A = diag(0, -0.2, -0.4). With (p0 - p3)(p1 - p2) < 0 the probe
+    # maximum is A_zz^2 A_yy^2 at phi = pi/2, not the product A_zz^2 A_xx^2 = 0.
+    res = maximize_mu(gdc(0.1, 0.4, 0.3, 0.2))
+    assert abs(res.mu - 0.0064) < 1e-9
+    assert res.closed_form is None and res.abs_error is None
+    with pytest.raises(ValueError, match="does not hold"):
+        closed_form_mu("gdc", {"p0": 0.1, "p1": 0.4, "p2": 0.3, "p3": 0.2})
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+def test_random_cptp_maps_dominate_oracle_and_probe(seed, n_ops):
+    ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random")
+    mu = {}
+    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+        mu[domain] = maximize_mu(ch, OptimizerConfig(grid_points_per_angle=8, domain=domain)).mu
+        assert mu[domain] >= brute_force_mu(ch, 8, domain) - 1e-12
+    assert mu[DOMAIN_ALL_PAIRS] >= mu[DOMAIN_PROBE] - 1e-12
 
 
 def test_rtn_closed_form_and_kernel_params():
@@ -130,18 +156,13 @@ def test_probe_matches_closed_forms_for_nonunital_channels():
 
 
 def test_mixed_diagnostic_bounds():
-    cfg = OptimizerConfig(include_mixed_diagnostic=True, mixed_samples=2000, seed=11)
+    cfg = OptimizerConfig(mixed_samples=2000, seed=11)
     assert mixed_state_diagnostic(IDENTITY, cfg) <= 1.0
     assert mixed_state_diagnostic(pd(0.5), cfg) <= 0.5 + 1e-9
     for ch in (pd(0.5), ad(0.25), gdc(0.6, 0.2, 0.1, 0.1)):
         diag = mixed_state_diagnostic(ch, cfg)
         full = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS)).mu
         assert diag <= full + 1e-9
-
-
-def test_mixed_diagnostic_requires_flag():
-    with pytest.raises(ValueError, match="include_mixed_diagnostic"):
-        mixed_state_diagnostic(pd(0.5), OptimizerConfig())
 
 
 def test_optimizer_rejects_non_qubit_channels():

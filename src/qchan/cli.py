@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", default="", metavar="k=v[,k=v...]", help="channel/kernel parameters")
         if domain:
             p.add_argument("--grid", type=int, default=None, help=f"grid points per angle (default {DEFAULT_GRID}, env {GRID_ENV_VAR})")
-            p.add_argument("--seed", type=int, default=0, help="seed for diagnostics")
+            p.add_argument("--seed", type=int, default=0, help="no effect on any output; seeds only the library's mixed_state_diagnostic")
             p.add_argument(
                 "--domain",
                 choices=tuple(DOMAINS),
@@ -465,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")
     p_validate.add_argument("--tol", type=float, default=1e-4)
     p_validate.add_argument("--grid", type=int, default=None)
-    p_validate.add_argument("--seed", type=int, default=0)
+    p_validate.add_argument("--seed", type=int, default=0, help="no effect on any output")
     p_validate.add_argument("--out", default=None, help="optional JSON report path")
     p_validate.set_defaults(func=_cmd_validate)
 

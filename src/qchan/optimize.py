@@ -20,19 +20,32 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     the maximum to pure states, so this domain also dominates every mixed
     input pair.
 
-Both stages are deterministic: a uniform grid (lexicographic tie-break on the
-angle tuple, outer axes first) followed by Nelder-Mead refinement of the best
-grid point on the negated objective, with angles clipped (polar) or wrapped
-(azimuthal) inside the objective.
+Both domains scan a uniform grid first (lexicographic tie-break on the angle
+tuple, outer axes first), then refine its best point in the domain's own way.
+
+The probe refine works on the channel's affine Bloch map ``r -> A r + c``.
+Every probe pair has ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output
+cross product is
+
+    (A a + c) x (A b + c) = cof(A) n(phi) + K (a - b),    K y = (A y) x c.
+
+For a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective ``|cof(A) n(phi)|^2``
+does not depend on x: mu is the top eigenvalue of the upper-left 2x2 block of
+``cof(A)^T cof(A)``, reported at x = 0 and the phi of its eigenvector.
+Otherwise projected Newton steps on the closed-form objective, gradient and
+Hessian polish the best grid point. The all-pairs refine is Nelder-Mead on
+the negated objective, with angles clipped (polar) or wrapped (azimuthal)
+inside the objective; it is the only user of scipy, which is imported on its
+first call. Both refines are deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .channels import CHANNELS, KrausChannel, bloch_map
 from .measures import closed_form_mu
@@ -43,6 +56,21 @@ HALF_PI = 0.5 * np.pi
 
 DOMAIN_PROBE = "probe"
 DOMAIN_ALL_PAIRS = "all-pairs"
+
+# bloch_map leaves rounding residue in c for unital channels (4e-17 for pd).
+# Below this norm the x-dependence of the probe objective, at most
+# 2 sqrt(2) |c| for a CPTP map, is under 3e-14.
+UNITAL_TOL = 1e-14
+
+
+def __getattr__(name):
+    # scipy.optimize costs most of the import time and memory of the package,
+    # and only the all-pairs refine uses it.
+    if name == "_sciopt":
+        from scipy import optimize
+
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _domain(name: str) -> Domain:
@@ -78,9 +106,13 @@ class QuantumnessResult:
 
     ``closed_form`` and ``abs_error`` are populated only for channels with a
     trusted analytic value, and only where it holds (gad is reported
-    numerically only). ``converged`` is False when the refinement stage hit
-    its iteration cap, which is not an error: the best value seen is still
-    returned.
+    numerically only). ``evaluations`` counts the grid's objective
+    evaluations plus the refine's: in the probe domain the points the Newton
+    polish evaluated (one for a unital channel), in the all-pairs domain
+    Nelder-Mead's function calls. ``converged`` is False only when the refine
+    stopped at ``refinement_iterations`` (probe) or at Nelder-Mead's
+    iteration or evaluation cap (all-pairs), which is not an error: the best
+    value seen is still returned.
     """
 
     mu: float
@@ -149,46 +181,103 @@ def _pairs_grid(a_mat, c_vec, thetas, phis):
     return start_angles, best_value, m * m
 
 
-@dataclass(frozen=True)
-class Domain:
-    """One optimization domain; its angles alternate polar and azimuthal.
+def _pairs_canonical(angles) -> tuple:
+    """Clip the two polar angles into [0, pi] and wrap the azimuths, as plain floats."""
+    return tuple(float(v) % TWO_PI if i % 2 else min(max(float(v), 0.0), np.pi) for i, v in enumerate(angles))
 
-    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``grid``
-    scans the uniform grid on :meth:`axes` and returns (start angles, best
-    value, evaluations); ``objective`` evaluates one angle tuple; ``pair``
-    turns canonical angles into the reported :class:`StatePairParams`.
+
+def _cofactor(a_mat):
+    """cof(A), the matrix with (A u) x (A v) = cof(A) (u x v)."""
+    cols = a_mat.T
+    return np.stack([np.cross(cols[1], cols[2]), np.cross(cols[2], cols[0]), np.cross(cols[0], cols[1])], axis=-1)
+
+
+def _probe_terms(cols, x: float, phi: float):
+    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi).
+
+    ``cols`` holds the first two columns of cof(A) and the three of K as
+    float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
+    the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
     """
-
-    polar_max: float
-    grid: Callable
-    objective: Callable
-    pair: Callable[..., StatePairParams]
-
-    def axes(self, n: int):
-        return np.linspace(0.0, self.polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
-
-    def canonical(self, angles) -> tuple:
-        """Clip polar angles into range and wrap azimuths, as plain floats."""
-        return tuple(
-            float(v) % TWO_PI if i % 2 else min(max(float(v), 0.0), self.polar_max)
-            for i, v in enumerate(angles)
-        )
-
-
-DOMAINS = {
-    DOMAIN_PROBE: Domain(
-        HALF_PI,
-        _probe_grid,
-        objective=lambda a_mat, c_vec, angles: _probe_objective(a_mat, c_vec, *angles),
-        pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi),
-    ),
-    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_grid, _pairs_objective, StatePairParams),
-}
+    c0, c1, k0, k1, k2 = cols
+    sp, cp = math.sin(phi), math.cos(phi)
+    s_minus, s_plus = math.sin(x) - math.cos(x), math.sin(x) + math.cos(x)
+    f = f_x = f_p = f_xx = f_pp = f_xp = 0.0
+    for i in range(3):
+        cn, cm = sp * c0[i] + cp * c1[i], cp * c0[i] - sp * c1[i]
+        kn, km = sp * k0[i] + cp * k1[i], cp * k0[i] - sp * k1[i]
+        g = cn + s_minus * km + s_plus * k2[i]
+        g_x, g_p = s_plus * km - s_minus * k2[i], cm - s_minus * kn
+        f += g * g
+        f_x += g * g_x
+        f_p += g * g_p
+        f_xx += g_x * g_x - g * (s_minus * km + s_plus * k2[i])
+        f_pp += g_p * g_p - g * (cn + s_minus * km)
+        f_xp += g_x * g_p - g * s_plus * kn
+    return f, (2.0 * f_x, 2.0 * f_p), (2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp)
 
 
-def _refine(neg_objective, start, cfg: OptimizerConfig):
-    res = _sciopt.minimize(
-        neg_objective,
+def _ascent_step(x: float, grad, hess):
+    """Newton step where the Hessian is negative definite, else the gradient.
+
+    With x on a bound of [0, pi/2] and the gradient pointing out, only phi moves.
+    """
+    g_x, g_p = grad
+    h_xx, h_xp, h_pp = hess
+    if (x <= 0.0 and g_x < 0.0) or (x >= HALF_PI and g_x > 0.0):
+        return 0.0, (-g_p / h_pp if h_pp < 0.0 else g_p)
+    det = h_xx * h_pp - h_xp * h_xp
+    if h_xx < 0.0 and det > 0.0:
+        return (h_xp * g_p - h_pp * g_x) / det, (h_xp * g_x - h_xx * g_p) / det
+    return g_x, g_p
+
+
+def _probe_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
+    """Exact solve for a unital channel, else a projected Newton polish of the grid's best point.
+
+    Returns (angles, value, evaluations, converged). The polish never lowers
+    the value: a step is halved until the value does not drop, and the polish
+    stops once a step moves the angles by at most ``refinement_tolerance``.
+    """
+    cof = _cofactor(a_mat)
+    if np.linalg.norm(c_vec) <= UNITAL_TOL:
+        _, vecs = np.linalg.eigh((cof.T @ cof)[:2, :2])
+        phi = math.atan2(vecs[0, -1], vecs[1, -1]) % math.pi
+        return (0.0, phi), float(_probe_objective(a_mat, c_vec, 0.0, phi)), 1, True
+    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
+    x, phi = (float(v) for v in start)
+    value, grad, hess = _probe_terms(cols, x, phi)
+    evaluations = 1
+    for _ in range(cfg.refinement_iterations):
+        step_x, step_p = _ascent_step(x, grad, hess)
+        t = 1.0
+        while True:
+            new_x = min(max(x + t * step_x, 0.0), HALF_PI)
+            if max(abs(new_x - x), abs(t * step_p)) <= cfg.refinement_tolerance:
+                return (x, phi), value, evaluations, True
+            terms = _probe_terms(cols, new_x, phi + t * step_p)
+            evaluations += 1
+            if terms[0] >= value:
+                break
+            t *= 0.5
+        x, phi = new_x, (phi + t * step_p) % TWO_PI
+        value, grad, hess = terms
+    return (x, phi), value, evaluations, False
+
+
+def _pairs_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
+    """Nelder-Mead on the negated all-pairs objective from the grid's best point.
+
+    Returns (angles, value, evaluations, converged); the grid point is kept
+    unless Nelder-Mead finds a higher value.
+    """
+    from scipy import optimize as sciopt
+
+    def neg(p):
+        return -float(_pairs_objective(a_mat, c_vec, _pairs_canonical(p)))
+
+    res = sciopt.minimize(
+        neg,
         np.asarray(start, dtype=float),
         method="Nelder-Mead",
         options={
@@ -197,7 +286,41 @@ def _refine(neg_objective, start, cfg: OptimizerConfig):
             "fatol": cfg.refinement_tolerance,
         },
     )
-    return res
+    if -res.fun > start_value:
+        return _pairs_canonical(res.x), float(-res.fun), res.nfev, bool(res.success)
+    return _pairs_canonical(start), start_value, res.nfev, bool(res.success)
+
+
+@dataclass(frozen=True)
+class Domain:
+    """One optimization domain; its angles alternate polar and azimuthal.
+
+    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``grid``
+    scans the uniform grid on :meth:`axes` and returns (start angles, best
+    value, evaluations); ``refine`` takes the Bloch map, the grid's start
+    angles and value and the config and returns (angles, value, evaluations,
+    converged); ``pair`` turns those angles into the reported
+    :class:`StatePairParams`.
+    """
+
+    polar_max: float
+    grid: Callable
+    refine: Callable
+    pair: Callable[..., StatePairParams]
+
+    def axes(self, n: int):
+        return np.linspace(0.0, self.polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+
+DOMAINS = {
+    DOMAIN_PROBE: Domain(
+        HALF_PI,
+        _probe_grid,
+        _probe_refine,
+        pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi),
+    ),
+    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_grid, _pairs_refine, StatePairParams),
+}
 
 
 def _require_qubit(ch: KrausChannel):
@@ -219,35 +342,26 @@ def _closed_form_fields(ch: KrausChannel, mu: float):
 def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> QuantumnessResult:
     """Maximize the output incompatibility of a qubit channel.
 
-    Stage 1 scans a uniform grid over the configured domain; stage 2 refines
-    the best grid point with Nelder-Mead on the negated objective until the
-    simplex collapses below ``refinement_tolerance`` or the iteration cap is
-    reached. Ties on the grid resolve to the lexicographically smallest angle
-    tuple. The result is deterministic for a fixed configuration, independent
-    of evaluation order.
+    Stage 1 scans a uniform grid over the configured domain, with ties
+    resolved to the lexicographically smallest angle tuple; stage 2 is the
+    domain's refine (see the module docstring), bounded by
+    ``refinement_iterations`` and ``refinement_tolerance``. The result is
+    deterministic for a fixed configuration.
     """
     cfg = config or OptimizerConfig()
     _require_qubit(ch)
     domain = DOMAINS[cfg.domain]
     a_mat, c_vec = bloch_map(ch)
-    start, best_value, evaluations = domain.grid(a_mat, c_vec, *domain.axes(cfg.grid_points_per_angle))
-    best_angles = domain.canonical(start)
-
-    def neg(p):
-        return -float(domain.objective(a_mat, c_vec, domain.canonical(p)))
-
-    res = _refine(neg, start, cfg)
-    if -res.fun > best_value:
-        best_value = float(-res.fun)
-        best_angles = domain.canonical(res.x)
-    cf, err = _closed_form_fields(ch, best_value)
+    start, grid_value, grid_evaluations = domain.grid(a_mat, c_vec, *domain.axes(cfg.grid_points_per_angle))
+    angles, mu, refine_evaluations, converged = domain.refine(a_mat, c_vec, start, grid_value, cfg)
+    cf, err = _closed_form_fields(ch, mu)
     return QuantumnessResult(
-        mu=best_value,
-        argmax_params=domain.pair(*best_angles),
+        mu=mu,
+        argmax_params=domain.pair(*angles),
         closed_form=cf,
         abs_error=err,
-        evaluations=int(evaluations + res.nfev),
-        converged=bool(res.success),
+        evaluations=int(grid_evaluations + refine_evaluations),
+        converged=converged,
     )
 
 

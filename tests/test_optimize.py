@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +26,12 @@ from qchan import (
     nmd,
     pd,
     rtn,
+    state_pair,
     unruh,
 )
-from conftest import random_kraus_ops
+from qchan import optimize
+from qchan.channels import bloch_map
+from conftest import random_kraus_ops, random_unitary
 
 IDENTITY = KrausChannel((np.eye(2),), "identity")
 
@@ -189,3 +197,78 @@ def test_argmax_params_describe_the_maximizer():
     rho_a, rho_b = state_pair(res.argmax_params)
     achieved = incompatibility(apply(ad(0.25), rho_a), apply(ad(0.25), rho_b))
     assert abs(achieved - res.mu) < 1e-9
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(Path(optimize.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, qchan; print('scipy.optimize' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert callable(optimize._sciopt.minimize)
+
+
+def _rotated_gdc():
+    # U K V with Haar-random U, V: still unital, but the Bloch map is no longer diagonal.
+    rng = np.random.default_rng(7)
+    u, v = random_unitary(rng), random_unitary(rng)
+    return KrausChannel(tuple(u @ k @ v for k in gdc(0.5, 0.3, 0.15, 0.05).ops), "rotated-gdc")
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [rtn(0.6), nmd(-0.4), pd(0.3), gdc(0.7, 0.1, 0.1, 0.1), gdc(0.1, 0.4, 0.3, 0.2), _rotated_gdc()],
+    ids=lambda ch: ch.label,
+)
+def test_unital_probe_solve_spends_one_evaluation(ch):
+    n = 16
+    res = maximize_mu(ch, OptimizerConfig(grid_points_per_angle=n))
+    assert res.evaluations == n * n + 1
+    assert res.converged
+    assert res.argmax_params.x == 0.0
+    assert res.mu >= brute_force_mu(ch, 48) - 1e-12
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+def test_probe_objective_matches_cofactor_form(seed, n_ops):
+    a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random"))
+    cof = np.linalg.det(a_mat) * np.linalg.inv(a_mat).T
+    xs = np.linspace(0.0, np.pi / 2, 7)
+    phis = np.linspace(0.0, 2 * np.pi, 9)
+    gx, gp = np.meshgrid(xs, phis, indexing="ij")
+    a, b = optimize._pair_bloch_vectors(gx, gp)
+    n = np.stack([np.sin(gp), np.cos(gp), np.zeros_like(gp)], axis=-1)
+    cofactor_form = np.sum((n @ cof.T + np.cross((a - b) @ a_mat.T, c_vec)) ** 2, axis=-1)
+    assert np.max(np.abs(optimize._probe_objective(a_mat, c_vec, gx, gp) - cofactor_form)) <= 1e-14
+
+    # The Newton polish's value, gradient and Hessian (central differences).
+    cof = optimize._cofactor(a_mat)
+    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
+    h = 1e-5
+    for x, phi, expected in zip(gx.ravel(), gp.ravel(), cofactor_form.ravel()):
+        f, (f_x, f_p), (f_xx, f_xp, f_pp) = optimize._probe_terms(cols, x, phi)
+        assert abs(f - expected) <= 1e-14
+        terms = {d: optimize._probe_terms(cols, x + d[0], phi + d[1]) for d in ((h, 0), (-h, 0), (0, h), (0, -h))}
+        assert abs(f_x - (terms[h, 0][0] - terms[-h, 0][0]) / (2 * h)) <= 1e-8
+        assert abs(f_p - (terms[0, h][0] - terms[0, -h][0]) / (2 * h)) <= 1e-8
+        assert abs(f_xx - (terms[h, 0][1][0] - terms[-h, 0][1][0]) / (2 * h)) <= 1e-8
+        assert abs(f_pp - (terms[0, h][1][1] - terms[0, -h][1][1]) / (2 * h)) <= 1e-8
+        assert abs(f_xp - (terms[0, h][1][0] - terms[0, -h][1][0]) / (2 * h)) <= 1e-8
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+def test_probe_solve_on_random_maps(seed, n_ops):
+    rng = np.random.default_rng(seed)
+    ops = random_kraus_ops(rng, n_ops)
+    ch = KrausChannel(ops, "random")
+    res = maximize_mu(ch)
+    assert res.mu >= brute_force_mu(ch, 48) - 1e-12
+    rho_a, rho_b = state_pair(res.argmax_params)
+    assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
+    u = random_unitary(rng)
+    rotated = KrausChannel(tuple(u @ k for k in ops), "random")
+    assert abs(maximize_mu(rotated).mu - res.mu) <= 1e-10

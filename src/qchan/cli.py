@@ -16,9 +16,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
-from .channels import CHANNELS, ChannelSpec, apply, builtin_kernel, make_channel
+from .channels import CHANNELS, apply, builtin_kernel, make_channel
 from .measures import closed_form_mu, visibilities
 from .optimize import DOMAIN_PROBE, DOMAINS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
@@ -56,8 +56,9 @@ class SweepSpec:
         return vals
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
+    """One sweep point; the field order is the CSV column order."""
+
     value: float
     mu_numeric: float
     mu_closed_form: Optional[float]
@@ -65,33 +66,27 @@ class SweepRow:
     kernel_value: Optional[float]
 
 
-def _sweep_point(spec: SweepSpec, entry: ChannelSpec, value: float, cfg: OptimizerConfig) -> SweepRow:
-    kernel_value = None
-    if spec.sweep_param == entry.kernel_param:
-        kernel = builtin_kernel(spec.kernel_choice or entry.default_kernel, spec.fixed_params)
-        kernel_value = kernel.evaluate(value)
-        channel = make_channel(spec.channel_label, {entry.params[0]: kernel_value})
-    else:
-        channel = make_channel(spec.channel_label, {**spec.fixed_params, spec.sweep_param: value})
-    result = maximize_mu(channel, cfg)
-    return SweepRow(
-        value=value,
-        mu_numeric=result.mu,
-        mu_closed_form=result.closed_form,
-        abs_error=result.abs_error,
-        kernel_value=kernel_value,
-    )
-
-
 def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     """Evaluate every sweep point in turn; rows follow ascending sweep values."""
-    values = spec.values()
     entry = CHANNELS.get(spec.channel_label)
     if entry is None or spec.sweep_param not in entry.params + (entry.kernel_param,):
         raise ValueError(
             f"cannot sweep {spec.sweep_param!r} for channel {spec.channel_label!r}"
         )
-    return [_sweep_point(spec, entry, v, cfg) for v in values]
+    kernel = None
+    if spec.sweep_param == entry.kernel_param:
+        kernel = builtin_kernel(spec.kernel_choice or entry.default_kernel, spec.fixed_params)
+    rows = []
+    for value in spec.values():
+        if kernel is None:
+            kernel_value = None
+            params = {**spec.fixed_params, spec.sweep_param: value}
+        else:
+            kernel_value = kernel.evaluate(value)
+            params = {entry.params[0]: kernel_value}
+        result = maximize_mu(make_channel(spec.channel_label, params), cfg)
+        rows.append(SweepRow(value, result.mu, result.closed_form, result.abs_error, kernel_value))
+    return rows
 
 
 def _fmt(value: Optional[float]) -> str:
@@ -100,30 +95,9 @@ def _fmt(value: Optional[float]) -> str:
 
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([spec.sweep_param, "mu_numeric", "mu_closed_form", "abs_error", "kernel_value"])
+    writer.writerow((spec.sweep_param,) + SweepRow._fields[1:])
     for row in rows:
-        writer.writerow(
-            [
-                _fmt(row.value),
-                _fmt(row.mu_numeric),
-                _fmt(row.mu_closed_form),
-                _fmt(row.abs_error),
-                _fmt(row.kernel_value),
-            ]
-        )
-
-
-def sweep_rows_as_dicts(rows: list[SweepRow]) -> list[dict]:
-    return [
-        {
-            "value": r.value,
-            "mu_numeric": r.mu_numeric,
-            "mu_closed_form": r.mu_closed_form,
-            "abs_error": r.abs_error,
-            "kernel_value": r.kernel_value,
-        }
-        for r in rows
-    ]
+        writer.writerow([_fmt(v) for v in row])
 
 
 @dataclass(frozen=True)
@@ -179,59 +153,29 @@ GAD_INFO_GRID = tuple(
 )
 
 
-def run_validation(
-    tolerance: float = 1e-4,
-    grid_points_per_angle: int = DEFAULT_GRID,
-    seed: int = 0,
-) -> ValidationReport:
+def run_validation(tolerance: float = 1e-4, grid_points_per_angle: int = DEFAULT_GRID) -> ValidationReport:
     """Maximize mu over the fixed reference parameter grid and compare closed forms.
 
-    gad rows are informational (no trusted closed form; the quoted branch for
-    xi < 1 is shown for reference) and excluded from overall_pass.
+    Rows of a channel with only an unverified reference (gad) are
+    informational: they show its quoted xi < 1 branch and are excluded from
+    overall_pass.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    cfg = OptimizerConfig(grid_points_per_angle=grid_points_per_angle, seed=seed)
+    cfg = OptimizerConfig(grid_points_per_angle=grid_points_per_angle)
+    points = [(label, {name: value}) for label, name, values in VALIDATION_GRID for value in values]
+    points += [("gdc", {f"p{i}": w for i, w in enumerate(weights)}) for weights in GDC_VALIDATION_WEIGHTS]
+    points += [("gad", params) for params in GAD_INFO_GRID]
     rows = []
-    for label, name, values in VALIDATION_GRID:
-        for value in values:
-            result = maximize_mu(make_channel(label, {name: value}), cfg)
-            rows.append(
-                ValidationRow(
-                    channel_label=label,
-                    params={name: value},
-                    mu_numeric=result.mu,
-                    mu_closed_form=result.closed_form,
-                    abs_error=result.abs_error,
-                    passed=result.abs_error <= tolerance,
-                )
-            )
-    for weights in GDC_VALIDATION_WEIGHTS:
-        params = {f"p{i}": w for i, w in enumerate(weights)}
-        result = maximize_mu(make_channel("gdc", params), cfg)
-        rows.append(
-            ValidationRow(
-                channel_label="gdc",
-                params=params,
-                mu_numeric=result.mu,
-                mu_closed_form=result.closed_form,
-                abs_error=result.abs_error,
-                passed=result.abs_error <= tolerance,
-            )
-        )
-    for params in GAD_INFO_GRID:
-        result = maximize_mu(make_channel("gad", params), cfg)
-        reference = closed_form_mu("gad", params)
-        rows.append(
-            ValidationRow(
-                channel_label="gad",
-                params=params,
-                mu_numeric=result.mu,
-                mu_closed_form=reference.branch_xi_below_one,
-                abs_error=abs(result.mu - reference.branch_xi_below_one),
-                passed=None,
-            )
-        )
+    for label, params in points:
+        result = maximize_mu(make_channel(label, params), cfg)
+        closed, err, passed = result.closed_form, result.abs_error, None
+        if CHANNELS[label].reference is None:
+            passed = err <= tolerance
+        else:
+            closed = closed_form_mu(label, params).branch_xi_below_one
+            err = abs(result.mu - closed)
+        rows.append(ValidationRow(label, params, result.mu, closed, err, passed))
     return ValidationReport(rows=tuple(rows), tolerance=tolerance)
 
 
@@ -288,7 +232,6 @@ def _resolve_grid(flag_value: Optional[int]) -> int:
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         grid_points_per_angle=_resolve_grid(args.grid),
-        seed=args.seed,
         domain=args.domain,
     )
 
@@ -299,12 +242,7 @@ def _result_document(args, channel, result) -> dict:
         "params": dict(channel.params),
         "domain": args.domain,
         "mu": result.mu,
-        "argmax_params": {
-            "x": result.argmax_params.x,
-            "phi": result.argmax_params.phi,
-            "y": result.argmax_params.y,
-            "xi": result.argmax_params.xi,
-        },
+        "argmax_params": result.argmax_params._asdict(),
         "closed_form": result.closed_form,
         "abs_error": result.abs_error,
         "evaluations": result.evaluations,
@@ -348,7 +286,7 @@ def _cmd_sweep(args) -> int:
             "fixed_params": dict(spec.fixed_params),
             "kernel": spec.kernel_choice,
             "domain": args.domain,
-            "rows": sweep_rows_as_dicts(rows),
+            "rows": [row._asdict() for row in rows],
         }
         with open(args.out, "w") as stream:
             json.dump(document, stream, indent=2)
@@ -363,11 +301,7 @@ def _params_text(params: Mapping[str, float]) -> str:
 def _cmd_validate(args) -> int:
     if args.tol <= 0.0:
         raise ValueError("--tol must be positive")
-    report = run_validation(
-        tolerance=args.tol,
-        grid_points_per_angle=_resolve_grid(args.grid),
-        seed=args.seed,
-    )
+    report = run_validation(tolerance=args.tol, grid_points_per_angle=_resolve_grid(args.grid))
     header = f"{'channel':<8} {'params':<40} {'mu_numeric':<22} {'closed_form':<22} {'abs_error':<12} status"
     print(header)
     print("-" * len(header))
@@ -440,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", default="", metavar="k=v[,k=v...]", help="channel/kernel parameters")
         if domain:
             p.add_argument("--grid", type=int, default=None, help=f"grid points per angle (default {DEFAULT_GRID}, env {GRID_ENV_VAR})")
-            p.add_argument("--seed", type=int, default=0, help="no effect on any output; seeds only the library's mixed_state_diagnostic")
+            p.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
             p.add_argument(
                 "--domain",
                 choices=tuple(DOMAINS),
@@ -465,13 +399,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")
     p_validate.add_argument("--tol", type=float, default=1e-4)
     p_validate.add_argument("--grid", type=int, default=None)
-    p_validate.add_argument("--seed", type=int, default=0, help="no effect on any output")
+    p_validate.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
     p_validate.add_argument("--out", default=None, help="optional JSON report path")
     p_validate.set_defaults(func=_cmd_validate)
 
     p_vis = sub.add_parser("visibility", help="visibilities of the probe pair after the channel")
-    p_vis.add_argument("--channel", required=True)
-    p_vis.add_argument("--set", default="", metavar="k=v[,k=v...]")
+    add_common(p_vis, domain=False)
     p_vis.add_argument("--x", type=float, default=0.0, help="probe polar angle")
     p_vis.add_argument("--phi", type=float, default=0.0, help="probe azimuthal angle")
     p_vis.set_defaults(func=_cmd_visibility)

@@ -84,8 +84,6 @@ class OptimizerConfig:
     grid_points_per_angle: int = 24
     refinement_iterations: int = 200
     refinement_tolerance: float = 1e-10
-    mixed_samples: int = 2000
-    seed: int = 0
     domain: str = DOMAIN_PROBE
 
     def __post_init__(self):
@@ -95,8 +93,6 @@ class OptimizerConfig:
             raise ValueError("refinement_iterations must be positive")
         if self.refinement_tolerance <= 0.0:
             raise ValueError("refinement_tolerance must be positive")
-        if self.mixed_samples < 1:
-            raise ValueError("mixed_samples must be positive")
         _domain(self.domain)
 
 
@@ -412,22 +408,3 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
         best = max(best, float(np.max(vals)))
     return best
 
-
-def mixed_state_diagnostic(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> float:
-    """Maximum output incompatibility over random interior Bloch-ball pairs.
-
-    A scope probe, never the reported mu. Convexity guarantees the value is
-    bounded by the all-pairs pure maximum; for non-unital channels it can
-    exceed the probe-domain value, which is exactly the restriction the
-    diagnostic is meant to expose.
-    """
-    cfg = config or OptimizerConfig()
-    _require_qubit(ch)
-    rng = np.random.default_rng(cfg.seed)
-    a_mat, c_vec = bloch_map(ch)
-    directions = rng.normal(size=(cfg.mixed_samples, 2, 3))
-    directions /= np.linalg.norm(directions, axis=-1, keepdims=True)
-    radii = rng.random((cfg.mixed_samples, 2, 1)) ** (1.0 / 3.0)
-    pairs = directions * radii
-    outs = pairs @ a_mat.T + c_vec
-    return float(np.max(_cross_sq(outs[:, 0, :], outs[:, 1, :])))

@@ -220,7 +220,7 @@ def test_criterion_8_oracle_dominance_and_determinism(tmp_path):
     outputs = []
     for run in range(2):
         path = tmp_path / f"run{run}.csv"
-        rows = run_sweep(spec, OptimizerConfig(seed=123))
+        rows = run_sweep(spec, OptimizerConfig())
         with open(path, "w", newline="") as fh:
             write_sweep_csv(spec, rows, fh)
         outputs.append(path.read_bytes())

@@ -148,6 +148,28 @@ def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
     assert serial.read_bytes() == threaded.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["measure", "--channel", "pd", "--set", "gamma=0.25"], ["--seed", "5"]),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], ["--seed", "5"]),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], ["--jobs", "4"]),
+        (["validate"], ["--seed", "5"]),
+    ],
+    ids=["measure-seed", "sweep-seed", "sweep-jobs", "validate-seed"],
+)
+def test_compatibility_flags_change_no_output(tmp_path, capsys, argv, flags):
+    # --seed and --jobs are accepted and have no effect on stdout, files or exit code.
+    outputs = []
+    for extra in ([], flags):
+        out_path = tmp_path / f"out{len(outputs)}"
+        out_args = ["--out", str(out_path)] if argv[0] != "measure" else []
+        code, out, err = run_cli(capsys, *argv, *extra, *out_args)
+        assert code == 0, err
+        outputs.append((out.encode(), out_path.read_bytes() if out_args else None))
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_rtn_time_with_default_kernel(tmp_path, capsys):
     out_path = tmp_path / "rtn_t.csv"
     code, _, _ = run_cli(

@@ -100,12 +100,14 @@ def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
         writer.writerow([_fmt(v) for v in row])
 
 
-@dataclass(frozen=True)
-class ValidationRow:
-    """One channel/parameter point; passed is None for informational rows."""
+class ValidationRow(NamedTuple):
+    """One channel/parameter point; the fields are the ``validate --out`` JSON keys.
 
-    channel_label: str
-    params: Mapping[str, float]
+    passed is None for informational rows.
+    """
+
+    channel: str
+    params: dict[str, float]
     mu_numeric: float
     mu_closed_form: Optional[float]
     abs_error: Optional[float]
@@ -312,7 +314,7 @@ def _cmd_validate(args) -> int:
             closed += " (unverified)"
         err = "" if row.abs_error is None else f"{row.abs_error:.3e}"
         print(
-            f"{row.channel_label:<8} {_params_text(row.params):<40} "
+            f"{row.channel:<8} {_params_text(row.params):<40} "
             f"{row.mu_numeric:<22.12g} {closed:<22} {err:<12} {status}"
         )
     asserted = [r for r in report.rows if r.passed is not None]
@@ -325,17 +327,7 @@ def _cmd_validate(args) -> int:
         payload = {
             "tolerance": report.tolerance,
             "overall_pass": report.overall_pass,
-            "rows": [
-                {
-                    "channel": r.channel_label,
-                    "params": dict(r.params),
-                    "mu_numeric": r.mu_numeric,
-                    "mu_closed_form": r.mu_closed_form,
-                    "abs_error": r.abs_error,
-                    "passed": r.passed,
-                }
-                for r in report.rows
-            ],
+            "rows": [row._asdict() for row in report.rows],
         }
         with open(args.out, "w") as stream:
             json.dump(payload, stream, indent=2)

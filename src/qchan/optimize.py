@@ -20,23 +20,29 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     the maximum to pure states, so this domain also dominates every mixed
     input pair.
 
-Both domains scan a uniform grid first (lexicographic tie-break on the angle
-tuple, outer axes first), then refine its best point in the domain's own way.
+Each domain has one ``solve`` on the channel's affine Bloch map
+``r -> A r + c``; :func:`maximize_mu` is ``bloch_map``, that solve, then the
+closed-form fields. Grid scans break ties lexicographically on the angle
+tuple, outer axes first. Both refines stop after ``REFINEMENT_ITERATIONS``
+iterations or at ``REFINEMENT_TOLERANCE``, and both solves are deterministic.
 
-The probe refine works on the channel's affine Bloch map ``r -> A r + c``.
-Every probe pair has ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output
-cross product is
+The probe solve uses that every probe pair has
+``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
 
     (A a + c) x (A b + c) = cof(A) n(phi) + K (a - b),    K y = (A y) x c.
 
-For a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective ``|cof(A) n(phi)|^2``
-does not depend on x: mu is the top eigenvalue of the upper-left 2x2 block of
-``cof(A)^T cof(A)``, reported at x = 0 and the phi of its eigenvector.
-Otherwise projected Newton steps on the closed-form objective, gradient and
-Hessian polish the best grid point. The all-pairs refine is Nelder-Mead on
-the negated objective, with angles clipped (polar) or wrapped (azimuthal)
-inside the objective; it is the only user of scipy, which is imported on its
-first call. Both refines are deterministic.
+One function, :func:`_probe_terms`, evaluates its squared norm (with gradient
+and Hessian) on a grid or at a point. For a unital channel (``c = 0`` up to
+``UNITAL_TOL``) the objective ``|cof(A) n(phi)|^2`` does not depend on x: mu
+is the top eigenvalue of the upper-left 2x2 block of ``cof(A)^T cof(A)``,
+reported at x = 0 and the phi of its eigenvector, for one evaluation and no
+grid. Otherwise the solve scans the uniform grid and polishes its best point
+with projected Newton steps.
+
+The all-pairs solve scans its 4-angle grid, then runs Nelder-Mead on the
+negated objective from the best point, with angles clipped (polar) or wrapped
+(azimuthal) inside the objective; it is the only user of scipy, which is
+imported on its first call.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ DOMAIN_ALL_PAIRS = "all-pairs"
 # 2 sqrt(2) |c| for a CPTP map, is under 3e-14.
 UNITAL_TOL = 1e-14
 
+# Bounds of both refines: an iteration cap, and a step (probe) or simplex
+# (all-pairs) tolerance.
+REFINEMENT_ITERATIONS = 200
+REFINEMENT_TOLERANCE = 1e-10
+
 
 def __getattr__(name):
     # scipy.optimize costs most of the import time and memory of the package,
@@ -82,17 +93,11 @@ def _domain(name: str) -> Domain:
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_points_per_angle: int = 24
-    refinement_iterations: int = 200
-    refinement_tolerance: float = 1e-10
     domain: str = DOMAIN_PROBE
 
     def __post_init__(self):
         if self.grid_points_per_angle < 2:
             raise ValueError("grid_points_per_angle must be at least 2")
-        if self.refinement_iterations < 1:
-            raise ValueError("refinement_iterations must be positive")
-        if self.refinement_tolerance <= 0.0:
-            raise ValueError("refinement_tolerance must be positive")
         _domain(self.domain)
 
 
@@ -100,15 +105,17 @@ class OptimizerConfig:
 class QuantumnessResult:
     """Maximized output incompatibility with provenance.
 
-    ``closed_form`` and ``abs_error`` are populated only for channels with a
-    trusted analytic value, and only where it holds (gad is reported
-    numerically only). ``evaluations`` counts the grid's objective
-    evaluations plus the refine's: in the probe domain the points the Newton
-    polish evaluated (one for a unital channel), in the all-pairs domain
-    Nelder-Mead's function calls. ``converged`` is False only when the refine
-    stopped at ``refinement_iterations`` (probe) or at Nelder-Mead's
-    iteration or evaluation cap (all-pairs), which is not an error: the best
-    value seen is still returned.
+    ``mu`` is at most 1, the bound of ``|a' x b'|^2`` for Bloch vectors;
+    rounding above it is clipped. ``closed_form`` and ``abs_error`` are
+    populated only for channels with a trusted analytic value, and only where
+    it holds (gad is reported numerically only). ``evaluations`` counts the
+    objective evaluations of the domain's solve: 1 for the probe eigen-solve
+    of a unital channel, otherwise the grid's plus the refine's (the points
+    the probe Newton polish evaluated, or Nelder-Mead's function calls in the
+    all-pairs domain). ``converged`` is False only when the refine stopped at
+    ``REFINEMENT_ITERATIONS`` (probe) or at Nelder-Mead's iteration or
+    evaluation cap (all-pairs), which is not an error: the best value seen is
+    still returned.
     """
 
     mu: float
@@ -138,23 +145,11 @@ def _cross_sq(u, v):
     return np.sum(c * c, axis=-1)
 
 
-def _probe_objective(a_mat, c_vec, x, phi):
-    a, b = _pair_bloch_vectors(np.asarray(x, dtype=float), np.asarray(phi, dtype=float))
-    return _cross_sq(a @ a_mat.T + c_vec, b @ a_mat.T + c_vec)
-
-
 def _pairs_objective(a_mat, c_vec, angles):
     ta, pa, tb, pb = (np.asarray(v, dtype=float) for v in angles)
     out_a = _single_bloch(ta, pa) @ a_mat.T + c_vec
     out_b = _single_bloch(tb, pb) @ a_mat.T + c_vec
     return _cross_sq(out_a, out_b)
-
-
-def _probe_grid(a_mat, c_vec, xs, phis):
-    grid_x, grid_p = np.meshgrid(xs, phis, indexing="ij")
-    values = _probe_objective(a_mat, c_vec, grid_x, grid_p)
-    ix, ip = divmod(int(np.argmax(values)), len(phis))
-    return np.array([xs[ix], phis[ip]]), float(values[ix, ip]), values.size
 
 
 def _pairs_grid(a_mat, c_vec, thetas, phis):
@@ -182,22 +177,28 @@ def _pairs_canonical(angles) -> tuple:
     return tuple(float(v) % TWO_PI if i % 2 else min(max(float(v), 0.0), np.pi) for i, v in enumerate(angles))
 
 
+def _axes(polar_max: float, n: int):
+    """Grid axes of a domain: n polar angles in [0, polar_max], n azimuths in [0, 2 pi)."""
+    return np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+
 def _cofactor(a_mat):
     """cof(A), the matrix with (A u) x (A v) = cof(A) (u x v)."""
     cols = a_mat.T
-    return np.stack([np.cross(cols[1], cols[2]), np.cross(cols[2], cols[0]), np.cross(cols[0], cols[1])], axis=-1)
+    return np.cross(np.roll(cols, -1, axis=0), np.roll(cols, -2, axis=0)).T
 
 
-def _probe_terms(cols, x: float, phi: float):
+def _probe_terms(cols, x, phi):
     """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi).
 
     ``cols`` holds the first two columns of cof(A) and the three of K as
     float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
     the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
+    ``x`` and ``phi`` are floats or arrays that broadcast together.
     """
     c0, c1, k0, k1, k2 = cols
-    sp, cp = math.sin(phi), math.cos(phi)
-    s_minus, s_plus = math.sin(x) - math.cos(x), math.sin(x) + math.cos(x)
+    sp, cp = np.sin(phi), np.cos(phi)
+    s_minus, s_plus = np.sin(x) - np.cos(x), np.sin(x) + np.cos(x)
     f = f_x = f_p = f_xx = f_pp = f_xp = 0.0
     for i in range(3):
         cn, cm = sp * c0[i] + cp * c1[i], cp * c0[i] - sp * c1[i]
@@ -228,29 +229,32 @@ def _ascent_step(x: float, grad, hess):
     return g_x, g_p
 
 
-def _probe_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
-    """Exact solve for a unital channel, else a projected Newton polish of the grid's best point.
+def _probe_solve(a_mat, c_vec, n: int):
+    """Exact solve for a unital channel, else the n x n grid and a projected Newton polish of its best point.
 
-    Returns (angles, value, evaluations, converged). The polish never lowers
-    the value: a step is halved until the value does not drop, and the polish
-    stops once a step moves the angles by at most ``refinement_tolerance``.
+    Returns (angles, value, evaluations, converged). The unital solve is one
+    evaluation. The polish never lowers the value: a step is halved until the
+    value does not drop, and the polish stops once a step moves the angles by
+    at most ``REFINEMENT_TOLERANCE``.
     """
     cof = _cofactor(a_mat)
+    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
         _, vecs = np.linalg.eigh((cof.T @ cof)[:2, :2])
         phi = math.atan2(vecs[0, -1], vecs[1, -1]) % math.pi
-        return (0.0, phi), float(_probe_objective(a_mat, c_vec, 0.0, phi)), 1, True
-    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
-    x, phi = (float(v) for v in start)
+        return (0.0, phi), float(_probe_terms(cols, 0.0, phi)[0]), 1, True
+    xs, phis = _axes(HALF_PI, n)
+    ix, ip = divmod(int(np.argmax(_probe_terms(cols, xs[:, None], phis)[0])), n)
+    x, phi = float(xs[ix]), float(phis[ip])
     value, grad, hess = _probe_terms(cols, x, phi)
-    evaluations = 1
-    for _ in range(cfg.refinement_iterations):
+    evaluations = n * n + 1
+    for _ in range(REFINEMENT_ITERATIONS):
         step_x, step_p = _ascent_step(x, grad, hess)
         t = 1.0
         while True:
             new_x = min(max(x + t * step_x, 0.0), HALF_PI)
-            if max(abs(new_x - x), abs(t * step_p)) <= cfg.refinement_tolerance:
-                return (x, phi), value, evaluations, True
+            if max(abs(new_x - x), abs(t * step_p)) <= REFINEMENT_TOLERANCE:
+                return (float(x), float(phi)), float(value), evaluations, True
             terms = _probe_terms(cols, new_x, phi + t * step_p)
             evaluations += 1
             if terms[0] >= value:
@@ -258,10 +262,10 @@ def _probe_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
             t *= 0.5
         x, phi = new_x, (phi + t * step_p) % TWO_PI
         value, grad, hess = terms
-    return (x, phi), value, evaluations, False
+    return (float(x), float(phi)), float(value), evaluations, False
 
 
-def _pairs_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
+def _pairs_refine(a_mat, c_vec, start, start_value):
     """Nelder-Mead on the negated all-pairs objective from the grid's best point.
 
     Returns (angles, value, evaluations, converged); the grid point is kept
@@ -277,9 +281,9 @@ def _pairs_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
         np.asarray(start, dtype=float),
         method="Nelder-Mead",
         options={
-            "maxiter": cfg.refinement_iterations,
-            "xatol": cfg.refinement_tolerance,
-            "fatol": cfg.refinement_tolerance,
+            "maxiter": REFINEMENT_ITERATIONS,
+            "xatol": REFINEMENT_TOLERANCE,
+            "fatol": REFINEMENT_TOLERANCE,
         },
     )
     if -res.fun > start_value:
@@ -287,35 +291,31 @@ def _pairs_refine(a_mat, c_vec, start, start_value, cfg: OptimizerConfig):
     return _pairs_canonical(start), start_value, res.nfev, bool(res.success)
 
 
+def _pairs_solve(a_mat, c_vec, n: int):
+    """The all-pairs grid with n points per angle, then Nelder-Mead from its best point."""
+    start, value, grid_evaluations = _pairs_grid(a_mat, c_vec, *_axes(np.pi, n))
+    angles, value, refine_evaluations, converged = _pairs_refine(a_mat, c_vec, start, value)
+    return angles, value, grid_evaluations + refine_evaluations, converged
+
+
 @dataclass(frozen=True)
 class Domain:
     """One optimization domain; its angles alternate polar and azimuthal.
 
-    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``grid``
-    scans the uniform grid on :meth:`axes` and returns (start angles, best
-    value, evaluations); ``refine`` takes the Bloch map, the grid's start
-    angles and value and the config and returns (angles, value, evaluations,
-    converged); ``pair`` turns those angles into the reported
-    :class:`StatePairParams`.
+    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``solve``
+    takes the Bloch map ``(A, c)`` and the grid points per angle and returns
+    (angles, value, evaluations, converged); ``pair`` turns those angles into
+    the reported :class:`StatePairParams`.
     """
 
     polar_max: float
-    grid: Callable
-    refine: Callable
+    solve: Callable
     pair: Callable[..., StatePairParams]
-
-    def axes(self, n: int):
-        return np.linspace(0.0, self.polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
 
 
 DOMAINS = {
-    DOMAIN_PROBE: Domain(
-        HALF_PI,
-        _probe_grid,
-        _probe_refine,
-        pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi),
-    ),
-    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_grid, _pairs_refine, StatePairParams),
+    DOMAIN_PROBE: Domain(HALF_PI, _probe_solve, pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi)),
+    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_solve, StatePairParams),
 }
 
 
@@ -338,25 +338,23 @@ def _closed_form_fields(ch: KrausChannel, mu: float):
 def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> QuantumnessResult:
     """Maximize the output incompatibility of a qubit channel.
 
-    Stage 1 scans a uniform grid over the configured domain, with ties
-    resolved to the lexicographically smallest angle tuple; stage 2 is the
-    domain's refine (see the module docstring), bounded by
-    ``refinement_iterations`` and ``refinement_tolerance``. The result is
-    deterministic for a fixed configuration.
+    Computes the channel's Bloch map and runs the configured domain's solve
+    (see the module docstring); grid ties resolve to the lexicographically
+    smallest angle tuple. The result is deterministic for a fixed
+    configuration.
     """
     cfg = config or OptimizerConfig()
     _require_qubit(ch)
     domain = DOMAINS[cfg.domain]
-    a_mat, c_vec = bloch_map(ch)
-    start, grid_value, grid_evaluations = domain.grid(a_mat, c_vec, *domain.axes(cfg.grid_points_per_angle))
-    angles, mu, refine_evaluations, converged = domain.refine(a_mat, c_vec, start, grid_value, cfg)
+    angles, mu, evaluations, converged = domain.solve(*bloch_map(ch), cfg.grid_points_per_angle)
+    mu = min(mu, 1.0)  # |a' x b'|^2 <= 1; bloch_map rounding can land just above
     cf, err = _closed_form_fields(ch, mu)
     return QuantumnessResult(
         mu=mu,
         argmax_params=domain.pair(*angles),
         closed_form=cf,
         abs_error=err,
-        evaluations=int(grid_evaluations + refine_evaluations),
+        evaluations=evaluations,
         converged=converged,
     )
 
@@ -372,7 +370,7 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     _require_qubit(ch)
     if n < 2:
         raise ValueError("grid size must be at least 2")
-    polars, phis = _domain(domain).axes(n)
+    polars, phis = _axes(_domain(domain).polar_max, n)
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
 

@@ -303,15 +303,16 @@ def test_visibility_identity_like_channel(capsys):
 
 
 def test_grid_env_var(tmp_path, capsys, monkeypatch):
+    # ad is not unital, so its probe solve scans the grid (pd's eigen-solve does not)
     monkeypatch.setenv("QCHAN_DEFAULT_GRID", "8")
-    code, out, _ = run_cli(capsys, "measure", "--channel", "pd", "--set", "gamma=0.5")
+    code, out, _ = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5")
     assert code == 0
     doc = json.loads(out)
-    assert doc["evaluations"] < 24 * 24  # 8x8 grid plus refinement
+    assert 8 * 8 < doc["evaluations"] < 24 * 24  # 8x8 grid plus refinement
 
     # explicit flag wins over the environment
     code, out, _ = run_cli(
-        capsys, "measure", "--channel", "pd", "--set", "gamma=0.5", "--grid", "30"
+        capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--grid", "30"
     )
     assert json.loads(out)["evaluations"] >= 30 * 30
 
@@ -359,4 +360,4 @@ def test_validation_report_library_entry():
     worst = max(r.abs_error for r in asserted)
     assert worst <= 1e-4
     info = [r for r in report.rows if r.passed is None]
-    assert {r.channel_label for r in info} == {"gad"}
+    assert {r.channel for r in info} == {"gad"}

@@ -108,16 +108,25 @@ def test_determinism():
     assert a.evaluations == b.evaluations
 
 
-def test_probe_objective_constant_for_dephasing_channels():
-    from qchan.channels import bloch_map
-    from qchan.optimize import _probe_objective
+def _probe_cols(a_mat, c_vec):
+    """The cofactor and K columns that optimize._probe_terms takes."""
+    cof = optimize._cofactor(a_mat)
+    return (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
 
+
+def _direct_probe_objective(a_mat, c_vec, x, phi):
+    a, b = optimize._pair_bloch_vectors(x, phi)
+    return np.sum(np.cross(a @ a_mat.T + c_vec, b @ a_mat.T + c_vec) ** 2, axis=-1)
+
+
+def test_probe_objective_constant_for_dephasing_channels():
     xs = np.linspace(0, np.pi / 2, 40)
     phis = np.linspace(0, 2 * np.pi, 40, endpoint=False)
     gx, gp = np.meshgrid(xs, phis, indexing="ij")
     for ch in (rtn(0.7), nmd(0.45), pd(0.2)):
         a, c = bloch_map(ch)
-        vals = _probe_objective(a, c, gx, gp)
+        vals = optimize._probe_terms(_probe_cols(a, c), gx, gp)[0]
+        assert np.max(np.abs(vals - _direct_probe_objective(a, c, gx, gp))) <= 1e-14
         assert np.std(vals) <= 1e-10
 
 
@@ -186,8 +195,6 @@ def test_config_validation():
         OptimizerConfig(grid_points_per_angle=1)
     with pytest.raises(ValueError):
         OptimizerConfig(domain="everything")
-    with pytest.raises(ValueError):
-        OptimizerConfig(refinement_tolerance=0.0)
 
 
 def test_argmax_params_describe_the_maximizer():
@@ -225,10 +232,32 @@ def _rotated_gdc():
 def test_unital_probe_solve_spends_one_evaluation(ch):
     n = 16
     res = maximize_mu(ch, OptimizerConfig(grid_points_per_angle=n))
-    assert res.evaluations == n * n + 1
+    assert res.evaluations == 1
     assert res.converged
     assert res.argmax_params.x == 0.0
     assert res.mu >= brute_force_mu(ch, 48) - 1e-12
+
+
+def test_unital_branch_boundary_is_continuous():
+    # gad(1/2, xi) is unital; a shift of alpha by 1e-9 moves c off zero and
+    # sends the solve through the grid and the Newton polish.
+    unital = maximize_mu(gad(0.5, 0.6))
+    assert unital.evaluations == 1
+    for alpha in (0.5 - 1e-9, 0.5 + 1e-9):
+        res = maximize_mu(gad(alpha, 0.6))
+        assert res.evaluations > 24 * 24
+        assert abs(res.mu - unital.mu) <= 1e-8
+
+
+@pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
+def test_mu_never_exceeds_one(domain):
+    # A single unitary Kraus op keeps |a' x b'|^2 = 1 for orthogonal pure
+    # inputs; bloch_map rounding alone lifts the raw maximum above 1.
+    ch = KrausChannel(random_kraus_ops(np.random.default_rng(10), 1), "unitary")
+    res = maximize_mu(ch, OptimizerConfig(domain=domain))
+    assert res.mu <= 1.0
+    rho_a, rho_b = state_pair(res.argmax_params)
+    assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -242,13 +271,15 @@ def test_probe_objective_matches_cofactor_form(seed, n_ops):
     a, b = optimize._pair_bloch_vectors(gx, gp)
     n = np.stack([np.sin(gp), np.cos(gp), np.zeros_like(gp)], axis=-1)
     cofactor_form = np.sum((n @ cof.T + np.cross((a - b) @ a_mat.T, c_vec)) ** 2, axis=-1)
-    assert np.max(np.abs(optimize._probe_objective(a_mat, c_vec, gx, gp) - cofactor_form)) <= 1e-14
+    direct = _direct_probe_objective(a_mat, c_vec, gx, gp)
+    assert np.max(np.abs(direct - cofactor_form)) <= 1e-14
 
-    # The Newton polish's value, gradient and Hessian (central differences).
-    cof = optimize._cofactor(a_mat)
-    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
+    # The one probe objective on a grid, and pointwise with its gradient and
+    # Hessian (central differences) as the Newton polish calls it.
+    cols = _probe_cols(a_mat, c_vec)
+    assert np.max(np.abs(optimize._probe_terms(cols, gx, gp)[0] - direct)) <= 1e-14
     h = 1e-5
-    for x, phi, expected in zip(gx.ravel(), gp.ravel(), cofactor_form.ravel()):
+    for x, phi, expected in zip(gx.ravel(), gp.ravel(), direct.ravel()):
         f, (f_x, f_p), (f_xx, f_xp, f_pp) = optimize._probe_terms(cols, x, phi)
         assert abs(f - expected) <= 1e-14
         terms = {d: optimize._probe_terms(cols, x + d[0], phi + d[1]) for d in ((h, 0), (-h, 0), (0, h), (0, -h))}

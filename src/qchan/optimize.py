@@ -11,20 +11,20 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     which is what ``validate`` checks.
 
 ``all-pairs``
-    The literal maximization over all pure input pairs, a 4-angle grid over
-    two full Bloch spheres. For the non-unital channels (ad, gad, unruh) this
-    strictly exceeds the probe value (for example ad at gamma = 0.25 yields
-    0.94447 against the probe value 0.75), because those channels can
-    increase the incompatibility of inputs that are not maximally
-    noncommuting. Convexity of the objective in each Bloch argument pushes
-    the maximum to pure states, so this domain also dominates every mixed
-    input pair.
+    The literal maximization over all pure input pairs. For the non-unital
+    channels (ad, gad, unruh) it exceeds the probe value: ad at gamma = 0.25
+    gives 0.94447 against 0.75. The probe window x in [0, pi/2] accounts for
+    most of that gap, since the full x-circle of maximally noncommuting pairs
+    reaches 0.91337; only the rest comes from non-orthogonal pairs. Convexity
+    of the objective in each Bloch argument pushes the maximum to pure states,
+    so this domain also dominates every mixed input pair.
 
 Each domain has one ``solve`` on the channel's affine Bloch map
 ``r -> A r + c``; :func:`maximize_mu` is ``bloch_map``, that solve, then the
-closed-form fields. Grid scans break ties lexicographically on the angle
-tuple, outer axes first. Both refines stop after ``REFINEMENT_ITERATIONS``
-iterations or at ``REFINEMENT_TOLERANCE``, and both solves are deterministic.
+closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum tie,
+and ties go to the lexicographically smallest angle tuple, outer axes first.
+Both polishes never lower the value and stop after ``REFINEMENT_ITERATIONS``
+iterations or at ``REFINEMENT_TOLERANCE``; both solves are deterministic.
 
 The probe solve uses that every probe pair has
 ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
@@ -39,10 +39,11 @@ reported at x = 0 and the phi of its eigenvector, for one evaluation and no
 grid. Otherwise the solve scans the uniform grid and polishes its best point
 with projected Newton steps.
 
-The all-pairs solve scans its 4-angle grid, then runs Nelder-Mead on the
-negated objective from the best point, with angles clipped (polar) or wrapped
-(azimuthal) inside the objective; it is the only user of scipy, which is
-imported on its first call.
+The all-pairs solve is exact in the second input b: for each first input a
+the maximum over b is a trust-region subproblem (:func:`_sphere_max`). A
+unital channel gives ``|cof(A)(a x b)|^2 <= (s1 s2)^2``, attained at the top
+two right singular vectors of A, for one evaluation. Otherwise the solve scans
+an n x n grid over a and polishes its best point in the sphere's tangent plane.
 """
 
 from __future__ import annotations
@@ -68,15 +69,22 @@ DOMAIN_ALL_PAIRS = "all-pairs"
 # 2 sqrt(2) |c| for a CPTP map, is under 3e-14.
 UNITAL_TOL = 1e-14
 
-# Bounds of both refines: an iteration cap, and a step (probe) or simplex
-# (all-pairs) tolerance.
+# Bounds of both polishes: an iteration cap and a step tolerance in radians.
+# Grid values within TIE_TOL of the grid maximum tie (a few ulp of values <= 1).
 REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
+TIE_TOL = 1e-14
+
+# All-pairs polish: the step of its central differences, taken on a stencil of
+# (s, t) offsets (centre, +-s, +-t, the four corners), and the curvature below
+# which a direction is flat, 25 times their rounding noise 4e-16 / FD_STEP^2.
+FD_STEP = 1e-4
+FLAT_CURVATURE = 1e-6
+_STENCIL = FD_STEP * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
 
 
 def __getattr__(name):
-    # scipy.optimize costs most of the import time and memory of the package,
-    # and only the all-pairs refine uses it.
+    # qchan does not use scipy; only benchmarks/ reads this attribute.
     if name == "_sciopt":
         from scipy import optimize
 
@@ -109,13 +117,11 @@ class QuantumnessResult:
     rounding above it is clipped. ``closed_form`` and ``abs_error`` are
     populated only for channels with a trusted analytic value, and only where
     it holds (gad is reported numerically only). ``evaluations`` counts the
-    objective evaluations of the domain's solve: 1 for the probe eigen-solve
-    of a unital channel, otherwise the grid's plus the refine's (the points
-    the probe Newton polish evaluated, or Nelder-Mead's function calls in the
-    all-pairs domain). ``converged`` is False only when the refine stopped at
-    ``REFINEMENT_ITERATIONS`` (probe) or at Nelder-Mead's iteration or
-    evaluation cap (all-pairs), which is not an error: the best value seen is
-    still returned.
+    objective evaluations of the domain's solve: 1 for a unital channel,
+    otherwise the grid's plus the polish's. An all-pairs evaluation is one
+    first input solved exactly over every second input (n*n on the grid, 9
+    per polish step tried). ``converged`` is False only when the polish hit
+    ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
     """
 
     mu: float
@@ -140,46 +146,19 @@ def _single_bloch(theta, phi):
     return np.stack([st * np.cos(phi), -st * np.sin(phi), ct], axis=-1)
 
 
-def _cross_sq(u, v):
-    c = np.cross(u, v)
-    return np.sum(c * c, axis=-1)
-
-
-def _pairs_objective(a_mat, c_vec, angles):
-    ta, pa, tb, pb = (np.asarray(v, dtype=float) for v in angles)
-    out_a = _single_bloch(ta, pa) @ a_mat.T + c_vec
-    out_b = _single_bloch(tb, pb) @ a_mat.T + c_vec
-    return _cross_sq(out_a, out_b)
-
-
-def _pairs_grid(a_mat, c_vec, thetas, phis):
-    """Every ordered pair of single-state grid points, scanned in row blocks."""
-    n = len(phis)
-    grid_t, grid_p = np.meshgrid(thetas, phis, indexing="ij")
-    outs = _single_bloch(grid_t.ravel(), grid_p.ravel()) @ a_mat.T + c_vec
-    m = outs.shape[0]
-    best_value = -1.0
-    best_flat = 0
-    block = 256
-    for start in range(0, m, block):
-        vals = _cross_sq(outs[start : start + block, None, :], outs[None, :, :])
-        k = int(np.argmax(vals))
-        if float(vals.flat[k]) > best_value:
-            best_value = float(vals.flat[k])
-            best_flat = start * m + k
-    ia, ib = divmod(best_flat, m)
-    start_angles = np.array([thetas[ia // n], phis[ia % n], thetas[ib // n], phis[ib % n]])
-    return start_angles, best_value, m * m
-
-
-def _pairs_canonical(angles) -> tuple:
-    """Clip the two polar angles into [0, pi] and wrap the azimuths, as plain floats."""
-    return tuple(float(v) % TWO_PI if i % 2 else min(max(float(v), 0.0), np.pi) for i, v in enumerate(angles))
+def _bloch_angles(v):
+    """(theta, phi) of a unit Bloch vector, the inverse of :func:`_single_bloch`."""
+    return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(-v[1], v[0]) % TWO_PI
 
 
 def _axes(polar_max: float, n: int):
     """Grid axes of a domain: n polar angles in [0, polar_max], n azimuths in [0, 2 pi)."""
     return np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
+
+
+def _grid_argmax(values) -> int:
+    """Flat index of the first grid value within ``TIE_TOL`` of the maximum."""
+    return int(np.argmax(values.ravel() >= values.max() - TIE_TOL))
 
 
 def _cofactor(a_mat):
@@ -244,7 +223,7 @@ def _probe_solve(a_mat, c_vec, n: int):
         phi = math.atan2(vecs[0, -1], vecs[1, -1]) % math.pi
         return (0.0, phi), float(_probe_terms(cols, 0.0, phi)[0]), 1, True
     xs, phis = _axes(HALF_PI, n)
-    ix, ip = divmod(int(np.argmax(_probe_terms(cols, xs[:, None], phis)[0])), n)
+    ix, ip = divmod(_grid_argmax(_probe_terms(cols, xs[:, None], phis)[0]), n)
     x, phi = float(xs[ix]), float(phis[ip])
     value, grad, hess = _probe_terms(cols, x, phi)
     evaluations = n * n + 1
@@ -265,37 +244,77 @@ def _probe_solve(a_mat, c_vec, n: int):
     return (float(x), float(phi)), float(value), evaluations, False
 
 
-def _pairs_refine(a_mat, c_vec, start, start_value):
-    """Nelder-Mead on the negated all-pairs objective from the grid's best point.
+def _sphere_max(a_mat, c_vec, a_vecs):
+    """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for each row a of ``a_vecs``.
 
-    Returns (angles, value, evaluations, converged); the grid point is kept
-    unless Nelder-Mead finds a higher value.
+    With u = A a + c, M = [u]_x A, H = M^T M and g = M^T (u x c) this is the
+    trust-region subproblem max ``b.H b + 2 g.b + |u x c|^2`` (Moré & Sorensen
+    1983): ``b = (lam I - H)^{-1} g`` at the root lam >= lambda_max(H) of
+    ``|b| = 1``, found by Newton on the concave, increasing ``1/|b(lam)|``. In
+    the hard case (no top eigencomponent of g) lam = lambda_max and b is
+    filled to unit norm along the top eigenvector.
     """
-    from scipy import optimize as sciopt
+    u = a_vecs @ a_mat.T + c_vec
+    uu, p = np.sum(u * u, axis=1), u @ a_mat  # H = |u|^2 A^T A - p p^T, g = |u|^2 A^T c - (u.c) p
+    w, v = np.linalg.eigh(uu[:, None, None] * (a_mat.T @ a_mat) - p[:, :, None] * p[:, None, :])
+    gt = np.einsum("nij,ni->nj", v, uu[:, None] * (c_vec @ a_mat) - (u @ c_vec)[:, None] * p)
+    # |b(lam)| >= |gt_j| / (lam - w_j) for each j, so this start is at or below the root.
+    lam = np.maximum(w[:, -1], np.max(w + np.abs(gt), axis=1))
+    for _ in range(100):
+        r = np.where((gt != 0.0) & (lam[:, None] > w), 1.0 / np.maximum(lam[:, None] - w, 1e-300), 0.0)
+        s = np.sum((gt * r) ** 2, axis=1)
+        step = np.where(s > 1.0, s * (np.sqrt(s) - 1.0) / np.maximum(np.sum(gt * gt * r**3, axis=1), 1e-300), 0.0)
+        if np.all(step <= 1e-15 * (1.0 + lam)):
+            break
+        lam = lam + step
+    coef = gt * r
+    coef[:, -1] += np.where(coef[:, -1] == 0.0, np.sqrt(np.maximum(1.0 - np.sum(coef * coef, axis=1), 0.0)), 0.0)
+    b = np.einsum("nij,nj->ni", v, coef)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    return np.sum(np.cross(u, b @ a_mat.T + c_vec) ** 2, axis=1), b
 
-    def neg(p):
-        return -float(_pairs_objective(a_mat, c_vec, _pairs_canonical(p)))
 
-    res = sciopt.minimize(
-        neg,
-        np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        options={
-            "maxiter": REFINEMENT_ITERATIONS,
-            "xatol": REFINEMENT_TOLERANCE,
-            "fatol": REFINEMENT_TOLERANCE,
-        },
-    )
-    if -res.fun > start_value:
-        return _pairs_canonical(res.x), float(-res.fun), res.nfev, bool(res.success)
-    return _pairs_canonical(start), start_value, res.nfev, bool(res.success)
+def _tangent_points(theta, phi, steps):
+    """The point at (theta, phi) moved by each (s, t) row of ``steps`` along its theta and phi tangents, normalized."""
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    points = np.array([st * cp, -st * sp, ct]) + steps @ np.array([[ct * cp, -ct * sp, -st], [-sp, -cp, 0.0]])
+    return points / np.linalg.norm(points, axis=1, keepdims=True)
 
 
 def _pairs_solve(a_mat, c_vec, n: int):
-    """The all-pairs grid with n points per angle, then Nelder-Mead from its best point."""
-    start, value, grid_evaluations = _pairs_grid(a_mat, c_vec, *_axes(np.pi, n))
-    angles, value, refine_evaluations, converged = _pairs_refine(a_mat, c_vec, start, value)
-    return angles, value, grid_evaluations + refine_evaluations, converged
+    """Closed form for a unital channel, else an n x n grid over the first input and a Newton polish.
+
+    Returns (angles, value, evaluations, converged). The polish steps by
+    Newton along negative curvature, by the gradient along positive curvature
+    and not at all along flat directions (ad, gad and unruh are invariant
+    under z-rotation), halving a step until the value does not drop.
+    """
+    if np.linalg.norm(c_vec) <= UNITAL_TOL:
+        _, sing, vt = np.linalg.svd(a_mat)
+        return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
+    grid_t, grid_p = np.meshgrid(*_axes(np.pi, n), indexing="ij")
+    k = _grid_argmax(_sphere_max(a_mat, c_vec, _single_bloch(grid_t.ravel(), grid_p.ravel()))[0])
+    theta, phi = float(grid_t.flat[k]), float(grid_p.flat[k])
+    f, b = _sphere_max(a_mat, c_vec, _tangent_points(theta, phi, _STENCIL))
+    evaluations = n * n + len(_STENCIL)
+    for _ in range(REFINEMENT_ITERATIONS):
+        h_st = 0.25 * (f[5] - f[6] - f[7] + f[8])
+        hess = np.array([[f[1] + f[2], h_st], [h_st, f[3] + f[4]]]) - 2.0 * f[0] * np.eye(2)
+        curv, vecs = np.linalg.eigh(hess / FD_STEP**2)
+        gain = np.where(curv < -FLAT_CURVATURE, -1.0 / np.minimum(curv, -FLAT_CURVATURE), curv > FLAT_CURVATURE)
+        step = vecs @ (gain * (vecs.T @ np.array([f[1] - f[2], f[3] - f[4]]))) / (2.0 * FD_STEP)
+        t = 1.0
+        while True:
+            if t * np.max(np.abs(step)) <= REFINEMENT_TOLERANCE:
+                return (theta, phi, *_bloch_angles(b[0])), float(f[0]), evaluations, True
+            new_theta, new_phi = _bloch_angles(_tangent_points(theta, phi, t * step[None])[0])
+            new_f, new_b = _sphere_max(a_mat, c_vec, _tangent_points(new_theta, new_phi, _STENCIL))
+            evaluations += len(_STENCIL)
+            if new_f[0] >= f[0]:
+                break
+            t *= 0.5
+        theta, phi, f, b = new_theta, new_phi, new_f, new_b
+    return (theta, phi, *_bloch_angles(b[0])), float(f[0]), evaluations, False
 
 
 @dataclass(frozen=True)
@@ -339,9 +358,9 @@ def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> Q
     """Maximize the output incompatibility of a qubit channel.
 
     Computes the channel's Bloch map and runs the configured domain's solve
-    (see the module docstring); grid ties resolve to the lexicographically
-    smallest angle tuple. The result is deterministic for a fixed
-    configuration.
+    (see the module docstring); grid ties (within ``TIE_TOL``) resolve to the
+    lexicographically smallest angle tuple. The result is deterministic for a
+    fixed configuration.
     """
     cfg = config or OptimizerConfig()
     _require_qubit(ch)

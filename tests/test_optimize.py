@@ -240,13 +240,16 @@ def test_unital_probe_solve_spends_one_evaluation(ch):
 
 def test_unital_branch_boundary_is_continuous():
     # gad(1/2, xi) is unital; a shift of alpha by 1e-9 moves c off zero and
-    # sends the solve through the grid and the Newton polish.
-    unital = maximize_mu(gad(0.5, 0.6))
-    assert unital.evaluations == 1
-    for alpha in (0.5 - 1e-9, 0.5 + 1e-9):
-        res = maximize_mu(gad(alpha, 0.6))
-        assert res.evaluations > 24 * 24
-        assert abs(res.mu - unital.mu) <= 1e-8
+    # sends the solve through the grid and the Newton polish. In the all-pairs
+    # domain the sphere solves then sit next to their hard case.
+    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+        cfg = OptimizerConfig(domain=domain)
+        unital = maximize_mu(gad(0.5, 0.6), cfg)
+        assert unital.evaluations == 1
+        for alpha in (0.5 - 1e-9, 0.5 + 1e-9):
+            res = maximize_mu(gad(alpha, 0.6), cfg)
+            assert res.evaluations > 24 * 24
+            assert abs(res.mu - unital.mu) <= 1e-8
 
 
 @pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
@@ -309,11 +312,85 @@ def test_probe_solve_on_random_maps(seed, n_ops):
 @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
 def test_all_pairs_mu_invariant_under_output_unitary(seed, n_ops):
     # K_i -> U K_i rotates every output Bloch vector, which leaves |a' x b'|^2
-    # unchanged. Keep the default grid: at grid 8 the two runs can converge
-    # to different local maxima.
+    # unchanged.
     rng = np.random.default_rng(seed)
     ops = random_kraus_ops(rng, n_ops)
     u = random_unitary(rng)
-    cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
+    cfg = OptimizerConfig(grid_points_per_angle=8, domain=DOMAIN_ALL_PAIRS)
     mu = maximize_mu(KrausChannel(ops, "random"), cfg).mu
     assert abs(maximize_mu(KrausChannel(tuple(u @ k for k in ops), "random"), cfg).mu - mu) <= 1e-10
+
+
+def test_all_pairs_coarse_grid_finds_the_global_maximum():
+    # A 4-angle search at grid 8 stops at a local maximum (0.13777) for the
+    # rotated copy of this map; the true maximum does not depend on U.
+    rng = np.random.default_rng(10)
+    ops = random_kraus_ops(rng, 3)
+    u = random_unitary(rng)
+    cfg = OptimizerConfig(grid_points_per_angle=8, domain=DOMAIN_ALL_PAIRS)
+    for kraus in (ops, tuple(u @ k for k in ops)):
+        assert abs(maximize_mu(KrausChannel(kraus, "random"), cfg).mu - 0.13832313082060127) <= 1e-10
+
+
+@pytest.mark.parametrize("ch", [ad(0.25), unruh(np.pi / 6), gad(0.7, 0.5)], ids=lambda ch: ch.label)
+def test_grid_ties_resolve_to_the_smallest_azimuth(ch):
+    # These channels are invariant under z-rotation, so every azimuth of the
+    # first input ties on the grid; the tie goes to phi = 0, and the polish
+    # takes no step along the flat direction.
+    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+        assert maximize_mu(ch, OptimizerConfig(domain=domain)).argmax_params.phi == 0.0
+
+
+def _unitary_mixture(seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(3))
+    return KrausChannel(tuple(np.sqrt(w) * random_unitary(rng) for w in weights), "unitary-mixture")
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [pd(0.3), rtn(0.6), gdc(0.5, 0.3, 0.15, 0.05), gdc(0.1, 0.4, 0.3, 0.2), _unitary_mixture(1), _unitary_mixture(2)],
+    ids=lambda ch: ch.label,
+)
+def test_unital_all_pairs_solve_is_closed_form(ch):
+    res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
+    s = np.linalg.svd(bloch_map(ch)[0], compute_uv=False)
+    assert res.evaluations == 1 and res.converged
+    assert abs(res.mu - (s[0] * s[1]) ** 2) <= 1e-15
+    rho_a, rho_b = state_pair(res.argmax_params)
+    assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
+    assert res.mu >= brute_force_mu(ch, 12, DOMAIN_ALL_PAIRS) - 1e-12
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
+def test_all_pairs_solve_on_random_maps(seed, n_ops):
+    ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random")
+    res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
+    assert res.converged
+    assert res.mu >= brute_force_mu(ch, 24, DOMAIN_ALL_PAIRS) - 1e-12
+    rho_a, rho_b = state_pair(res.argmax_params)
+    assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
+
+
+def test_all_pairs_converges_on_benchmark_random_maps():
+    # The five random 3-Kraus maps of the all-pairs benchmark workload, seeds 1-3.
+    cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            assert maximize_mu(KrausChannel(random_kraus_ops(rng, 3), "random"), cfg).converged
+
+
+def test_all_pairs_solve_runs_without_scipy():
+    src = str(Path(optimize.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import qchan\n"
+        "print(repr(qchan.maximize_mu(qchan.ad(0.25), qchan.OptimizerConfig(domain='all-pairs')).mu))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert abs(float(done.stdout) - 0.9444741363334508) <= 1e-12

@@ -322,8 +322,8 @@ def test_all_pairs_mu_invariant_under_output_unitary(seed, n_ops):
 
 
 def test_all_pairs_coarse_grid_finds_the_global_maximum():
-    # A 4-angle search at grid 8 stops at a local maximum (0.13777) for the
-    # rotated copy of this map; the true maximum does not depend on U.
+    # The 4-angle objective of the rotated copy has a local maximum near
+    # 0.13777 that a coarse search can stop at; the maximum does not depend on U.
     rng = np.random.default_rng(10)
     ops = random_kraus_ops(rng, 3)
     u = random_unitary(rng)

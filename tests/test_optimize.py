@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from qchan import (
     DOMAIN_PROBE,
     KrausChannel,
     OptimizerConfig,
+    StatePairParams,
     ad,
     apply,
     brute_force_mu,
@@ -72,9 +74,9 @@ def test_gdc_closed_form_withheld_outside_its_region():
 def test_random_cptp_maps_dominate_oracle_and_probe(seed, n_ops):
     ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random")
     mu = {}
-    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+    for domain, oracle_n in ((DOMAIN_PROBE, 8), (DOMAIN_ALL_PAIRS, 24)):
         mu[domain] = maximize_mu(ch, OptimizerConfig(grid_points_per_angle=8, domain=domain)).mu
-        assert mu[domain] >= brute_force_mu(ch, 8, domain) - 1e-12
+        assert mu[domain] >= brute_force_mu(ch, oracle_n, domain) - 1e-12
     assert mu[DOMAIN_ALL_PAIRS] >= mu[DOMAIN_PROBE] - 1e-12
 
 
@@ -91,12 +93,45 @@ def test_brute_force_examples():
     assert brute_force_mu(ad(1.0), 12, domain=DOMAIN_ALL_PAIRS) < 1e-12
 
 
+def _explicit_oracle(ch, n, domain):
+    """Grid maximum of incompatibility(apply(ch, rho), apply(ch, sigma)), one pair at a time."""
+    polar_max = np.pi / 2 if domain == DOMAIN_PROBE else np.pi
+    angles = [(t, p) for t in np.linspace(0, polar_max, n) for p in np.linspace(0, 2 * np.pi, n, endpoint=False)]
+    if domain == DOMAIN_PROBE:
+        pairs = [max_noncommuting_pair(t, p) for t, p in angles]
+        return max(incompatibility(apply(ch, rho), apply(ch, sigma)) for rho, sigma in pairs)
+    outs = [apply(ch, state_pair(StatePairParams(t, p, 0.0, 0.0))[0]) for t, p in angles]
+    return max(incompatibility(rho, sigma) for rho in outs for sigma in outs)
+
+
+_ORACLE_CHANNELS = [ad(0.25), gad(1.0, 0.6), unruh(np.pi / 6), IDENTITY, ad(1.0)] + [
+    KrausChannel(random_kraus_ops(np.random.default_rng(seed), 3), "random") for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
+@pytest.mark.parametrize("ch", _ORACLE_CHANNELS, ids=lambda ch: ch.label)
+def test_brute_force_matches_explicit_pairs(ch, domain):
+    assert abs(brute_force_mu(ch, 6, domain) - _explicit_oracle(ch, 6, domain)) <= 1e-13
+
+
+def test_all_pairs_oracle_memory_is_row_blocked():
+    # One 2304 x 2304 table of pair values alone is 42 MB; row blocks keep the peak near 9 MB.
+    tracemalloc.start()
+    try:
+        brute_force_mu(ad(0.25), 48, DOMAIN_ALL_PAIRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
 def test_refinement_dominates_grid():
     cfg = OptimizerConfig(grid_points_per_angle=16)
     for ch in (rtn(0.6), nmd(-0.4), pd(0.3), ad(0.45), gad(0.7, 0.5), unruh(0.4), gdc(0.5, 0.3, 0.1, 0.1)):
         assert maximize_mu(ch, cfg).mu >= brute_force_mu(ch, 16) - 1e-12
         cfg_all = OptimizerConfig(grid_points_per_angle=16, domain=DOMAIN_ALL_PAIRS)
-        assert maximize_mu(ch, cfg_all).mu >= brute_force_mu(ch, 16, domain=DOMAIN_ALL_PAIRS) - 1e-12
+        assert maximize_mu(ch, cfg_all).mu >= brute_force_mu(ch, 24, domain=DOMAIN_ALL_PAIRS) - 1e-12
 
 
 def test_determinism():
@@ -359,7 +394,7 @@ def test_unital_all_pairs_solve_is_closed_form(ch):
     assert abs(res.mu - (s[0] * s[1]) ** 2) <= 1e-15
     rho_a, rho_b = state_pair(res.argmax_params)
     assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
-    assert res.mu >= brute_force_mu(ch, 12, DOMAIN_ALL_PAIRS) - 1e-12
+    assert res.mu >= brute_force_mu(ch, 24, DOMAIN_ALL_PAIRS) - 1e-12
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -31,13 +31,14 @@ The probe solve uses that every probe pair has
 
     (A a + c) x (A b + c) = cof(A) n(phi) + K (a - b),    K y = (A y) x c.
 
-One function, :func:`_probe_terms`, evaluates its squared norm (with gradient
-and Hessian) on a grid or at a point. For a unital channel (``c = 0`` up to
-``UNITAL_TOL``) the objective ``|cof(A) n(phi)|^2`` does not depend on x: mu
-is the top eigenvalue of the upper-left 2x2 block of ``cof(A)^T cof(A)``,
-reported at x = 0 and the phi of its eigenvector, for one evaluation and no
-grid. Otherwise the solve scans the uniform grid and polishes its best point
-with projected Newton steps.
+:func:`_probe_values` evaluates its squared norm on the grid, values only;
+:func:`_probe_terms` adds gradient and Hessian at a point, for the polish. For
+a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective
+``|cof(A) n(phi)|^2`` does not depend on x: mu is the top eigenvalue of the
+upper-left 2x2 block of ``cof(A)^T cof(A)``, reported at x = 0 and the phi of
+its eigenvector (closed form), for one evaluation and no grid. Otherwise the
+solve scans the uniform grid and polishes its best point with projected
+Newton steps.
 
 The all-pairs solve is exact in the second input b: for each first input a
 the maximum over b is a trust-region subproblem (:func:`_sphere_max`). A
@@ -164,14 +165,19 @@ def _grid_argmax(values) -> int:
     return int(np.argmax(values.ravel() >= values.max() - TIE_TOL))
 
 
+def _cross(u, v):
+    """u x v for float triples, in plain floats (small-array numpy costs more here)."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
 def _cofactor(a_mat):
-    """cof(A), the matrix with (A u) x (A v) = cof(A) (u x v)."""
-    cols = a_mat.T
-    return np.cross(np.roll(cols, -1, axis=0), np.roll(cols, -2, axis=0)).T
+    """cof(A), the matrix with (A u) x (A v) = cof(A) (u x v); column j is A e_{j+1} x A e_{j+2}."""
+    cols = a_mat.T.tolist()
+    return np.array([_cross(cols[j - 2], cols[j - 1]) for j in range(3)]).T
 
 
 def _probe_terms(cols, x, phi):
-    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi).
+    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi), for the polish.
 
     ``cols`` holds the first two columns of cof(A) and the three of K as
     float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
@@ -211,22 +217,36 @@ def _ascent_step(x: float, grad, hess):
     return g_x, g_p
 
 
+def _probe_values(cols, xs, phis):
+    """The probe objective alone on the grid ``xs`` x ``phis``, as ``|G(x) (sin phi, cos phi) + s_plus k2|^2``."""
+    # G = [c0 - s_minus k1, c1 + s_minus k0]: the terms of _probe_terms grouped by phi.
+    c0, c1, k0, k1, k2 = np.array(cols)
+    s_minus, s_plus = (np.sin(xs) - np.cos(xs))[:, None, None], (np.sin(xs) + np.cos(xs))[:, None, None]
+    g = (c0 - s_minus * k1) * np.sin(phis)[:, None] + (c1 + s_minus * k0) * np.cos(phis)[:, None] + s_plus * k2
+    return np.sum(g * g, axis=-1)
+
+
 def _probe_solve(a_mat, c_vec, n: int):
     """Exact solve for a unital channel, else the n x n grid and a projected Newton polish of its best point.
 
     Returns (angles, value, evaluations, converged). The unital solve is one
-    evaluation. The polish never lowers the value: a step is halved until the
-    value does not drop, and the polish stops once a step moves the angles by
-    at most ``REFINEMENT_TOLERANCE``.
+    evaluation, the top eigenvector of a 2x2 block in closed form. The polish
+    never lowers the value: a step is halved until the value does not drop,
+    and the polish stops once a step moves the angles by at most
+    ``REFINEMENT_TOLERANCE``.
     """
-    cof = _cofactor(a_mat)
-    cols = (*cof[:, :2].T.tolist(), *np.cross(a_mat.T, c_vec).tolist())
-    if np.linalg.norm(c_vec) <= UNITAL_TOL:
-        _, vecs = np.linalg.eigh((cof.T @ cof)[:2, :2])
-        phi = math.atan2(vecs[0, -1], vecs[1, -1]) % math.pi
+    a_cols, c = a_mat.T.tolist(), c_vec.tolist()
+    cols = (*_cofactor(a_mat).T.tolist()[:2], *(_cross(col, c) for col in a_cols))
+    if math.hypot(*c) <= UNITAL_TOL:
+        # Top eigenvector of the block [[p, q], [q, r]]: (h + d, q) or (q, h - d), the one without
+        # cancellation; a degenerate block (q = 0, p = r) gives (0, 0) and phi = 0.
+        p, q, r = (sum(s * t for s, t in zip(cols[i], cols[j])) for i, j in ((0, 0), (0, 1), (1, 1)))
+        d = 0.5 * (p - r)
+        h = math.hypot(d, q)
+        phi = math.atan2(*((h + d, q) if d >= 0.0 else (q, h - d))) % math.pi
         return (0.0, phi), float(_probe_terms(cols, 0.0, phi)[0]), 1, True
     xs, phis = _axes(HALF_PI, n)
-    ix, ip = divmod(_grid_argmax(_probe_terms(cols, xs[:, None], phis)[0]), n)
+    ix, ip = divmod(_grid_argmax(_probe_values(cols, xs, phis)), n)
     x, phi = float(xs[ix]), float(phis[ip])
     value, grad, hess = _probe_terms(cols, x, phi)
     evaluations = n * n + 1

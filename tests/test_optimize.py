@@ -328,6 +328,86 @@ def test_probe_objective_matches_cofactor_form(seed, n_ops):
         assert abs(f_xp - (terms[0, h][1][0] - terms[0, -h][1][0]) / (2 * h)) <= 1e-8
 
 
+def _numpy_cofactor(a_mat):
+    """Reference cofactor from numpy rolls and cross products: column j is A e_{j+1} x A e_{j+2}."""
+    return np.cross(np.roll(a_mat.T, -1, axis=0), np.roll(a_mat.T, -2, axis=0)).T
+
+
+def test_cofactor_maps_input_cross_products_to_output_ones():
+    rng = np.random.default_rng(3)
+    singular = [np.outer(rng.normal(size=3), rng.normal(size=3)), np.zeros((3, 3)), bloch_map(rtn(0.0))[0]]
+    u, v = rng.normal(size=(2, 20, 3))
+    for a_mat in [rng.normal(size=(3, 3)) for _ in range(20)] + singular:
+        cof = optimize._cofactor(a_mat)
+        assert np.max(np.abs(np.cross(u @ a_mat.T, v @ a_mat.T) - np.cross(u, v) @ cof.T)) <= 1e-14
+        assert np.max(np.abs(cof - _numpy_cofactor(a_mat))) <= 1e-15
+
+
+def _pauli_mixture(seed):
+    # Pauli weights between two random unitaries: a unital map with a generic Bloch matrix.
+    rng = np.random.default_rng(seed)
+    u, v = random_unitary(rng), random_unitary(rng)
+    return KrausChannel(tuple(u @ k @ v for k in gdc(*rng.dirichlet(np.ones(4))).ops), "pauli-mixture")
+
+
+def _eigh_probe_solve(a_mat):
+    """mu and phi of the top eigenvector of the upper-left 2x2 block of cof(A)^T cof(A), by np.linalg.eigh."""
+    cof = optimize._cofactor(a_mat)
+    w, vecs = np.linalg.eigh((cof.T @ cof)[:2, :2])
+    return w[-1], np.arctan2(vecs[0, -1], vecs[1, -1])
+
+
+def test_unital_probe_solve_matches_eigh():
+    for seed in range(50):
+        ch = _pauli_mixture(seed)
+        res = maximize_mu(ch)
+        mu, phi = _eigh_probe_solve(bloch_map(ch)[0])
+        assert res.evaluations == 1 and res.argmax_params.x == 0.0
+        assert abs(res.mu - mu) <= 1e-15
+        assert abs(np.sin(res.argmax_params.phi - phi)) <= 1e-12
+
+
+def test_unital_probe_solve_on_special_blocks():
+    # A degenerate block (q = 0, p = r) leaves phi free; it is reported as 0, as eigh does.
+    for ch in (rtn(0.3), pd(0.5), gdc(0.25, 0.25, 0.25, 0.25)):
+        assert maximize_mu(ch).argmax_params.phi == 0.0
+    # q ~ -1e-20 with p > r: lam - p cancels to a rounding residue, so only
+    # the (lam - r, q) form of the eigenvector gives phi = pi/2.
+    a_mat = np.diag([0.65, 0.76, 0.59])
+    a_mat[0, 1] = 5e-20
+    cof = optimize._cofactor(a_mat)
+    block = (cof.T @ cof)[:2, :2]
+    assert block[0, 0] > block[1, 1] and 1e-21 < abs(block[0, 1]) < 1e-19
+    (x, phi), value, evaluations, converged = optimize._probe_solve(a_mat, np.zeros(3), 24)
+    mu, phi_eigh = _eigh_probe_solve(a_mat)
+    assert abs(value - mu) <= 1e-15 and abs(np.sin(phi - phi_eigh)) <= 1e-12
+    assert abs(phi - np.pi / 2) <= 1e-12 and (x, evaluations, converged) == (0.0, 1, True)
+
+
+@pytest.mark.parametrize("n_ops", [3, 4])
+def test_probe_grid_values_match_probe_terms(n_ops):
+    xs, phis = optimize._axes(np.pi / 2, 24)
+    for seed in range(10):
+        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random"))
+        cols = _probe_cols(a_mat, c_vec)
+        values = optimize._probe_values(cols, xs, phis)
+        assert values.shape == (24, 24)
+        assert np.max(np.abs(values - optimize._probe_terms(cols, xs[:, None], phis)[0])) <= 1e-15
+
+
+def test_probe_solve_avoids_small_array_numpy(monkeypatch):
+    # The probe solve runs on plain floats; only the non-unital grid is an array computation.
+    channels = (rtn(0.3), ad(0.25))
+    expected = [maximize_mu(ch).mu for ch in channels]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the probe solve called a small-array numpy routine")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np, "cross", forbidden)
+    assert [maximize_mu(ch).mu for ch in channels] == expected
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_ops=st.integers(1, 4))
 def test_probe_solve_on_random_maps(seed, n_ops):

@@ -30,20 +30,24 @@ from typing import Callable, ClassVar, Mapping, Optional
 
 import numpy as np
 
-from .linalg import DensityMatrix, IDENTITY2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
+from .linalg import DensityMatrix, IDENTITY2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 COMPLETENESS_TOL = 1e-10
 KERNEL_TOL = 1e-12
 _BASIS = np.stack((IDENTITY2,) + PAULIS)
+# _PAULI_TENSOR[(ij), (abcd)] = conj(s_i[a, c]) s_j[b, d], so Tr(s_i Phi(s_j)) = _PAULI_TENSOR[(ij)] . vec(C)
+_PAULI_TENSOR = np.einsum("iac,jbd->ijabcd", _BASIS.conj(), _BASIS).reshape(16, 16)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """A channel rho -> sum_i K_i rho K_i^dag with validated completeness.
 
-    ``params`` records the constructor arguments under their stable names
-    (gamma, alpha, xi, r, p0..p3, lambda, omega) for reporting and for
-    closed-form lookups.
+    ``ops`` are read-only complex128 views of one stacked copy of the given
+    operators, so later changes to the caller's arrays do not reach the
+    channel. ``params`` records the constructor arguments under their stable
+    names (gamma, alpha, xi, r, p0..p3, lambda, omega) for reporting and for
+    closed-form lookups. Channels compare and hash by identity.
     """
 
     ops: tuple
@@ -51,21 +55,24 @@ class KrausChannel:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(self.ops) == 0:
+        mats = [np.asarray(k, dtype=complex) for k in self.ops]
+        if not mats:
             raise ValueError("channel needs at least one Kraus operator")
-        mats = tuple(as_matrix(k).copy() for k in self.ops)
-        dim = mats[0].shape[0]
-        if any(m.shape != (dim, dim) for m in mats):
-            raise ValueError("all Kraus operators must share one dimension")
-        total = sum(m.conj().T @ m for m in mats)
-        dev = float(np.max(np.abs(total - np.eye(dim))))
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(
-                f"completeness violated: max |sum K^dag K - I| = {dev:.3e}"
-            )
         for m in mats:
-            m.setflags(write=False)
-        object.__setattr__(self, "ops", mats)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"expected a square matrix, got shape {m.shape}")
+            if m.shape != mats[0].shape:
+                raise ValueError("all Kraus operators must share one dimension")
+        stack, dim = np.array(mats), len(mats[0])
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix entries must be finite")
+        # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
+        rows = stack.reshape(-1, dim)
+        dev = float(np.abs(rows.conj().T @ rows - np.eye(dim)).max())
+        if dev > COMPLETENESS_TOL:
+            raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev:.3e}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "ops", tuple(stack))
         object.__setattr__(self, "params", dict(self.params))
 
     @property
@@ -91,8 +98,11 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     if ch.dim != 2:
         raise ValueError("Bloch representation is qubit-only")
 
-    # m[i, j] = Tr(s_i Phi(s_j))/2 over the basis s = (I, X, Y, Z)
-    m = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", _BASIS, np.stack(ch.ops), _BASIS, np.conj(ch.ops)).real
+    # m[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) from C[(ab), (cd)] = sum_k K_ab conj(K_cd), built
+    # from elementwise products: a BLAS product's fused multiply-adds break the exact zeros of rtn(0).
+    flat = np.array(ch.ops).reshape(-1, 4)
+    choi = (flat[:, :, None] * flat.conj()[:, None, :]).sum(axis=0)
+    m = 0.5 * (_PAULI_TENSOR @ choi.reshape(16)).real.reshape(4, 4)
     return m[1:, 1:], m[1:, 0]
 
 

@@ -35,10 +35,10 @@ The probe solve uses that every probe pair has
 :func:`_probe_terms` adds gradient and Hessian at a point, for the polish. For
 a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective
 ``|cof(A) n(phi)|^2`` does not depend on x: mu is the top eigenvalue of the
-upper-left 2x2 block of ``cof(A)^T cof(A)``, reported at x = 0 and the phi of
-its eigenvector (closed form), for one evaluation and no grid. Otherwise the
-solve scans the uniform grid and polishes its best point with projected
-Newton steps.
+upper-left 2x2 block of ``cof(A)^T cof(A)``, computed in closed form from the
+block's entries and reported at x = 0 and the phi of its eigenvector, for one
+evaluation and no grid. Otherwise the solve scans the uniform grid and
+polishes its best point with projected Newton steps.
 
 The all-pairs solve is exact in the second input b: for each first input a
 the maximum over b is a trust-region subproblem (:func:`_sphere_max`). A
@@ -65,7 +65,7 @@ HALF_PI = 0.5 * np.pi
 DOMAIN_PROBE = "probe"
 DOMAIN_ALL_PAIRS = "all-pairs"
 
-# bloch_map leaves rounding residue in c for unital channels (4e-17 for pd).
+# bloch_map leaves rounding residue in c for unital channels (up to 1.1e-16 for pd, at pd(0.5)).
 # Below this norm the x-dependence of the probe objective, at most
 # 2 sqrt(2) |c| for a CPTP map, is under 3e-14.
 UNITAL_TOL = 1e-14
@@ -171,9 +171,9 @@ def _cross(u, v):
 
 
 def _cofactor(a_mat):
-    """cof(A), the matrix with (A u) x (A v) = cof(A) (u x v); column j is A e_{j+1} x A e_{j+2}."""
+    """Columns of cof(A) as float triples: (A u) x (A v) = cof(A) (u x v); column j is A e_{j+1} x A e_{j+2}."""
     cols = a_mat.T.tolist()
-    return np.array([_cross(cols[j - 2], cols[j - 1]) for j in range(3)]).T
+    return [_cross(cols[j - 2], cols[j - 1]) for j in range(3)]
 
 
 def _probe_terms(cols, x, phi):
@@ -230,21 +230,21 @@ def _probe_solve(a_mat, c_vec, n: int):
     """Exact solve for a unital channel, else the n x n grid and a projected Newton polish of its best point.
 
     Returns (angles, value, evaluations, converged). The unital solve is one
-    evaluation, the top eigenvector of a 2x2 block in closed form. The polish
+    evaluation, the top eigenpair of a 2x2 block in closed form. The polish
     never lowers the value: a step is halved until the value does not drop,
     and the polish stops once a step moves the angles by at most
     ``REFINEMENT_TOLERANCE``.
     """
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
-    cols = (*_cofactor(a_mat).T.tolist()[:2], *(_cross(col, c) for col in a_cols))
+    cols = (*_cofactor(a_mat)[:2], *(_cross(col, c) for col in a_cols))
     if math.hypot(*c) <= UNITAL_TOL:
-        # Top eigenvector of the block [[p, q], [q, r]]: (h + d, q) or (q, h - d), the one without
-        # cancellation; a degenerate block (q = 0, p = r) gives (0, 0) and phi = 0.
+        # Top eigenpair of the block [[p, q], [q, r]]: (p + r)/2 + h, with eigenvector (h + d, q) or
+        # (q, h - d), the one without cancellation; a degenerate block (q = 0, p = r) gives phi = 0.
         p, q, r = (sum(s * t for s, t in zip(cols[i], cols[j])) for i, j in ((0, 0), (0, 1), (1, 1)))
         d = 0.5 * (p - r)
         h = math.hypot(d, q)
         phi = math.atan2(*((h + d, q) if d >= 0.0 else (q, h - d))) % math.pi
-        return (0.0, phi), float(_probe_terms(cols, 0.0, phi)[0]), 1, True
+        return (0.0, phi), 0.5 * (p + r) + h, 1, True
     xs, phis = _axes(HALF_PI, n)
     ix, ip = divmod(_grid_argmax(_probe_values(cols, xs, phis)), n)
     x, phi = float(xs[ix]), float(phis[ip])

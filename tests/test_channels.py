@@ -23,7 +23,8 @@ from qchan import (
     unruh,
 )
 from qchan.channels import CHANNELS
-from conftest import sample_ball
+from qchan.linalg import PAULIS
+from conftest import random_kraus_ops, sample_ball
 
 ALL_CONSTRUCTORS = {
     "rtn": lambda: rtn(0.5),
@@ -159,6 +160,37 @@ def test_kraus_channel_rejects_incomplete_sets():
         KrausChannel((), "empty")
 
 
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ((np.ones((2, 3)),), "expected a square matrix"),
+        ((np.eye(2), np.eye(3)), "share one dimension"),
+        ((np.diag([np.nan, 1.0]),), "must be finite"),
+        ((np.diag([1.0, np.inf]),), "must be finite"),
+    ],
+    ids=["non-square", "mismatched", "nan", "inf"],
+)
+def test_kraus_channel_rejects_malformed_operators(ops, message):
+    with pytest.raises(ValueError, match=message):
+        KrausChannel(ops, "malformed")
+
+
+def test_kraus_channel_ops_are_read_only_complex_copies():
+    for op in (np.eye(2), np.eye(2, dtype=complex)):
+        ch = KrausChannel((op,), "identity")
+        op[0, 0] = 5.0
+        assert ch.ops[0][0, 0] == 1.0 and ch.ops[0].dtype == np.complex128
+        with pytest.raises(ValueError, match="read-only"):
+            ch.ops[0][0, 0] = 1
+    assert all(k.dtype == np.complex128 for k in gdc(0.4, 0.3, 0.2, 0.1).ops)
+
+
+def test_channels_compare_and_hash_by_identity():
+    first, second = rtn(0.3), rtn(0.3)
+    assert (first == first) is True and (first == second) is False
+    assert {first: "first", second: "second"}[first] == "first"
+
+
 def test_completeness_across_parameter_grids():
     worst = 0.0
     grid = np.linspace(0, 1, 51)
@@ -221,6 +253,36 @@ def test_bloch_map_matches_apply(rng):
         for v in sample_ball(rng, 30):
             direct = np.array(tuple(to_bloch(apply(ch, from_bloch(v)))))
             np.testing.assert_allclose(a @ v + c, direct, atol=1e-12)
+
+
+def _einsum_bloch_map(ch):
+    """Reference Bloch map from one 4-operand einsum: m[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z)."""
+    basis = np.stack((np.eye(2),) + PAULIS)
+    m = 0.5 * np.einsum("iab,kbc,jcd,kad->ij", basis, np.stack(ch.ops), basis, np.conj(ch.ops)).real
+    return m[1:, 1:], m[1:, 0]
+
+
+def test_bloch_map_matches_einsum_reference():
+    rng = np.random.default_rng(17)
+    channels = [KrausChannel(random_kraus_ops(rng, 1 + i % 4), "random") for i in range(50)]
+    channels += [build() for build in ALL_CONSTRUCTORS.values()]
+    channels += [rtn(0.0), rtn(-1.0), nmd(0.0), pd(1.0), ad(1.0), gad(0.0, 0.0), unruh(np.pi / 4), gdc(0, 0, 0, 1)]
+    for ch in channels:
+        (a, c), (a_ref, c_ref) = bloch_map(ch), _einsum_bloch_map(ch)
+        assert np.max(np.abs(a - a_ref)) <= 1e-15 and np.max(np.abs(c - c_ref)) <= 1e-15, ch.label
+
+
+def test_bloch_map_keeps_exact_zeros():
+    # rtn(0) keeps only z: eight exact zeros; A_zz = 2 (sqrt(1/2))^2 is one ulp above 1.
+    a_zero = bloch_map(rtn(0.0))[0]
+    assert np.array_equal(a_zero[:, :2], np.zeros((3, 2))) and np.array_equal(a_zero[:2, 2], [0.0, 0.0])
+    assert abs(a_zero[2, 2] - 1.0) <= np.spacing(1.0)
+    rng = np.random.default_rng(5)
+    values = np.linspace(-1.0, 1.0, 21)
+    gdcs = [gdc(*rng.dirichlet(np.ones(4))) for _ in range(20)]
+    for ch in [rtn(v) for v in values] + [nmd(v) for v in values] + gdcs:
+        a, c = bloch_map(ch)
+        assert np.all(c == 0.0) and np.all(a[~np.eye(3, dtype=bool)] == 0.0), (ch.label, ch.params)
 
 
 # -- memory kernels ---------------------------------------------------------

@@ -361,3 +361,6 @@ def test_validation_report_library_entry():
     assert worst <= 1e-4
     info = [r for r in report.rows if r.passed is None]
     assert {r.channel for r in info} == {"gad"}
+    # rtn and nmd at kernel value 0 erase all coherence: mu is exactly 0, not a rounding residue.
+    zeros = [r.mu_numeric for r in report.rows if r.channel in ("rtn", "nmd") and list(r.params.values()) == [0.0]]
+    assert zeros == [0.0, 0.0]

@@ -312,6 +312,8 @@ def _pairs_solve(a_mat, c_vec, n: int):
     and not at all along flat directions (ad, gad and unruh are invariant
     under z-rotation), halving a step until the value does not drop.
     """
+    # numpy's products round differently for strided operands; C order makes the result depend on values only.
+    a_mat, c_vec = np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec)
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
         _, sing, vt = np.linalg.svd(a_mat)
         return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
@@ -407,11 +409,15 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     Deliberately evaluated through Kraus application and the trace form
     ``4 (Tr[rho^2 sigma^2] - Tr[(rho sigma)^2])``, not the affine Bloch route
     used by :func:`maximize_mu`, so the two act as independent cross-checks.
-    Each output state gives a row ``L(rho) = [vec(rho^2), vec(rho (x) rho)]``
-    and a row ``R(sigma)`` with ``L(rho) . R(sigma)`` equal to the bracket, so
-    all-pairs takes row-by-column products ``ORACLE_BLOCK`` rows at a time, in
-    O(block m) memory for m grid states. The bound is nondecreasing under
-    nested grid refinement.
+    The input states go through the Kraus superoperator ``sum_k K (x) conj(K)``
+    in one product. Each output state gives a complex row
+    ``L(rho) = [vec(rho^2), vec(rho (x) rho)]`` and a row ``R(sigma)`` with
+    ``L(rho) . R(sigma)`` equal to the bracket; both are stored as real rows of
+    twice the width whose dot product is ``Re(L(rho) . R(sigma))``. All-pairs
+    takes row-by-column products ``ORACLE_BLOCK`` rows at a time, in
+    O(block m) memory for m grid states, and since the bracket is symmetric in
+    (rho, sigma) each block meets only the states from its own first row on.
+    The bound is nondecreasing under nested grid refinement.
     """
     _require_qubit(ch)
     if n < 2:
@@ -419,29 +425,32 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     polars, phis = _axes(_domain(domain).polar_max, n)
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
+    superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
 
-    def push(states):
-        # states: (m, 2, 2) stack -> channel outputs, same shape
-        return np.einsum("kab,nbc,kdc->nad", kraus, states, kraus.conj())
-
-    def density(bloch):
+    def outputs(bloch):
+        # Channel outputs sum_k K rho K^dag of the input states, as an (m, 2, 2) stack.
         x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
-        return 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1).reshape(-1, 2, 2)
+        states = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+        return (states @ superop).reshape(-1, 2, 2)
 
-    def rows(bloch):
-        # L(rho) . R(sigma) = sum rho2_ij sigma2_ji - sum rho_ij rho_kl sigma_jk sigma_li over (i, j, k, l)
-        rho = push(density(bloch))
-        sq = rho @ rho
-        left = [sq.reshape(-1, 4), np.einsum("nij,nkl->nijkl", rho, rho).reshape(-1, 16)]
-        right = [sq.transpose(0, 2, 1).reshape(-1, 4), -np.einsum("njk,nli->nijkl", rho, rho).reshape(-1, 16)]
-        return np.concatenate(left, axis=1), np.concatenate(right, axis=1)
+    # L(rho) . R(sigma) = sum rho2_ij sigma2_ji - sum rho_ij rho_kl sigma_jk sigma_li over (i, j, k, l);
+    # with x.view(float) = (Re x0, Im x0, ...), L.view(float) . conj(R).view(float) = Re(L . R).
+    def left(rho):
+        sq = np.einsum("nij,njk->nik", rho, rho)
+        return np.concatenate([sq.reshape(-1, 4), np.einsum("nij,nkl->nijkl", rho, rho).reshape(-1, 16)], axis=1).view(float)
+
+    def right(sigma):
+        sq = np.einsum("nij,njk->nki", sigma, sigma)
+        row = np.concatenate([sq.reshape(-1, 4), -np.einsum("njk,nli->nijkl", sigma, sigma).reshape(-1, 16)], axis=1)
+        return np.conj(row).view(float)
 
     if domain == DOMAIN_PROBE:
         a, b = _pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
-        return float(np.max(4.0 * np.sum(rows(a)[0] * rows(b)[1], axis=1).real))
+        return 4.0 * float(np.max(np.einsum("ni,ni->n", left(outputs(a)), right(outputs(b)))))
 
-    left, right = rows(_single_bloch(grid_x.ravel(), grid_p.ravel()))
+    rho = outputs(_single_bloch(grid_x.ravel(), grid_p.ravel()))
+    lrows, rrows = left(rho), right(rho)
     best = 0.0
-    for start in range(0, len(left), ORACLE_BLOCK):
-        best = max(best, float(np.max(4.0 * (left[start : start + ORACLE_BLOCK] @ right.T).real)))
-    return best
+    for start in range(0, len(lrows), ORACLE_BLOCK):
+        best = max(best, float(np.max(lrows[start : start + ORACLE_BLOCK] @ rrows[start:].T)))
+    return 4.0 * best  # exact: a power of two

@@ -30,7 +30,7 @@ from qchan import (
     state_pair,
     unruh,
 )
-from qchan import optimize
+from qchan import channels, optimize
 from qchan.channels import bloch_map
 from conftest import random_kraus_ops, random_unitary, sample_ball
 
@@ -94,14 +94,17 @@ def test_brute_force_examples():
 
 
 def _explicit_oracle(ch, n, domain):
-    """Grid maximum of incompatibility(apply(ch, rho), apply(ch, sigma)), one pair at a time."""
+    """Grid maximum of 2 |[rho, sigma]|_F^2 over the apply() outputs, every pair in one array."""
     polar_max = np.pi / 2 if domain == DOMAIN_PROBE else np.pi
     angles = [(t, p) for t in np.linspace(0, polar_max, n) for p in np.linspace(0, 2 * np.pi, n, endpoint=False)]
     if domain == DOMAIN_PROBE:
-        pairs = [max_noncommuting_pair(t, p) for t, p in angles]
-        return max(incompatibility(apply(ch, rho), apply(ch, sigma)) for rho, sigma in pairs)
-    outs = [apply(ch, state_pair(StatePairParams(t, p, 0.0, 0.0))[0]) for t, p in angles]
-    return max(incompatibility(rho, sigma) for rho in outs for sigma in outs)
+        outs = np.array([[apply(ch, s).mat for s in max_noncommuting_pair(t, p)] for t, p in angles])
+        rho, sigma = outs[:, 0], outs[:, 1]
+    else:
+        outs = np.array([apply(ch, state_pair(StatePairParams(t, p, 0.0, 0.0))[0]).mat for t, p in angles])
+        rho, sigma = outs[:, None], outs[None]
+    comm = rho @ sigma - sigma @ rho
+    return float(np.max(2.0 * np.sum(np.abs(comm) ** 2, axis=(-2, -1))))
 
 
 _ORACLE_CHANNELS = [ad(0.25), gad(1.0, 0.6), unruh(np.pi / 6), IDENTITY, ad(1.0)] + [
@@ -111,12 +114,27 @@ _ORACLE_CHANNELS = [ad(0.25), gad(1.0, 0.6), unruh(np.pi / 6), IDENTITY, ad(1.0)
 
 @pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
 @pytest.mark.parametrize("ch", _ORACLE_CHANNELS, ids=lambda ch: ch.label)
-def test_brute_force_matches_explicit_pairs(ch, domain):
-    assert abs(brute_force_mu(ch, 6, domain) - _explicit_oracle(ch, 6, domain)) <= 1e-13
+def test_brute_force_matches_explicit_pairs(ch, domain, monkeypatch):
+    # n = 13 gives 169 states: the default block size covers them in two blocks, the second one partial.
+    for n in (6, 13):
+        reference = _explicit_oracle(ch, n, domain)
+        for block in (1, 7, optimize.ORACLE_BLOCK):
+            monkeypatch.setattr(optimize, "ORACLE_BLOCK", block)
+            assert abs(brute_force_mu(ch, n, domain) - reference) <= 1e-13, (n, block)
+
+
+def test_brute_force_never_uses_the_bloch_map(monkeypatch):
+    def forbidden(ch):
+        raise AssertionError("brute_force_mu must not use the affine Bloch route")
+
+    monkeypatch.setattr(optimize, "bloch_map", forbidden)
+    monkeypatch.setattr(channels, "bloch_map", forbidden)
+    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+        assert brute_force_mu(ad(0.25), 8, domain) > 0.5
 
 
 def test_all_pairs_oracle_memory_is_row_blocked():
-    # One 2304 x 2304 table of pair values alone is 42 MB; row blocks keep the peak near 9 MB.
+    # One 2304 x 2304 table of pair values alone is 42 MB; row blocks keep the peak near 4 MB.
     tracemalloc.start()
     try:
         brute_force_mu(ad(0.25), 48, DOMAIN_ALL_PAIRS)
@@ -486,6 +504,17 @@ def test_all_pairs_solve_on_random_maps(seed, n_ops):
     assert res.mu >= brute_force_mu(ch, 24, DOMAIN_ALL_PAIRS) - 1e-12
     rho_a, rho_b = state_pair(res.argmax_params)
     assert abs(incompatibility(apply(ch, rho_a), apply(ch, rho_b)) - res.mu) <= 1e-12
+
+
+def test_all_pairs_solve_ignores_memory_layout():
+    # numpy rounds products of strided operands differently; the solve must depend on the values of (A, c) only.
+    for seed in range(20):
+        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), 3), "random"))
+        a_buf, c_buf = np.zeros((3, 6)), np.zeros(6)
+        a_buf[:, ::2], c_buf[::2] = a_mat, c_vec
+        contiguous = optimize._pairs_solve(np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec), 8)
+        assert optimize._pairs_solve(a_buf[:, ::2], c_buf[::2], 8) == contiguous
+        assert optimize._pairs_solve(np.asfortranarray(a_mat), c_vec, 8) == contiguous
 
 
 def test_all_pairs_converges_on_benchmark_random_maps():

@@ -26,7 +26,7 @@ label reads it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -108,8 +108,8 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
 
 def _check_kernel_value(value: float, name: str) -> float:
     v = float(value)
-    if abs(v) > 1.0 + KERNEL_TOL:
-        raise ValueError(f"invalid kernel value: |{name}| = {abs(v):.6f} exceeds 1")
+    if not abs(v) <= 1.0 + KERNEL_TOL:  # NaN fails this test too
+        raise ValueError(f"invalid kernel value: {name} = {v:.6f} is outside [-1, 1]")
     return min(1.0, max(-1.0, v))
 
 
@@ -165,7 +165,7 @@ def gad(alpha: float, xi: float) -> KrausChannel:
 
     Four operators sqrt(alpha) diag(1, sqrt(xi)), sqrt(alpha P) |0><1|,
     sqrt(beta) diag(sqrt(xi), 1) and sqrt(beta P) |1><0| with beta = 1 - alpha
-    and P = 1 - xi, the unique weights for which completeness holds for every
+    and P = 1 - xi, the unique weights for which completeness is met for every
     alpha. alpha = 1 reduces to amplitude damping with gamma = 1 - xi; xi = 1
     is the identity for any alpha.
     """
@@ -205,7 +205,7 @@ def unruh_r_from_acceleration(exponent: float) -> float:
     x -> infinity (small acceleration) gives r -> 0 and quantumness cos^2 r -> 1.
     """
     x = float(exponent)
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError("exponent 2 pi omega c / a must be nonnegative")
     return float(np.arccos(1.0 / np.sqrt(1.0 + np.exp(-x))))
 
@@ -219,12 +219,19 @@ def gdc(p0: float, p1: float, p2: float, p3: float) -> KrausChannel:
     if any(w < 0.0 for w in weights):
         raise ValueError(f"negative weight in {weights}")
     total = sum(weights)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"weights must sum to 1, got {total!r}")
     mats = (np.asarray(IDENTITY2), np.asarray(SIGMA_X), np.asarray(SIGMA_Y), np.asarray(SIGMA_Z))
     ops = tuple(np.sqrt(w) * m for w, m in zip(weights, mats))
     params = {f"p{i}": w for i, w in enumerate(weights)}
     return KrausChannel(ops, "gdc", params)
+
+
+def _rates(gamma: float, b: float) -> tuple[float, float]:
+    g, bv = float(gamma), float(b)
+    if not (0.0 < g < np.inf and 0.0 < bv < np.inf):
+        raise ValueError(f"gamma and b must be positive and finite, got gamma={g}, b={bv}")
+    return g, bv
 
 
 def rtn_kernel(t: float, gamma: float, b: float) -> float:
@@ -238,11 +245,10 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
 
     The value stays in [-1, 1] for all t >= 0 and Lambda(0) = 1.
     """
-    tv, g, bv = float(t), float(gamma), float(b)
-    if tv < 0.0:
-        raise ValueError(f"t must be nonnegative, got {tv}")
-    if g <= 0.0 or bv <= 0.0:
-        raise ValueError("gamma and b must be positive")
+    tv = float(t)
+    if not 0.0 <= tv < np.inf:
+        raise ValueError(f"t must be finite and nonnegative, got {tv}")
+    g, bv = _rates(gamma, b)
     disc = 4.0 * bv * bv - g * g
     if disc > 0.0:
         w = np.sqrt(disc)
@@ -276,9 +282,7 @@ class MemoryKernel:
 
 def rtn_memory_kernel(gamma: float, b: float) -> MemoryKernel:
     """Time kernel t -> rtn_kernel(t, gamma, b), label carries the parameters."""
-    g, bv = float(gamma), float(b)
-    if g <= 0.0 or bv <= 0.0:
-        raise ValueError("gamma and b must be positive")
+    g, bv = _rates(gamma, b)
     return MemoryKernel(
         evaluate=lambda t: rtn_kernel(t, g, bv),
         label=f"rtn-damped(gamma={g:g},b={bv:g})",
@@ -302,20 +306,6 @@ def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
     raise ValueError(f"unknown kernel {name!r} (available: rtn-damped, nmd-linear)")
 
 
-@dataclass(frozen=True)
-class GadReferenceMu:
-    """Both quoted closed-form candidates for the gad channel.
-
-    The two expressions reference regimes xi > 1 and xi < 1 that conflict with
-    xi being a damping parameter in [0, 1]; neither reproduces the numerically
-    maximized value, so they are reference data only, never an oracle.
-    """
-
-    branch_xi_below_one: float
-    branch_xi_above_one: float
-    verified: ClassVar[bool] = False
-
-
 def _squared(v: float) -> float:
     return v**2
 
@@ -326,13 +316,6 @@ def _one_minus(gamma: float) -> float:
 
 def _cos_squared(r: float) -> float:
     return float(np.cos(r) ** 2)
-
-
-def _gad_reference(alpha: float, xi: float) -> GadReferenceMu:
-    return GadReferenceMu(
-        branch_xi_below_one=xi * (2.0 * xi - 1.0) ** 2,
-        branch_xi_above_one=xi * (xi - np.sqrt(2.0) * (xi - 1.0)) ** 2,
-    )
 
 
 def _ad_coherence(gamma: float) -> float:
@@ -351,19 +334,17 @@ class ChannelSpec:
     """The facts about one channel family, keyed by its label in :data:`CHANNELS`.
 
     Every callable takes the parameters positionally, in ``params`` order.
-    ``closed_form`` is the exact probe-domain maximum wherever ``holds`` is
-    true; gad has none and carries its unverified ``reference`` instead.
-    ``coherence`` is the coherence-based measure's reference curve. Sweeping
-    ``kernel_param`` drives the first parameter through a memory kernel,
-    ``default_kernel`` unless another is chosen.
+    ``closed_form`` is the exact probe-domain maximum for every parameter
+    value, or None when the family has none (gad). ``coherence`` is the
+    coherence-based measure's reference curve. Sweeping ``kernel_param``
+    drives the first parameter through a memory kernel, ``default_kernel``
+    unless another is chosen.
     """
 
     make: Callable[..., KrausChannel]
     params: tuple
     coherence: Callable
     closed_form: Optional[Callable[..., float]] = None
-    holds: Callable[..., bool] = lambda *args: True
-    reference: Optional[Callable[..., GadReferenceMu]] = None
     kernel_param: Optional[str] = None
     default_kernel: Optional[str] = None
 
@@ -377,14 +358,15 @@ CHANNELS = {
     ),
     "pd": ChannelSpec(pd, ("gamma",), closed_form=_one_minus, coherence=_one_minus),
     "ad": ChannelSpec(ad, ("gamma",), closed_form=_one_minus, coherence=_ad_coherence),
-    "gad": ChannelSpec(gad, ("alpha", "xi"), reference=_gad_reference, coherence=_gad_coherence),
+    "gad": ChannelSpec(gad, ("alpha", "xi"), coherence=_gad_coherence),
     "unruh": ChannelSpec(unruh, ("r",), closed_form=_cos_squared, coherence=_cos_squared),
     "gdc": ChannelSpec(
         gdc,
         ("p0", "p1", "p2", "p3"),
-        closed_form=lambda p0, p1, p2, p3: (p0 + p1 - p2 - p3) ** 2 * (p0 - p1 - p2 + p3) ** 2,
-        # otherwise the probe maximum sits at another azimuth and exceeds it
-        holds=lambda p0, p1, p2, p3: (p0 - p3) * (p1 - p2) >= 0.0,
+        # Bloch map diag(l1, l2, l3), so |cof(A) n(phi)|^2 = l3^2 (l2^2 sin^2 phi + l1^2 cos^2 phi)
+        closed_form=lambda p0, p1, p2, p3: (
+            max((p0 + p1 - p2 - p3) ** 2, (p0 - p1 + p2 - p3) ** 2) * (p0 - p1 - p2 + p3) ** 2
+        ),
         coherence=lambda p0, p1, p2, p3: (p0 - p1) ** 2 + (p2 - p3) ** 2,
     ),
 }

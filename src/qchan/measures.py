@@ -119,22 +119,18 @@ def check_outer_inequality(rho0, rhot, tol: float = 1e-10) -> OuterInequalityChe
     return OuterInequalityCheck(holds=slack >= -tol, slack=slack)
 
 
-def closed_form_mu(label: str, params: Mapping[str, float]):
+def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
     """Analytic quantumness for a channel label, from the registry.
 
-    Values are exact maxima over the maximally noncommuting probe family:
-    rtn -> Lambda^2, nmd -> Omega^2, pd -> 1 - gamma, ad -> 1 - gamma,
-    unruh -> cos^2 r, gdc -> (p0+p1-p2-p3)^2 (p0-p1-p2+p3)^2 where
-    (p0 - p3)(p1 - p2) >= 0; outside that region a ValueError is raised.
-
-    ``gad`` has no trusted closed form; both quoted branch expressions are
-    returned together as a :class:`GadReferenceMu`, flagged unverified.
+    Values are exact maxima over the maximally noncommuting probe family for
+    every parameter value: rtn -> Lambda^2, nmd -> Omega^2, pd -> 1 - gamma,
+    ad -> 1 - gamma, unruh -> cos^2 r, gdc -> max(l1^2, l2^2) l3^2 with
+    l1 = p0+p1-p2-p3, l2 = p0-p1+p2-p3, l3 = p0-p1-p2+p3 (the Bloch map is
+    diag(l1, l2, l3)). A label with no closed form (gad) raises ValueError.
     """
     spec, args = channel_args(label, params)
     if spec.closed_form is None:
-        return spec.reference(*args)
-    if not spec.holds(*args):
-        raise ValueError(f"the {label} closed form does not hold at {dict(params)}")
+        raise ValueError(f"channel {label} has no closed form")
     return spec.closed_form(*args)
 
 

@@ -118,13 +118,13 @@ class QuantumnessResult:
     """Maximized output incompatibility with provenance.
 
     ``mu`` is at most 1, the bound of ``|a' x b'|^2`` for Bloch vectors;
-    rounding above it is clipped. ``closed_form`` and ``abs_error`` are
-    populated only for channels with a trusted analytic value, and only where
-    it holds (gad is reported numerically only). ``evaluations`` counts the
-    objective evaluations of the domain's solve: 1 for a unital channel,
-    otherwise the grid's plus the polish's. An all-pairs evaluation is one
-    first input solved exactly over every second input (n*n on the grid, 9
-    per polish step tried). ``converged`` is False only when the polish hit
+    rounding above it is clipped. ``closed_form`` and ``abs_error`` are filled
+    for every channel whose label has a closed form in
+    :data:`qchan.channels.CHANNELS` (all but gad), at every parameter value,
+    and None otherwise. ``evaluations`` counts the objective evaluations of
+    the domain's solve: 1 for a unital channel, otherwise the grid's plus the
+    polish's. An all-pairs evaluation is one first input solved exactly over
+    every second input (n*n on the grid, 9 per polish step tried). ``converged`` is False only when the polish hit
     ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
     """
 
@@ -179,7 +179,7 @@ def _cofactor(a_mat):
 def _probe_terms(cols, x, phi):
     """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi), for the polish.
 
-    ``cols`` holds the first two columns of cof(A) and the three of K as
+    ``cols`` carries the first two columns of cof(A) and the three of K as
     float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
     the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
     ``x`` and ``phi`` are floats or arrays that broadcast together.
@@ -374,7 +374,7 @@ def _closed_form_fields(ch: KrausChannel, mu: float):
         return None, None
     try:
         cf = float(closed_form_mu(ch.label, ch.params))
-    except ValueError:  # missing parameters, or outside the region where it holds
+    except ValueError:  # a KrausChannel built directly may lack the parameters
         return None, None
     return cf, abs(mu - cf)
 

@@ -21,6 +21,7 @@ from qchan import (
     rtn,
     rtn_kernel,
     unruh,
+    unruh_r_from_acceleration,
 )
 from qchan.channels import CHANNELS
 from qchan.linalg import PAULIS
@@ -146,6 +147,19 @@ def test_gdc_uniform_weights_depolarize():
         (lambda: unruh(1.0), "r must"),
         (lambda: gdc(0.5, 0.6, 0.0, -0.1), "negative weight"),
         (lambda: gdc(0.5, 0.2, 0.2, 0.2), "sum to 1"),
+        # NaN fails every range check instead of being clamped or passed on
+        (lambda: rtn(np.nan), "kernel value"),
+        (lambda: nmd(np.nan), "kernel value"),
+        (lambda: rtn(np.inf), "kernel value"),
+        (lambda: pd(np.nan), "gamma"),
+        (lambda: gad(np.nan, 0.5), "alpha must"),
+        (lambda: gdc(np.nan, 0.0, 0.0, 0.0), "must sum to 1"),
+        (lambda: unruh_r_from_acceleration(np.nan), "exponent"),
+        (lambda: rtn_kernel(np.nan, 1.0, 2.0), "t must"),
+        (lambda: rtn_kernel(np.inf, 1.0, 2.0), "t must"),
+        (lambda: rtn_kernel(0.5, np.nan, 2.0), "gamma and b"),
+        (lambda: rtn_kernel(0.5, 1.0, np.inf), "gamma and b"),
+        (lambda: builtin_kernel("rtn-damped", {"gamma": np.nan, "b": 2.0}), "gamma and b"),
     ],
 )
 def test_constructor_rejects_bad_parameters(build, message):

@@ -46,7 +46,7 @@ def test_measure_unruh(capsys):
     assert abs(json.loads(out)["mu"] - 0.75) < 1e-4
 
 
-def test_measure_gad_reports_unverified_reference(capsys):
+def test_measure_gad_has_no_closed_form(capsys):
     code, out, _ = run_cli(
         capsys, "measure", "--channel", "gad", "--set", "alpha=0.5,xi=0.6"
     )
@@ -54,7 +54,30 @@ def test_measure_gad_reports_unverified_reference(capsys):
     doc = json.loads(out)
     assert doc["closed_form"] is None
     assert doc["abs_error"] is None
-    assert abs(doc["unverified_reference"]["xi_below_one"] - 0.024) < 1e-12
+    assert "unverified_reference" not in doc
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--channel", "rtn", "--set", "lambda=nan"], "kernel value"),
+        (["sweep", "--channel", "rtn", "--sweep", "t=0:1:0.5", "--set", "gamma=nan,b=2"], "gamma and b"),
+        (["sweep", "--channel", "rtn", "--sweep", "t=0:inf:1", "--set", "gamma=1,b=2"], "must be finite"),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=nan:1:0.5"], "must be finite"),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:1e-320"], "too many points"),
+        (["validate", "--tol", "nan"], "positive and finite"),
+        (["validate", "--tol", "inf"], "positive and finite"),
+    ],
+    ids=["lambda-nan", "gamma-nan", "stop-inf", "start-nan", "step-underflow", "tol-nan", "tol-inf"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
+    out_path = tmp_path / "out.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert not out_path.exists()
 
 
 def test_measure_usage_errors(capsys):
@@ -257,10 +280,14 @@ def test_validate_passes_and_reports(tmp_path, capsys):
     assert code == 0
     assert "overall: PASS" in out
     assert "info" in out  # gad rows are informational
+    assert "unverified" not in out
     payload = json.loads(out_path.read_text())
     assert payload["overall_pass"] is True
     gad_rows = [r for r in payload["rows"] if r["channel"] == "gad"]
-    assert gad_rows and all(r["passed"] is None for r in gad_rows)
+    assert len(gad_rows) == 6
+    assert all(r["passed"] is None and r["mu_closed_form"] is None and r["abs_error"] is None for r in gad_rows)
+    asserted = [r for r in payload["rows"] if r["passed"] is not None]
+    assert len(asserted) == 34 and all(r["passed"] for r in asserted)
 
 
 def test_validate_bad_tolerance(capsys):
@@ -345,8 +372,8 @@ def test_make_channel_registry():
 
 
 def test_validation_weights_are_sorted():
-    # With nonincreasing weights the analytic product expression is the exact
-    # probe maximum (the azimuthal cross term is then nonnegative).
+    # Nonincreasing weights give |l1| >= |l2| in the gdc closed form
+    # max(l1^2, l2^2) l3^2, so every row takes its l1^2 l3^2 branch.
     for weights in GDC_VALIDATION_WEIGHTS:
         assert list(weights) == sorted(weights, reverse=True)
         assert abs(sum(weights) - 1.0) < 1e-12

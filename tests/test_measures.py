@@ -2,22 +2,24 @@ import numpy as np
 import pytest
 
 from qchan import (
-    GadReferenceMu,
     apply,
     check_outer_inequality,
     closed_form_mu,
     coherence_l1,
     coherence_reference_mu,
     from_bloch,
+    gad,
     gad_reference_crossover_time,
     gdc,
     incompatibility,
     incompatibility_bloch,
     incompatibility_trace_form,
     max_noncommuting_pair,
+    maximize_mu,
     rtn,
     visibilities,
 )
+from qchan.channels import CHANNELS
 from conftest import random_unitary, sample_ball
 
 
@@ -164,14 +166,31 @@ def test_closed_form_values():
     assert val == pytest.approx(0.1296, abs=1e-12)
 
 
-def test_closed_form_gad_is_unverified_reference():
-    ref = closed_form_mu("gad", {"alpha": 0.5, "xi": 0.6})
-    assert isinstance(ref, GadReferenceMu)
-    assert ref.verified is False
-    assert ref.branch_xi_below_one == pytest.approx(0.024, abs=1e-12)
-    assert ref.branch_xi_above_one == pytest.approx(
-        0.6 * (0.6 + np.sqrt(2) * 0.4) ** 2, abs=1e-12
-    )
+def test_closed_form_gad_is_none():
+    assert CHANNELS["gad"].closed_form is None
+    with pytest.raises(ValueError, match="no closed form"):
+        closed_form_mu("gad", {"alpha": 0.5, "xi": 0.6})
+    assert maximize_mu(gad(0.5, 0.6)).closed_form is None
+
+
+@pytest.mark.parametrize("xi", [0.3, 0.6, 0.9])
+def test_quoted_gad_expressions_are_fixed_pair_values(xi):
+    # Two commonly quoted gad "closed forms" are the probe objective at one
+    # fixed pair of gad(1, xi), not its probe maximum (which is xi there).
+    ch = gad(1.0, xi)
+
+    def objective(x, phi=0.0):
+        rho_a, rho_b = max_noncommuting_pair(x, phi)
+        return incompatibility(apply(ch, rho_a), apply(ch, rho_b))
+
+    # xi (2 xi - 1)^2 is the objective on the x = pi/2 edge of the probe window
+    assert objective(np.pi / 2) == pytest.approx(xi * (2 * xi - 1) ** 2, abs=1e-12)
+    # xi (xi + sqrt(2)(1 - xi))^2 is the maximum over the full circle of x, at
+    # x = 7 pi/4 outside the window; the objective does not depend on phi
+    full_circle = xi * (xi + np.sqrt(2) * (1 - xi)) ** 2
+    assert objective(7 * np.pi / 4, 2.3) == pytest.approx(full_circle, abs=1e-12)
+    assert max(objective(x) for x in np.linspace(0.0, 2 * np.pi, 500)) <= full_circle + 1e-12
+    assert maximize_mu(ch).mu == pytest.approx(xi, abs=1e-12)
 
 
 def test_closed_form_errors():

@@ -59,14 +59,31 @@ def test_gdc_example_against_brute_force_oracle():
     assert abs(res.mu - 0.1296) < 1e-6
 
 
-def test_gdc_closed_form_withheld_outside_its_region():
-    # Bloch map A = diag(0, -0.2, -0.4). With (p0 - p3)(p1 - p2) < 0 the probe
-    # maximum is A_zz^2 A_yy^2 at phi = pi/2, not the product A_zz^2 A_xx^2 = 0.
+def test_gdc_closed_form_holds_for_unsorted_weights():
+    # Bloch map diag(l1, l2, l3); the probe maximum is max(l1^2, l2^2) l3^2 for
+    # every order of the weights, including (p0 - p3)(p1 - p2) < 0.
+    rng = np.random.default_rng(11)
+    weights = [(0.1, 0.4, 0.3, 0.2), (0.7, 0.1, 0.1, 0.1), (0.2, 0.1, 0.3, 0.4), (0.05, 0.6, 0.05, 0.3)]
+    weights += [tuple(rng.permutation(rng.dirichlet(np.ones(4)))) for _ in range(12)]
+    for w in weights:
+        ch = gdc(*w)
+        closed = closed_form_mu("gdc", {f"p{i}": p for i, p in enumerate(w)})
+        assert abs(closed - maximize_mu(ch).mu) <= 1e-12, w
+        assert closed >= brute_force_mu(ch, 24) - 1e-12, w
+    # A = diag(0, -0.2, -0.4): the maximum A_yy^2 A_zz^2 sits at phi = pi/2
     res = maximize_mu(gdc(0.1, 0.4, 0.3, 0.2))
-    assert abs(res.mu - 0.0064) < 1e-9
-    assert res.closed_form is None and res.abs_error is None
-    with pytest.raises(ValueError, match="does not hold"):
-        closed_form_mu("gdc", {"p0": 0.1, "p1": 0.4, "p2": 0.3, "p3": 0.2})
+    assert res.closed_form == pytest.approx(0.0064, abs=1e-15)
+    assert res.abs_error <= 1e-15
+
+
+def test_gad_probe_closed_form_on_grid():
+    # gad is axially symmetric with xy block sqrt(xi) I, A_zz = xi and
+    # c_z = (2 alpha - 1)(1 - xi), so its probe maximum is xi (xi + |c_z|)^2.
+    grid = np.linspace(0.0, 1.0, 11)
+    for alpha in grid:
+        for xi in grid:
+            closed = xi * (xi + abs(2 * alpha - 1) * (1 - xi)) ** 2
+            assert abs(maximize_mu(gad(alpha, xi)).mu - closed) <= 1e-12, (alpha, xi)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -231,6 +231,8 @@ def _rates(gamma: float, b: float) -> tuple[float, float]:
     g, bv = float(gamma), float(b)
     if not (0.0 < g < np.inf and 0.0 < bv < np.inf):
         raise ValueError(f"gamma and b must be positive and finite, got gamma={g}, b={bv}")
+    if not np.isfinite(4.0 * bv * bv + g * g):
+        raise ValueError(f"gamma and b are too large: 4 b^2 + gamma^2 overflows, got gamma={g}, b={bv}")
     return g, bv
 
 
@@ -261,7 +263,7 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
         )
     else:
         val = (1.0 + g * tv) * np.exp(-g * tv)
-    return float(min(1.0, max(-1.0, val)))
+    return _check_kernel_value(val, "Lambda(t)")
 
 
 def nmd_kernel(p: float) -> float:

@@ -24,7 +24,9 @@ Each domain has one ``solve`` on the channel's affine Bloch map
 closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum tie,
 and ties go to the lexicographically smallest angle tuple, outer axes first.
 Both polishes never lower the value and stop after ``REFINEMENT_ITERATIONS``
-iterations or at ``REFINEMENT_TOLERANCE``; both solves are deterministic.
+iterations or at ``REFINEMENT_TOLERANCE``; the all-pairs polish also stops once
+a step's first-order gain is below one ulp of the value. Both solves are
+deterministic.
 
 The probe solve uses that every probe pair has
 ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
@@ -37,14 +39,21 @@ a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective
 ``|cof(A) n(phi)|^2`` does not depend on x: mu is the top eigenvalue of the
 upper-left 2x2 block of ``cof(A)^T cof(A)``, computed in closed form from the
 block's entries and reported at x = 0 and the phi of its eigenvector, for one
-evaluation and no grid. Otherwise the solve scans the uniform grid and
-polishes its best point with projected Newton steps.
+evaluation and no grid. An axially symmetric channel (:func:`_is_axial`) has
+an objective that does not depend on phi, and its maximum
+``(p^2 + q^2)(|A_zz| + |c_z|)^2`` is one evaluation too. Otherwise the solve
+scans the uniform grid and polishes its best point with projected Newton
+steps.
 
 The all-pairs solve is exact in the second input b: for each first input a
-the maximum over b is a trust-region subproblem (:func:`_sphere_max`). A
-unital channel gives ``|cof(A)(a x b)|^2 <= (s1 s2)^2``, attained at the top
-two right singular vectors of A, for one evaluation. Otherwise the solve scans
-an n x n grid over a and polishes its best point in the sphere's tangent plane.
+the maximum over b is a trust-region subproblem in the plane normal to
+A a + c (:func:`_sphere_max`), solved without ``eigh``. A unital channel gives
+``|cof(A)(a x b)|^2 <= (s1 s2)^2``, attained at the top two right singular
+vectors of A, for one evaluation. Otherwise the solve scans a grid over a
+(n polar angles at phi_a = 0 for an axially symmetric channel, else n x n)
+and polishes its best point by Newton steps on the envelope
+``F(a) = max_b f(a, b)``, with the analytic gradient and Hessian of
+:func:`_envelope_terms` and one exact inner solve per trial point.
 """
 
 from __future__ import annotations
@@ -75,13 +84,6 @@ UNITAL_TOL = 1e-14
 REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
 TIE_TOL = 1e-14
-
-# All-pairs polish: the step of its central differences, taken on a stencil of
-# (s, t) offsets (centre, +-s, +-t, the four corners), and the curvature below
-# which a direction is flat, 25 times their rounding noise 4e-16 / FD_STEP^2.
-FD_STEP = 1e-4
-FLAT_CURVATURE = 1e-6
-_STENCIL = FD_STEP * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], float)
 
 # Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
 ORACLE_BLOCK = 128
@@ -122,10 +124,12 @@ class QuantumnessResult:
     for every channel whose label has a closed form in
     :data:`qchan.channels.CHANNELS` (all but gad), at every parameter value,
     and None otherwise. ``evaluations`` counts the objective evaluations of
-    the domain's solve: 1 for a unital channel, otherwise the grid's plus the
-    polish's. An all-pairs evaluation is one first input solved exactly over
-    every second input (n*n on the grid, 9 per polish step tried). ``converged`` is False only when the polish hit
-    ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
+    the domain's solve: 1 for a closed form (unital, or axial in the probe
+    domain), otherwise the grid's plus the polish's. An all-pairs evaluation
+    is one first input solved exactly over every second input: n*n grid
+    points (n on the axial branch) plus one per polish trial. ``converged``
+    is False only when the polish hit ``REFINEMENT_ITERATIONS``; the best
+    value seen is still returned.
     """
 
     mu: float
@@ -202,19 +206,21 @@ def _probe_terms(cols, x, phi):
     return f, (2.0 * f_x, 2.0 * f_p), (2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp)
 
 
-def _ascent_step(x: float, grad, hess):
-    """Newton step where the Hessian is negative definite, else the gradient.
+def _ascent_step(grad, hess, axis=None):
+    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient.
 
-    With x on a bound of [0, pi/2] and the gradient pointing out, only phi moves.
+    With ``axis`` set to 0 or 1 only that angle moves, by the same rule in one dimension.
     """
-    g_x, g_p = grad
-    h_xx, h_xp, h_pp = hess
-    if (x <= 0.0 and g_x < 0.0) or (x >= HALF_PI and g_x > 0.0):
-        return 0.0, (-g_p / h_pp if h_pp < 0.0 else g_p)
-    det = h_xx * h_pp - h_xp * h_xp
-    if h_xx < 0.0 and det > 0.0:
-        return (h_xp * g_p - h_pp * g_x) / det, (h_xp * g_x - h_xx * g_p) / det
-    return g_x, g_p
+    if axis is not None:
+        g, h = grad[axis], hess[2 * axis]
+        step = -g / h if h < 0.0 else g
+        return (step, 0.0) if axis == 0 else (0.0, step)
+    g_0, g_1 = grad
+    h_00, h_01, h_11 = hess
+    det = h_00 * h_11 - h_01 * h_01
+    if h_00 < 0.0 and det > 0.0:
+        return (h_01 * g_1 - h_11 * g_0) / det, (h_01 * g_0 - h_00 * g_1) / det
+    return g_0, g_1
 
 
 def _probe_values(cols, xs, phis):
@@ -227,10 +233,11 @@ def _probe_values(cols, xs, phis):
 
 
 def _probe_solve(a_mat, c_vec, n: int):
-    """Exact solve for a unital channel, else the n x n grid and a projected Newton polish of its best point.
+    """Exact solve for a unital or axially symmetric channel, else the n x n grid and a projected Newton polish.
 
     Returns (angles, value, evaluations, converged). The unital solve is one
-    evaluation, the top eigenpair of a 2x2 block in closed form. The polish
+    evaluation, the top eigenpair of a 2x2 block in closed form, and so is
+    the axial one (:func:`_is_axial`). The polish of the grid's best point
     never lowers the value: a step is halved until the value does not drop,
     and the polish stops once a step moves the angles by at most
     ``REFINEMENT_TOLERANCE``.
@@ -245,13 +252,21 @@ def _probe_solve(a_mat, c_vec, n: int):
         h = math.hypot(d, q)
         phi = math.atan2(*((h + d, q) if d >= 0.0 else (q, h - d))) % math.pi
         return (0.0, phi), 0.5 * (p + r) + h, 1, True
+    if _is_axial(a_mat, c_vec):
+        # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
+        # mu = (p^2 + q^2)(|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
+        (p, q, _), _, (_, _, t) = a_cols
+        x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
+        return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     xs, phis = _axes(HALF_PI, n)
     ix, ip = divmod(_grid_argmax(_probe_values(cols, xs, phis)), n)
     x, phi = float(xs[ix]), float(phis[ip])
     value, grad, hess = _probe_terms(cols, x, phi)
     evaluations = n * n + 1
     for _ in range(REFINEMENT_ITERATIONS):
-        step_x, step_p = _ascent_step(x, grad, hess)
+        # on a bound of [0, pi/2] with the gradient pointing out, only phi moves
+        outward = (x <= 0.0 and grad[0] < 0.0) or (x >= HALF_PI and grad[0] > 0.0)
+        step_x, step_p = _ascent_step(grad, hess, 1 if outward else None)
         t = 1.0
         while True:
             new_x = min(max(x + t * step_x, 0.0), HALF_PI)
@@ -267,79 +282,163 @@ def _probe_solve(a_mat, c_vec, n: int):
     return (float(x), float(phi)), float(value), evaluations, False
 
 
+def _is_axial(a_mat, c_vec) -> bool:
+    """Whether ``r -> A r + c`` commutes with rotations about z, within ``UNITAL_TOL``.
+
+    That is, A is block-diagonal with xy block ``[[p, -q], [q, p]]`` and
+    c = (0, 0, c_z), as for ad, gad and unruh and their z-rotated copies.
+    """
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, _) = a_mat.tolist()
+    c_x, c_y, _ = c_vec.tolist()
+    return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
+
+
 def _sphere_max(a_mat, c_vec, a_vecs):
     """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for each row a of ``a_vecs``.
 
-    With u = A a + c, M = [u]_x A, H = M^T M and g = M^T (u x c) this is the
-    trust-region subproblem max ``b.H b + 2 g.b + |u x c|^2`` (Moré & Sorensen
-    1983): ``b = (lam I - H)^{-1} g`` at the root lam >= lambda_max(H) of
-    ``|b| = 1``, found by Newton on the concave, increasing ``1/|b(lam)|``. In
-    the hard case (no top eigencomponent of g) lam = lambda_max and b is
-    filled to unit norm along the top eigenvector.
+    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to
+    u (Duff et al. 2017's branchless one), the objective is
+    ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``,
+    ``A^T e2`` and d = (e1.c, e2.c). So the trust-region subproblem (Moré &
+    Sorensen 1983) lives in the row space of Q: with ``Q Q^T = W diag(w) W^T``
+    in closed form and delta = W^T d, the top two eigencomponents of
+    ``g = Q^T d`` are ``sqrt(w_j) delta_j`` and the secular equation
+    ``sum_j g_j^2 / (lam - w_j)^2 = 1`` has two terms. Newton on the concave,
+    increasing ``1/|b(lam)|`` from below finds its root ``lam >= w_1``; the
+    second coefficient is ``g_2 / (lam - w_2)`` and the top one follows from
+    ``|b| = 1``, which also covers the hard case (no top component of g).
+    Inside, vectors are (3, m) arrays with one column per first input; the
+    maximizers come back as the rows of an (m, 3) array.
     """
-    u = a_vecs @ a_mat.T + c_vec
-    uu, p = np.sum(u * u, axis=1), u @ a_mat  # H = |u|^2 A^T A - p p^T, g = |u|^2 A^T c - (u.c) p
-    w, v = np.linalg.eigh(uu[:, None, None] * (a_mat.T @ a_mat) - p[:, :, None] * p[:, None, :])
-    gt = np.einsum("nij,ni->nj", v, uu[:, None] * (c_vec @ a_mat) - (u @ c_vec)[:, None] * p)
-    # |b(lam)| >= |gt_j| / (lam - w_j) for each j, so this start is at or below the root.
-    lam = np.maximum(w[:, -1], np.max(w + np.abs(gt), axis=1))
+    u = a_mat @ a_vecs.T + c_vec[:, None]
+    norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+    nx, ny, nz = u / np.maximum(norm, 1e-300)  # u = 0 gives the basis (e_x, e_y)
+    sign = np.copysign(1.0, nz)
+    k = -1.0 / (sign + nz)
+    xy = nx * ny * k
+    e1, e2 = np.array([1.0 + sign * nx * nx * k, sign * xy, -sign * nx]), np.array([xy, sign + ny * ny * k, -ny])
+    q1, q2, d1, d2 = a_mat.T @ e1, a_mat.T @ e2, c_vec @ e1, c_vec @ e2
+    # Eigenpairs of [[p, q], [q, r]] = Q Q^T as in _probe_solve: top eigenvector (h + half, q) or
+    # (q, h - half), the one without cancellation, and (1, 0) for a multiple of the identity.
+    p, q, r = np.sum(q1 * q1, axis=0), np.sum(q1 * q2, axis=0), np.sum(q2 * q2, axis=0)
+    half = 0.5 * (p - r)
+    h = np.hypot(half, q)
+    w1, w2 = 0.5 * (p + r) + h, np.maximum(0.5 * (p + r) - h, 0.0)
+    vx, vy = np.where(half >= 0.0, np.maximum(h + half, 1e-300), q), np.where(half >= 0.0, q, h - half)
+    vn = np.hypot(vx, vy)
+    vx, vy = vx / vn, vy / vn
+    delta1, delta2 = vx * d1 + vy * d2, vx * d2 - vy * d1
+    g1, g2 = np.sqrt(w1) * np.abs(delta1), np.sqrt(w2) * delta2
+    # |b(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
+    lam = np.maximum(w1 + g1, w2 + np.abs(g2))
     for _ in range(100):
-        r = np.where((gt != 0.0) & (lam[:, None] > w), 1.0 / np.maximum(lam[:, None] - w, 1e-300), 0.0)
-        s = np.sum((gt * r) ** 2, axis=1)
-        step = np.where(s > 1.0, s * (np.sqrt(s) - 1.0) / np.maximum(np.sum(gt * gt * r**3, axis=1), 1e-300), 0.0)
-        if np.all(step <= 1e-15 * (1.0 + lam)):
+        r1, r2 = (lam > w1) / np.maximum(lam - w1, 1e-300), (lam > w2) / np.maximum(lam - w2, 1e-300)
+        t1, t2 = g1 * r1, g2 * r2
+        s = t1 * t1 + t2 * t2
+        step = np.where(s > 1.0, s * (np.sqrt(s) - 1.0) / np.maximum(t1 * t1 * r1 + t2 * t2 * r2, 1e-300), 0.0)
+        if (step <= 1e-15 * (1.0 + lam)).all():
             break
         lam = lam + step
-    coef = gt * r
-    coef[:, -1] += np.where(coef[:, -1] == 0.0, np.sqrt(np.maximum(1.0 - np.sum(coef * coef, axis=1), 0.0)), 0.0)
-    b = np.einsum("nij,nj->ni", v, coef)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return np.sum(np.cross(u, b @ a_mat.T + c_vec) ** 2, axis=1), b
+    # b = Q^T W diag(w)^(-1/2) beta with beta_2 = t2 and beta_1 = +-sqrt(1 - beta_2^2); beta_2 / sqrt(w_2) = delta2 r2.
+    top = np.copysign(np.sqrt(np.maximum(1.0 - t2 * t2, 0.0)), delta1) / np.sqrt(np.where(w1 > 0.0, w1, np.inf))
+    b = q1 * (vx * top - vy * delta2 * r2) + q2 * (vy * top + vx * delta2 * r2)
+    b_norm = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
+    b = np.where(b_norm > 0.0, b / np.maximum(b_norm, 1e-300), e1)  # Q = 0: every b attains the maximum
+    v = a_mat @ b + c_vec[:, None]
+    values = (u[1] * v[2] - u[2] * v[1]) ** 2 + (u[2] * v[0] - u[0] * v[2]) ** 2 + (u[0] * v[1] - u[1] * v[0]) ** 2
+    return values, b.T
 
 
-def _tangent_points(theta, phi, steps):
-    """The point at (theta, phi) moved by each (s, t) row of ``steps`` along its theta and phi tangents, normalized."""
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _frame(theta, phi):
+    """The point (theta, phi) of the sphere and its unit tangents along theta and along phi, as float triples."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    points = np.array([st * cp, -st * sp, ct]) + steps @ np.array([[ct * cp, -ct * sp, -st], [-sp, -cp, 0.0]])
-    return points / np.linalg.norm(points, axis=1, keepdims=True)
+    return (st * cp, -st * sp, ct), (ct * cp, -ct * sp, -st), (-sp, -cp, 0.0)
+
+
+def _envelope_terms(rows, c, theta, phi, b):
+    """Gradient and Hessian (h_00, h_01, h_11) of F(a) = max_b f(a, b) in the tangents of a = (theta, phi).
+
+    f = |u|^2 |v|^2 - (u.v)^2 with u = A a + c and v = A b + c, for the rows
+    of A and c as float triples and b the maximizer. By the envelope theorem
+    the gradient is that of f in a alone. The Hessian is the Schur complement
+    ``H_aa - H_ab H_bb^{-1} H_ba`` of f's Riemannian Hessian on the two
+    spheres (the term ``-(x . grad_x f) I`` on each sphere's block), or
+    ``H_aa`` alone where ``H_bb`` is not negative definite and b is not
+    locally unique (the hard case).
+    """
+    a, *a_tangents = _frame(theta, phi)
+    _, *b_tangents = _frame(*_bloch_angles(b))
+    aa, ab = [tuple(_dot(row, t) for row in rows) for t in (a, b)]  # A a and A b
+    x = [tuple(_dot(row, t) for row in rows) for t in a_tangents]  # A t for the tangents t of a
+    y = [tuple(_dot(row, t) for row in rows) for t in b_tangents]  # and of b
+    u, v = tuple(s + t for s, t in zip(aa, c)), tuple(s + t for s, t in zip(ab, c))
+    uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
+    grad_u = tuple(2.0 * (vv * s - uv * t) for s, t in zip(u, v))
+    grad_v = tuple(2.0 * (uu * s - uv * t) for s, t in zip(v, u))
+    xu, xv, yu, yv = [_dot(s, u) for s in x], [_dot(s, v) for s in x], [_dot(s, u) for s in y], [_dot(s, v) for s in y]
+    radial_a, radial_b = _dot(aa, grad_u), _dot(ab, grad_v)
+    h_aa = [[2.0 * (vv * _dot(x[i], x[j]) - xv[i] * xv[j]) - (i == j) * radial_a for j in (0, 1)] for i in (0, 1)]
+    h_bb = [[2.0 * (uu * _dot(y[i], y[j]) - yu[i] * yu[j]) - (i == j) * radial_b for j in (0, 1)] for i in (0, 1)]
+    h_ab = [[4.0 * xu[i] * yv[j] - 2.0 * (xv[i] * yu[j] + uv * _dot(x[i], y[j])) for j in (0, 1)] for i in (0, 1)]
+    det = h_bb[0][0] * h_bb[1][1] - h_bb[0][1] * h_bb[1][0]
+    if h_bb[0][0] < 0.0 and det > 0.0:
+        inv = ((h_bb[1][1] / det, -h_bb[0][1] / det), (-h_bb[1][0] / det, h_bb[0][0] / det))
+        for i in (0, 1):
+            for j in (0, 1):
+                h_aa[i][j] -= sum(h_ab[i][k] * inv[k][m] * h_ab[j][m] for k in (0, 1) for m in (0, 1))
+    return (_dot(x[0], grad_u), _dot(x[1], grad_u)), (h_aa[0][0], h_aa[0][1], h_aa[1][1])
 
 
 def _pairs_solve(a_mat, c_vec, n: int):
-    """Closed form for a unital channel, else an n x n grid over the first input and a Newton polish.
+    """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
 
-    Returns (angles, value, evaluations, converged). The polish steps by
-    Newton along negative curvature, by the gradient along positive curvature
-    and not at all along flat directions (ad, gad and unruh are invariant
-    under z-rotation), halving a step until the value does not drop.
+    Returns (angles, value, evaluations, converged). Every grid point and
+    polish trial is one exact :func:`_sphere_max` solve over the second
+    input, and the polish steps by :func:`_ascent_step` on the gradient and
+    Hessian of :func:`_envelope_terms`, halving a step until the value does
+    not drop. An axially symmetric map (:func:`_is_axial`) leaves the
+    envelope invariant under rotations about z, so phi_a = 0 is exact: its
+    grid is n polar angles and its polish moves theta_a alone. Otherwise the
+    grid is n x n and the polish steps in the tangent plane of the first input.
     """
     # numpy's products round differently for strided operands; C order makes the result depend on values only.
     a_mat, c_vec = np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec)
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
         _, sing, vt = np.linalg.svd(a_mat)
         return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
-    grid_t, grid_p = np.meshgrid(*_axes(np.pi, n), indexing="ij")
-    k = _grid_argmax(_sphere_max(a_mat, c_vec, _single_bloch(grid_t.ravel(), grid_p.ravel()))[0])
-    theta, phi = float(grid_t.flat[k]), float(grid_p.flat[k])
-    f, b = _sphere_max(a_mat, c_vec, _tangent_points(theta, phi, _STENCIL))
-    evaluations = n * n + len(_STENCIL)
+    axial = _is_axial(a_mat, c_vec)
+    rows, c = a_mat.tolist(), c_vec.tolist()
+    thetas, phis = _axes(np.pi, n)
+    grid_t, grid_p = np.meshgrid(thetas, phis[:1] if axial else phis, indexing="ij")
+    values, bs = _sphere_max(a_mat, c_vec, _single_bloch(grid_t.ravel(), grid_p.ravel()))
+    k = _grid_argmax(values)
+    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), bs[k].tolist()
+    evaluations = values.size
     for _ in range(REFINEMENT_ITERATIONS):
-        h_st = 0.25 * (f[5] - f[6] - f[7] + f[8])
-        hess = np.array([[f[1] + f[2], h_st], [h_st, f[3] + f[4]]]) - 2.0 * f[0] * np.eye(2)
-        curv, vecs = np.linalg.eigh(hess / FD_STEP**2)
-        gain = np.where(curv < -FLAT_CURVATURE, -1.0 / np.minimum(curv, -FLAT_CURVATURE), curv > FLAT_CURVATURE)
-        step = vecs @ (gain * (vecs.T @ np.array([f[1] - f[2], f[3] - f[4]]))) / (2.0 * FD_STEP)
+        grad, hess = _envelope_terms(rows, c, theta, phi, b)
+        step = _ascent_step(grad, hess, 0 if axial else None)
+        gain = grad[0] * step[0] + grad[1] * step[1]  # first-order gain of the full step
         t = 1.0
         while True:
-            if t * np.max(np.abs(step)) <= REFINEMENT_TOLERANCE:
-                return (theta, phi, *_bloch_angles(b[0])), float(f[0]), evaluations, True
-            new_theta, new_phi = _bloch_angles(_tangent_points(theta, phi, t * step[None])[0])
-            new_f, new_b = _sphere_max(a_mat, c_vec, _tangent_points(new_theta, new_phi, _STENCIL))
-            evaluations += len(_STENCIL)
-            if new_f[0] >= f[0]:
+            # a step below the tolerance, or with a first-order gain below one ulp, which no trial value can show
+            if t * max(map(abs, step)) <= REFINEMENT_TOLERANCE or t * gain <= math.ulp(value):
+                return (theta, phi, *_bloch_angles(b)), value, evaluations, True
+            if axial:  # theta_a folded back into [0, pi]: the envelope is even in theta_a
+                new_theta, new_phi = abs(math.remainder(theta + t * step[0], TWO_PI)), phi
+            else:  # the tangent step, projected back onto the sphere (the angles ignore the norm)
+                a, t_theta, t_phi = _frame(theta, phi)
+                new_theta, new_phi = _bloch_angles([s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, t_theta, t_phi)])
+            new_values, new_bs = _sphere_max(a_mat, c_vec, _single_bloch(new_theta, new_phi)[None])
+            evaluations += 1
+            if new_values[0] >= value:
                 break
             t *= 0.5
-        theta, phi, f, b = new_theta, new_phi, new_f, new_b
-    return (theta, phi, *_bloch_angles(b[0])), float(f[0]), evaluations, False
+        theta, phi, value, b = new_theta, new_phi, float(new_values[0]), new_bs[0].tolist()
+    return (theta, phi, *_bloch_angles(b)), value, evaluations, False
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,11 @@ def test_gdc_uniform_weights_depolarize():
         (lambda: rtn_kernel(np.inf, 1.0, 2.0), "t must"),
         (lambda: rtn_kernel(0.5, np.nan, 2.0), "gamma and b"),
         (lambda: rtn_kernel(0.5, 1.0, np.inf), "gamma and b"),
+        # finite rates whose squares overflow: no clamped -1 or 1 in place of the kernel value
+        (lambda: rtn_kernel(0.0, 1e200, 1.0), "too large"),
+        (lambda: rtn_kernel(1.0, 1e200, 1.0), "too large"),
+        (lambda: rtn_kernel(1.0, 1.0, 1e200), "too large"),
+        (lambda: builtin_kernel("rtn-damped", {"gamma": 1.0, "b": 1e200}), "too large"),
         (lambda: builtin_kernel("rtn-damped", {"gamma": np.nan, "b": 2.0}), "gamma and b"),
     ],
 )

@@ -242,7 +242,8 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
     Oscillatory regime (4 b^2 > gamma^2):
         Lambda = e^{-gamma t} (cos(w t) + (gamma/w) sin(w t)),  w = sqrt(4 b^2 - gamma^2)
     Damped regime (4 b^2 < gamma^2): the hyperbolic analogue with
-    w_h = sqrt(gamma^2 - 4 b^2), evaluated in exponential form for stability.
+    w_h = sqrt(gamma^2 - 4 b^2), evaluated in exponential form for stability,
+    with w_h - gamma = -4 b^2 / (w_h + gamma) so that b << gamma does not cancel.
     Critical case (4 b^2 = gamma^2): (1 + gamma t) e^{-gamma t}.
 
     The value stays in [-1, 1] for all t >= 0 and Lambda(0) = 1.
@@ -257,10 +258,8 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
         val = np.exp(-g * tv) * (np.cos(w * tv) + (g / w) * np.sin(w * tv))
     elif disc < 0.0:
         wh = np.sqrt(-disc)
-        val = 0.5 * (
-            (1.0 + g / wh) * np.exp((wh - g) * tv)
-            + (1.0 - g / wh) * np.exp(-(wh + g) * tv)
-        )
+        slow = 4.0 * bv * bv / (wh + g)  # g - wh without its cancellation; 1 - g / wh = -slow / wh
+        val = 0.5 * ((1.0 + g / wh) * np.exp(-slow * tv) - (slow / wh) * np.exp(-(wh + g) * tv))
     else:
         val = (1.0 + g * tv) * np.exp(-g * tv)
     return _check_kernel_value(val, "Lambda(t)")

@@ -25,6 +25,8 @@ from .states import max_noncommuting_pair
 
 DEFAULT_GRID = 24
 GRID_ENV_VAR = "QCHAN_DEFAULT_GRID"
+# Largest sweep; SweepSpec rejects a longer one before building its points.
+MAX_SWEEP_POINTS = 10**6
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -45,15 +47,18 @@ class SweepSpec:
             raise ValueError("sweep step must be positive")
         if self.start > self.stop:
             raise ValueError("sweep start must not exceed stop")
-        if not math.isfinite((self.stop - self.start) / self.step):
-            raise ValueError("sweep has too many points")
+        if not math.isfinite((self.stop - self.start) / self.step) or self.count() > MAX_SWEEP_POINTS:
+            raise ValueError(f"sweep has too many points: at most {MAX_SWEEP_POINTS} allowed")
         if self.sweep_param in self.fixed_params:
             raise ValueError(f"sweep parameter {self.sweep_param!r} also given via --set")
         object.__setattr__(self, "fixed_params", dict(self.fixed_params))
 
+    def count(self) -> int:
+        """Number of sweep points, computed without building them."""
+        return int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
+
     def values(self) -> list[float]:
-        count = int(math.floor((self.stop - self.start) / self.step + 1e-9)) + 1
-        vals = [self.start + i * self.step for i in range(count)]
+        vals = [self.start + i * self.step for i in range(self.count())]
         if vals and vals[-1] > self.stop:
             # accumulated rounding may overshoot the endpoint
             vals[-1] = self.stop

@@ -85,8 +85,19 @@ REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
 TIE_TOL = 1e-14
 
+# Largest grid: all-pairs solves its n * n first inputs in one batch.
+MAX_GRID_POINTS = 1024
+
 # Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
 ORACLE_BLOCK = 128
+
+# The oracle's orthonormal Hermitian basis E_p (Tr[E_p E_q] = delta_pq): |0><0|, |1><1|, X/sqrt 2, Y/sqrt 2.
+HERMITIAN_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+HERMITIAN_BASIS[2:] /= math.sqrt(2.0)
+# B[(p, q), (r, s)] = Re(Tr[E_p E_q E_r E_s] - Tr[E_p E_r E_q E_s]), from the traces of all products of four E's:
+# for rho = sum h_p E_p and sigma = sum g_r E_r, Tr[rho^2 sigma^2] - Tr[(rho sigma)^2] = (h (x) h) . B (g (x) g).
+_WORD_TRACES = np.einsum("pab,qbc,rcd,sda->pqrs", *[HERMITIAN_BASIS] * 4)
+TRACE_FORM = (_WORD_TRACES - _WORD_TRACES.transpose(0, 2, 1, 3)).real.reshape(16, 16)
 
 
 def __getattr__(name):
@@ -110,8 +121,8 @@ class OptimizerConfig:
     domain: str = DOMAIN_PROBE
 
     def __post_init__(self):
-        if self.grid_points_per_angle < 2:
-            raise ValueError("grid_points_per_angle must be at least 2")
+        if not 2 <= self.grid_points_per_angle <= MAX_GRID_POINTS:
+            raise ValueError(f"grid_points_per_angle must be between 2 and {MAX_GRID_POINTS}, got {self.grid_points_per_angle}")
         _domain(self.domain)
 
 
@@ -509,14 +520,14 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     ``4 (Tr[rho^2 sigma^2] - Tr[(rho sigma)^2])``, not the affine Bloch route
     used by :func:`maximize_mu`, so the two act as independent cross-checks.
     The input states go through the Kraus superoperator ``sum_k K (x) conj(K)``
-    in one product. Each output state gives a complex row
-    ``L(rho) = [vec(rho^2), vec(rho (x) rho)]`` and a row ``R(sigma)`` with
-    ``L(rho) . R(sigma)`` equal to the bracket; both are stored as real rows of
-    twice the width whose dot product is ``Re(L(rho) . R(sigma))``. All-pairs
-    takes row-by-column products ``ORACLE_BLOCK`` rows at a time, in
-    O(block m) memory for m grid states, and since the bracket is symmetric in
-    (rho, sigma) each block meets only the states from its own first row on.
-    The bound is nondecreasing under nested grid refinement.
+    in one product, which also takes each output state's 4 real coordinates h
+    in the orthonormal Hermitian basis :data:`HERMITIAN_BASIS`. The bracket is
+    the real quadratic form ``q(rho) . B q(sigma)`` on the 16-wide rows
+    ``q = h (x) h``, with B = :data:`TRACE_FORM`. Probe pairs take one row-wise
+    product. All-pairs takes row-by-column products ``ORACLE_BLOCK`` rows at a
+    time, in O(block m) memory for m grid states, and since the bracket is
+    symmetric in (rho, sigma) each block meets only the states from its own
+    first row on. The bound is nondecreasing under nested grid refinement.
     """
     _require_qubit(ch)
     if n < 2:
@@ -525,31 +536,22 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
+    # h_p = Tr[E_p rho] = vec(rho) . vec(conj(E_p)) for the Hermitian E_p; 0.5 is the input states' factor.
+    to_coords = 0.5 * superop @ HERMITIAN_BASIS.reshape(4, 4).conj().T
 
-    def outputs(bloch):
-        # Channel outputs sum_k K rho K^dag of the input states, as an (m, 2, 2) stack.
+    def rows(bloch):
+        # q = h (x) h of the channel outputs sum_k K rho K^dag of the input states, as an (m, 16) array.
         x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
-        states = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
-        return (states @ superop).reshape(-1, 2, 2)
-
-    # L(rho) . R(sigma) = sum rho2_ij sigma2_ji - sum rho_ij rho_kl sigma_jk sigma_li over (i, j, k, l);
-    # with x.view(float) = (Re x0, Im x0, ...), L.view(float) . conj(R).view(float) = Re(L . R).
-    def left(rho):
-        sq = np.einsum("nij,njk->nik", rho, rho)
-        return np.concatenate([sq.reshape(-1, 4), np.einsum("nij,nkl->nijkl", rho, rho).reshape(-1, 16)], axis=1).view(float)
-
-    def right(sigma):
-        sq = np.einsum("nij,njk->nki", sigma, sigma)
-        row = np.concatenate([sq.reshape(-1, 4), -np.einsum("njk,nli->nijkl", sigma, sigma).reshape(-1, 16)], axis=1)
-        return np.conj(row).view(float)
+        h = (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1) @ to_coords).real
+        return (h[:, :, None] * h[:, None, :]).reshape(-1, 16)
 
     if domain == DOMAIN_PROBE:
         a, b = _pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
-        return 4.0 * float(np.max(np.einsum("ni,ni->n", left(outputs(a)), right(outputs(b)))))
+        return 4.0 * float(np.max(np.einsum("ni,ni->n", rows(a), rows(b) @ TRACE_FORM.T)))
 
-    rho = outputs(_single_bloch(grid_x.ravel(), grid_p.ravel()))
-    lrows, rrows = left(rho), right(rho)
+    q = rows(_single_bloch(grid_x.ravel(), grid_p.ravel()))
+    qb = q @ TRACE_FORM.T
     best = 0.0
-    for start in range(0, len(lrows), ORACLE_BLOCK):
-        best = max(best, float(np.max(lrows[start : start + ORACLE_BLOCK] @ rrows[start:].T)))
+    for start in range(0, len(q), ORACLE_BLOCK):
+        best = max(best, float(np.max(q[start : start + ORACLE_BLOCK] @ qb[start:].T)))
     return 4.0 * best  # exact: a power of two

@@ -1,3 +1,4 @@
+import decimal
 import inspect
 
 import numpy as np
@@ -337,6 +338,24 @@ def test_rtn_kernel_critical_form():
     b = g / 2.0
     for t in (0.0, 0.3, 1.7):
         assert rtn_kernel(t, g, b) == pytest.approx((1 + g * t) * np.exp(-g * t), abs=1e-15)
+
+
+def _rtn_damped_reference(t, gamma, b):
+    """The damped-regime kernel in 40-digit decimal arithmetic, where w_h - gamma does not lose digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        t, g, b = decimal.Decimal(t), decimal.Decimal(gamma), decimal.Decimal(b)
+        wh = (g * g - 4 * b * b).sqrt()
+        return float(((1 + g / wh) * ((wh - g) * t).exp() + (1 - g / wh) * (-(wh + g) * t).exp()) / 2)
+
+
+@pytest.mark.parametrize(
+    "t, gamma, b",
+    [(1e7, 1e4, 1e-2), (1.0, 1e4, 1e-2), (3e5, 1e3, 0.1), (2.0, 1.0, 0.01), (0.3, 4.0, 0.5), (5.0, 4.0, 1.9)],
+)
+def test_rtn_kernel_damped_regime_against_decimal(t, gamma, b):
+    # b << gamma: the direct form exp((w_h - gamma) t) gives 0.8187324847617822 for the first case.
+    assert rtn_kernel(t, gamma, b) == pytest.approx(_rtn_damped_reference(t, gamma, b), rel=1e-14, abs=1e-300)
 
 
 def test_rtn_kernel_rejects_bad_parameters():

@@ -6,13 +6,14 @@ import pytest
 
 from qchan.cli import (
     GDC_VALIDATION_WEIGHTS,
+    MAX_SWEEP_POINTS,
     SweepSpec,
     main,
     make_channel,
     run_sweep,
     run_validation,
 )
-from qchan.optimize import OptimizerConfig
+from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig
 
 
 def run_cli(capsys, *argv):
@@ -68,8 +69,14 @@ def test_measure_gad_has_no_closed_form(capsys):
         (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:1e-320"], "too many points"),
         (["validate", "--tol", "nan"], "positive and finite"),
         (["validate", "--tol", "inf"], "positive and finite"),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:1e-12"], "too many points"),
+        (["measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs", "--grid", "100000"], "between 2 and"),
+        (["validate", "--grid", str(MAX_GRID_POINTS + 1)], "between 2 and"),
     ],
-    ids=["lambda-nan", "gamma-nan", "b-overflow", "stop-inf", "start-nan", "step-underflow", "tol-nan", "tol-inf"],
+    ids=[
+        "lambda-nan", "gamma-nan", "b-overflow", "stop-inf", "start-nan", "step-underflow", "tol-nan", "tol-inf",
+        "sweep-points", "grid-flag", "validate-grid",
+    ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
     out_path = tmp_path / "out.csv"
@@ -79,6 +86,15 @@ def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
     assert not out_path.exists()
+
+
+def test_sweep_point_cap_is_checked_by_count():
+    # Only the count is computed: building the points of the rejected sweeps would take terabytes.
+    at_cap = SweepSpec("rtn", {}, "t", 0.0, MAX_SWEEP_POINTS - 1.0, 1.0)
+    assert at_cap.count() == MAX_SWEEP_POINTS
+    for stop, step in ((MAX_SWEEP_POINTS, 1.0), (1.0, 1e-12)):
+        with pytest.raises(ValueError, match="too many points"):
+            SweepSpec("rtn", {}, "t", 0.0, stop, step)
 
 
 def test_measure_usage_errors(capsys):
@@ -347,6 +363,11 @@ def test_grid_env_var(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setenv("QCHAN_DEFAULT_GRID", "banana")
     assert run_cli(capsys, "measure", "--channel", "pd", "--set", "gamma=0.5")[0] == 2
+
+    # above the cap: exit 2 before the n * n first inputs are allocated
+    monkeypatch.setenv("QCHAN_DEFAULT_GRID", "100000")
+    code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs")
+    assert code == 2 and out == "" and "between 2 and" in err
 
 
 def test_measure_all_pairs_domain(capsys):

@@ -140,6 +140,54 @@ def test_brute_force_matches_explicit_pairs(ch, domain, monkeypatch):
             assert abs(brute_force_mu(ch, n, domain) - reference) <= 1e-13, (n, block)
 
 
+def _complex_row_oracle(ch, n, domain):
+    """The oracle as complex rows L(rho) = [vec(rho^2), vec(rho (x) rho)] and R(sigma), 40 reals wide.
+
+    ``L(rho) . R(sigma)`` is the bracket ``Tr[rho^2 sigma^2] - Tr[(rho sigma)^2]``, summed over
+    every index of both traces instead of through a basis of Hermitian matrices.
+    """
+    polars, phis = optimize._axes(optimize._domain(domain).polar_max, n)
+    grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
+    kraus = np.stack(ch.ops)
+    superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
+
+    def outputs(bloch):
+        x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
+        states = 0.5 * np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1)
+        return (states @ superop).reshape(-1, 2, 2)
+
+    # L(rho) . R(sigma) = sum rho2_ij sigma2_ji - sum rho_ij rho_kl sigma_jk sigma_li over (i, j, k, l);
+    # with x.view(float) = (Re x0, Im x0, ...), L.view(float) . conj(R).view(float) = Re(L . R).
+    def left(rho):
+        sq = np.einsum("nij,njk->nik", rho, rho)
+        return np.concatenate([sq.reshape(-1, 4), np.einsum("nij,nkl->nijkl", rho, rho).reshape(-1, 16)], axis=1).view(float)
+
+    def right(sigma):
+        sq = np.einsum("nij,njk->nki", sigma, sigma)
+        row = np.concatenate([sq.reshape(-1, 4), -np.einsum("njk,nli->nijkl", sigma, sigma).reshape(-1, 16)], axis=1)
+        return np.conj(row).view(float)
+
+    if domain == DOMAIN_PROBE:
+        a, b = optimize._pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
+        return 4.0 * float(np.max(np.einsum("ni,ni->n", left(outputs(a)), right(outputs(b)))))
+    rho = outputs(optimize._single_bloch(grid_x.ravel(), grid_p.ravel()))
+    return 4.0 * float(np.max(left(rho) @ right(rho).T))
+
+
+def _benchmark_random_maps(seed):
+    """The five random 3-Kraus maps of the all-pairs benchmark workload for ``seed`` (the same recipe)."""
+    rng = np.random.default_rng(seed)
+    return [KrausChannel(random_kraus_ops(rng, 3), "random") for _ in range(5)]
+
+
+@pytest.mark.parametrize("n", [24, 48])
+@pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
+def test_brute_force_matches_complex_row_oracle(domain, n):
+    # The 16-wide real quadratic form and the 40-wide complex rows differ by rounding only.
+    for ch in _ORACLE_CHANNELS + _benchmark_random_maps(1):
+        assert abs(brute_force_mu(ch, n, domain) - _complex_row_oracle(ch, n, domain)) <= 1e-14, ch.label
+
+
 def test_brute_force_never_uses_the_bloch_map(monkeypatch):
     def forbidden(ch):
         raise AssertionError("brute_force_mu must not use the affine Bloch route")
@@ -264,6 +312,11 @@ def test_config_validation():
         OptimizerConfig(grid_points_per_angle=1)
     with pytest.raises(ValueError):
         OptimizerConfig(domain="everything")
+    # the grid cap is checked on the number alone; building either config allocates nothing
+    cap = optimize.MAX_GRID_POINTS
+    assert OptimizerConfig(grid_points_per_angle=cap, domain=DOMAIN_ALL_PAIRS).grid_points_per_angle == cap
+    with pytest.raises(ValueError, match=f"between 2 and {cap}"):
+        OptimizerConfig(grid_points_per_angle=cap + 1, domain=DOMAIN_ALL_PAIRS)
 
 
 def test_argmax_params_describe_the_maximizer():
@@ -545,9 +598,8 @@ def test_all_pairs_converges_on_benchmark_random_maps():
     # The five random 3-Kraus maps of the all-pairs benchmark workload, seeds 1-3.
     cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
     for seed in (1, 2, 3):
-        rng = np.random.default_rng(seed)
-        for _ in range(5):
-            assert maximize_mu(KrausChannel(random_kraus_ops(rng, 3), "random"), cfg).converged
+        for ch in _benchmark_random_maps(seed):
+            assert maximize_mu(ch, cfg).converged
 
 
 def test_all_pairs_solve_runs_without_scipy():

@@ -25,6 +25,7 @@ label reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional
 
@@ -45,14 +46,19 @@ class KrausChannel:
 
     ``ops`` are read-only complex128 views of one stacked copy of the given
     operators, so later changes to the caller's arrays do not reach the
-    channel. ``params`` records the constructor arguments under their stable
-    names (gamma, alpha, xi, r, p0..p3, lambda, omega) for reporting and for
-    closed-form lookups. Channels compare and hash by identity.
+    channel. A qubit channel builds its Pauli transfer matrix
+    T[i, j] = Tr(s_i Phi(s_j))/2 once, here, from one Choi contraction: the
+    first row is sum K^dag K in the Pauli basis, so it is the completeness
+    check, and the rest is the :func:`bloch_map`. Other dimensions check
+    sum K^dag K directly. ``params`` records the constructor arguments under
+    their stable names (gamma, alpha, xi, r, p0..p3, lambda, omega) for
+    reporting and for closed-form lookups. Channels compare and hash by identity.
     """
 
     ops: tuple
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
+    _bloch: Optional[tuple] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         mats = [np.asarray(k, dtype=complex) for k in self.ops]
@@ -66,10 +72,22 @@ class KrausChannel:
         stack, dim = np.array(mats), len(mats[0])
         if not np.isfinite(stack).all():
             raise ValueError("matrix entries must be finite")
-        # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
-        rows = stack.reshape(-1, dim)
-        dev = float(np.abs(rows.conj().T @ rows - np.eye(dim)).max())
-        if dev > COMPLETENESS_TOL:
+        if dim == 2:
+            # T[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) from C[(ab), (cd)] = sum_k K_ab conj(K_cd), built
+            # from elementwise products: a BLAS product's fused multiply-adds break the exact zeros of rtn(0).
+            flat = stack.reshape(-1, 4)
+            choi = (flat[:, :, None] * flat.conj()[:, None, :]).sum(axis=0)
+            t = 0.5 * (_PAULI_TENSOR @ choi.reshape(16)).real.reshape(4, 4)
+            t.setflags(write=False)
+            object.__setattr__(self, "_bloch", (t[1:, 1:], t[1:, 0]))
+            # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
+            t00, t01, t02, t03 = t[0].tolist()
+            dev = max(abs(t00 - 1.0) + abs(t03), math.hypot(t01, t02))
+        else:
+            # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
+            rows = stack.reshape(-1, dim)
+            dev = float(np.abs(rows.conj().T @ rows - np.eye(dim)).max())
+        if not dev <= COMPLETENESS_TOL:  # NaN from an overflowed contraction fails this test too
             raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev:.3e}")
         stack.setflags(write=False)
         object.__setattr__(self, "ops", tuple(stack))
@@ -93,17 +111,13 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     """Affine Bloch representation r -> A r + c of a qubit channel.
 
     A[i, j] = Tr(sigma_i Phi(sigma_j))/2 and c[i] = Tr(sigma_i Phi(I))/2.
-    Exact for any CPTP qubit map; used as the fast evaluation route.
+    Exact for any CPTP qubit map; used as the fast evaluation route. A read:
+    the channel builds its transfer matrix at construction, and ``A`` and
+    ``c`` are read-only views of it, the same objects on every call.
     """
     if ch.dim != 2:
         raise ValueError("Bloch representation is qubit-only")
-
-    # m[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) from C[(ab), (cd)] = sum_k K_ab conj(K_cd), built
-    # from elementwise products: a BLAS product's fused multiply-adds break the exact zeros of rtn(0).
-    flat = np.array(ch.ops).reshape(-1, 4)
-    choi = (flat[:, :, None] * flat.conj()[:, None, :]).sum(axis=0)
-    m = 0.5 * (_PAULI_TENSOR @ choi.reshape(16)).real.reshape(4, 4)
-    return m[1:, 1:], m[1:, 0]
+    return ch._bloch
 
 
 def _check_kernel_value(value: float, name: str) -> float:
@@ -114,8 +128,8 @@ def _check_kernel_value(value: float, name: str) -> float:
 
 
 def _dephasing_pair(value: float):
-    k_plus = np.sqrt((1.0 + value) / 2.0)
-    k_minus = np.sqrt((1.0 - value) / 2.0)
+    k_plus = math.sqrt((1.0 + value) / 2.0)
+    k_minus = math.sqrt((1.0 - value) / 2.0)
     return (k_plus * np.asarray(IDENTITY2), k_minus * np.asarray(SIGMA_Z))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .channels import CHANNELS, apply, builtin_kernel, make_channel
 from .measures import visibilities
-from .optimize import DOMAIN_PROBE, DOMAINS, OptimizerConfig, maximize_mu
+from .optimize import DOMAIN_PROBE, DOMAINS, MAX_GRID_POINTS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
 
 DEFAULT_GRID = 24
@@ -220,20 +221,18 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
 
 
 def _resolve_grid(flag_value: Optional[int]) -> int:
-    if flag_value is not None:
-        if flag_value < 2:
-            raise ValueError("--grid must be at least 2")
-        return flag_value
-    env = os.environ.get(GRID_ENV_VAR)
-    if env is not None:
+    value, source = flag_value, "--grid"
+    if value is None:
+        env = os.environ.get(GRID_ENV_VAR)
+        if env is None:
+            return DEFAULT_GRID
         try:
-            value = int(env)
+            value, source = int(env), GRID_ENV_VAR
         except ValueError:
             raise ValueError(f"{GRID_ENV_VAR} must be an integer, got {env!r}") from None
-        if value < 2:
-            raise ValueError(f"{GRID_ENV_VAR} must be at least 2")
-        return value
-    return DEFAULT_GRID
+    if not 2 <= value <= MAX_GRID_POINTS:
+        raise ValueError(f"{source} must be between 2 and {MAX_GRID_POINTS}, got {value}")
+    return value
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -348,6 +347,7 @@ def _cmd_visibility(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qchan",

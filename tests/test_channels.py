@@ -205,6 +205,51 @@ def test_kraus_channel_ops_are_read_only_complex_copies():
     assert all(k.dtype == np.complex128 for k in gdc(0.4, 0.3, 0.2, 0.1).ops)
 
 
+def _first_row_deviation(ops):
+    """max |sum K^dag K - I| read off the reference transfer matrix's first row.
+
+    sum K^dag K = T00 I + T01 X + T02 Y + T03 Z, so its diagonal deviates from I by T00 - 1 +- T03 and its
+    off-diagonal entries have modulus hypot(T01, T02).
+    """
+    basis = np.stack((np.eye(2),) + PAULIS)
+    t0 = 0.5 * np.einsum("kba,kbc,jca->j", np.conj(ops), np.stack(ops), basis).real
+    return max(abs(t0[0] - 1.0 + t0[3]), abs(t0[0] - 1.0 - t0[3]), np.hypot(t0[1], t0[2]))
+
+
+def test_completeness_is_read_off_the_transfer_matrix():
+    rng = np.random.default_rng(11)
+    decisions = set()
+    for i in range(400):
+        ops = list(random_kraus_ops(rng, 1 + i % 4))
+        if i % 5:  # perturb one operator by about 1e-12 to 1e-8, on both sides of the 1e-10 tolerance
+            eps = 10.0 ** rng.uniform(-12.0, -8.0)
+            ops[0] = ops[0] + eps * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        total = sum(k.conj().T @ k for k in ops)
+        reference = float(np.max(np.abs(total - np.eye(2))))
+        assert abs(_first_row_deviation(ops) - reference) <= 1e-15
+        try:
+            ch = KrausChannel(tuple(ops), "random")
+        except ValueError as exc:
+            decisions.add("reject")
+            assert reference > 1e-10, str(exc)
+            reported = float(str(exc).rsplit("= ", 1)[1])
+            assert reported == pytest.approx(reference, rel=2e-3)
+        else:
+            decisions.add("accept")
+            assert reference <= 1e-10 and abs(completeness_deviation(ch) - reference) <= 1e-15
+    assert decisions == {"accept", "reject"}
+
+
+def test_qutrit_channels_keep_the_direct_completeness_check():
+    ident = KrausChannel((np.eye(3),), "identity")
+    rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
+    np.testing.assert_array_equal(apply(ident, rho).mat, rho.mat)
+    with pytest.raises(ValueError, match="completeness violated"):
+        KrausChannel((np.eye(3), np.diag([0.0, 0.0, 1e-4])), "broken")
+    with pytest.raises(ValueError, match="qubit-only"):
+        bloch_map(ident)
+
+
 def test_channels_compare_and_hash_by_identity():
     first, second = rtn(0.3), rtn(0.3)
     assert (first == first) is True and (first == second) is False
@@ -289,6 +334,19 @@ def test_bloch_map_matches_einsum_reference():
     channels += [rtn(0.0), rtn(-1.0), nmd(0.0), pd(1.0), ad(1.0), gad(0.0, 0.0), unruh(np.pi / 4), gdc(0, 0, 0, 1)]
     for ch in channels:
         (a, c), (a_ref, c_ref) = bloch_map(ch), _einsum_bloch_map(ch)
+        assert np.max(np.abs(a - a_ref)) <= 1e-15 and np.max(np.abs(c - c_ref)) <= 1e-15, ch.label
+
+
+def test_bloch_map_is_a_read():
+    channels = [build() for build in ALL_CONSTRUCTORS.values()]
+    for ch in channels + [KrausChannel(random_kraus_ops(np.random.default_rng(2), 3), "random")]:
+        a, c = bloch_map(ch)
+        again = bloch_map(ch)
+        assert again[0] is a and again[1] is c
+        for arr in (a, c):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        a_ref, c_ref = _einsum_bloch_map(ch)
         assert np.max(np.abs(a - a_ref)) <= 1e-15 and np.max(np.abs(c - c_ref)) <= 1e-15, ch.label
 
 

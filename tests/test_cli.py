@@ -8,6 +8,7 @@ from qchan.cli import (
     GDC_VALIDATION_WEIGHTS,
     MAX_SWEEP_POINTS,
     SweepSpec,
+    build_parser,
     main,
     make_channel,
     run_sweep,
@@ -368,6 +369,38 @@ def test_grid_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QCHAN_DEFAULT_GRID", "100000")
     code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs")
     assert code == 2 and out == "" and "between 2 and" in err
+
+
+@pytest.mark.parametrize("value, ok", [("1", False), ("2", True), (str(MAX_GRID_POINTS), True), (str(MAX_GRID_POINTS + 1), False)])
+@pytest.mark.parametrize("source", ["--grid", "QCHAN_DEFAULT_GRID"])
+def test_grid_bounds_name_their_source(capsys, monkeypatch, source, value, ok):
+    argv = ["measure", "--channel", "ad", "--set", "gamma=0.5"]
+    if source == "--grid":
+        argv += ["--grid", value]
+    else:
+        monkeypatch.setenv(source, value)
+    code, out, err = run_cli(capsys, *argv)
+    if ok:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: {source} must be between 2 and {MAX_GRID_POINTS}, got {value}\n"
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    argv = ["measure", "--channel", "ad", "--set", "gamma=0.25", "--domain", "all-pairs"]
+    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
+    assert code == 0
+    coarse = json.loads(out)["evaluations"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["evaluations"] != coarse
+    # a usage error leaves nothing behind for the next call
+    assert run_cli(capsys, "measure", "--channel", "ad", "--bogus")[0] == 2
+    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
+    assert code == 0 and json.loads(out)["evaluations"] == coarse
+    assert run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=2")[0] == 2
+    assert run_cli(capsys, "measure", "--channel", "pd", "--set", "gamma=0.25")[0] == 0
 
 
 def test_measure_all_pairs_domain(capsys):

@@ -70,8 +70,11 @@ class KrausChannel:
             if m.shape != mats[0].shape:
                 raise ValueError("all Kraus operators must share one dimension")
         stack, dim = np.array(mats), len(mats[0])
-        if not np.isfinite(stack).all():
-            raise ValueError("matrix entries must be finite")
+        peak = np.abs(stack).max()
+        if not peak <= 1.0 + COMPLETENESS_TOL:  # |K_ab|^2 <= (sum K^dag K)_bb; so no contraction below overflows
+            if not np.isfinite(stack).all():
+                raise ValueError("matrix entries must be finite")
+            raise ValueError(f"completeness violated: a Kraus entry has modulus {peak:.3e}, above 1")
         if dim == 2:
             # T[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) from C[(ab), (cd)] = sum_k K_ab conj(K_cd), built
             # from elementwise products: a BLAS product's fused multiply-adds break the exact zeros of rtn(0).
@@ -87,7 +90,7 @@ class KrausChannel:
             # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
             rows = stack.reshape(-1, dim)
             dev = float(np.abs(rows.conj().T @ rows - np.eye(dim)).max())
-        if not dev <= COMPLETENESS_TOL:  # NaN from an overflowed contraction fails this test too
+        if not dev <= COMPLETENESS_TOL:
             raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev:.3e}")
         stack.setflags(write=False)
         object.__setattr__(self, "ops", tuple(stack))
@@ -310,15 +313,17 @@ def nmd_memory_kernel() -> MemoryKernel:
 
 
 def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
-    """Resolve a kernel by name; rtn-damped needs gamma and b in ``params``."""
-    if name == "rtn-damped":
-        try:
-            return rtn_memory_kernel(params["gamma"], params["b"])
-        except KeyError as exc:
-            raise ValueError(f"kernel rtn-damped needs parameter {exc}") from None
-    if name == "nmd-linear":
-        return nmd_memory_kernel()
-    raise ValueError(f"unknown kernel {name!r} (available: rtn-damped, nmd-linear)")
+    """Resolve a kernel by name from exactly its parameters: rtn-damped takes gamma and b, nmd-linear none."""
+    names = {"rtn-damped": ("gamma", "b"), "nmd-linear": ()}.get(name)
+    if names is None:
+        raise ValueError(f"unknown kernel {name!r} (available: rtn-damped, nmd-linear)")
+    extra = [k for k in params if k not in names]
+    if extra:
+        raise ValueError(f"kernel {name} does not take parameter(s): {', '.join(extra)}")
+    try:
+        return nmd_memory_kernel() if name == "nmd-linear" else rtn_memory_kernel(params["gamma"], params["b"])
+    except KeyError as exc:
+        raise ValueError(f"kernel rtn-damped needs parameter {exc}") from None
 
 
 def _squared(v: float) -> float:

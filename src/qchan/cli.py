@@ -86,6 +86,8 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     kernel = None
     if spec.sweep_param == entry.kernel_param:
         kernel = builtin_kernel(spec.kernel_choice or entry.default_kernel, spec.fixed_params)
+    elif spec.kernel_choice is not None:
+        raise ValueError(f"--kernel applies only to kernel sweeps (t for rtn, p for nmd), not to {spec.sweep_param!r}")
     rows = []
     for value in spec.values():
         if kernel is None:

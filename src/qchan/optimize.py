@@ -53,7 +53,9 @@ vectors of A, for one evaluation. Otherwise the solve scans a grid over a
 (n polar angles at phi_a = 0 for an axially symmetric channel, else n x n)
 and polishes its best point by Newton steps on the envelope
 ``F(a) = max_b f(a, b)``, with the analytic gradient and Hessian of
-:func:`_envelope_terms` and one exact inner solve per trial point.
+:func:`_envelope_terms` and one exact inner solve per trial point: the grid's
+in one numpy batch, a trial's in plain floats (:func:`_sphere_max_one`), where
+numpy's per-call cost on one-element arrays would outweigh the arithmetic.
 """
 
 from __future__ import annotations
@@ -360,6 +362,45 @@ def _sphere_max(a_mat, c_vec, a_vecs):
     return values, b.T
 
 
+def _sphere_max_one(rows, c, a):
+    """(value, b) of :func:`_sphere_max` for one first input a, line for line in plain floats; A given by its rows.
+
+    Every vector, b included, is a float triple.
+    """
+    u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
+    norm = math.sqrt(_dot(u, u))
+    nx, ny, nz = (s / max(norm, 1e-300) for s in u)
+    sign = math.copysign(1.0, nz)
+    k = -1.0 / (sign + nz)
+    xy = nx * ny * k
+    e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
+    q1, q2, d1, d2 = *(tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2)), _dot(c, e1), _dot(c, e2)
+    p, q, r = _dot(q1, q1), _dot(q1, q2), _dot(q2, q2)
+    half = 0.5 * (p - r)
+    h = math.hypot(half, q)
+    w1, w2 = 0.5 * (p + r) + h, max(0.5 * (p + r) - h, 0.0)
+    vx, vy = (max(h + half, 1e-300), q) if half >= 0.0 else (q, h - half)
+    vn = math.hypot(vx, vy)
+    vx, vy = vx / vn, vy / vn
+    delta1, delta2 = vx * d1 + vy * d2, vx * d2 - vy * d1
+    g1, g2 = math.sqrt(w1) * abs(delta1), math.sqrt(w2) * delta2
+    lam = max(w1 + g1, w2 + abs(g2))
+    for _ in range(100):
+        r1, r2 = (1.0 / (lam - w1) if lam > w1 else 0.0), (1.0 / (lam - w2) if lam > w2 else 0.0)
+        t1, t2 = g1 * r1, g2 * r2
+        s = t1 * t1 + t2 * t2
+        step = s * (math.sqrt(s) - 1.0) / max(t1 * t1 * r1 + t2 * t2 * r2, 1e-300) if s > 1.0 else 0.0
+        if step <= 1e-15 * (1.0 + lam):
+            break
+        lam += step
+    top = math.copysign(math.sqrt(max(1.0 - t2 * t2, 0.0)), delta1) / math.sqrt(w1) if w1 > 0.0 else 0.0
+    b = tuple(s * (vx * top - vy * delta2 * r2) + t * (vy * top + vx * delta2 * r2) for s, t in zip(q1, q2))
+    b_norm = math.sqrt(_dot(b, b))
+    b = tuple(s / b_norm for s in b) if b_norm > 0.0 else e1
+    w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
+    return _dot(w, w), b
+
+
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -408,13 +449,15 @@ def _pairs_solve(a_mat, c_vec, n: int):
     """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
 
     Returns (angles, value, evaluations, converged). Every grid point and
-    polish trial is one exact :func:`_sphere_max` solve over the second
-    input, and the polish steps by :func:`_ascent_step` on the gradient and
-    Hessian of :func:`_envelope_terms`, halving a step until the value does
-    not drop. An axially symmetric map (:func:`_is_axial`) leaves the
-    envelope invariant under rotations about z, so phi_a = 0 is exact: its
-    grid is n polar angles and its polish moves theta_a alone. Otherwise the
-    grid is n x n and the polish steps in the tangent plane of the first input.
+    polish trial is one exact solve over the second input: the grid's as one
+    :func:`_sphere_max` batch, each trial's by :func:`_sphere_max_one` in
+    plain floats, with b kept as a float triple. The polish steps by
+    :func:`_ascent_step` on the gradient and Hessian of
+    :func:`_envelope_terms`, halving a step until the value does not drop.
+    An axially symmetric map (:func:`_is_axial`) leaves the envelope
+    invariant under rotations about z, so phi_a = 0 is exact: its grid is n
+    polar angles and its polish moves theta_a alone. Otherwise the grid is
+    n x n and the polish steps in the tangent plane of the first input.
     """
     # numpy's products round differently for strided operands; C order makes the result depend on values only.
     a_mat, c_vec = np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec)
@@ -427,7 +470,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
     grid_t, grid_p = np.meshgrid(thetas, phis[:1] if axial else phis, indexing="ij")
     values, bs = _sphere_max(a_mat, c_vec, _single_bloch(grid_t.ravel(), grid_p.ravel()))
     k = _grid_argmax(values)
-    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), bs[k].tolist()
+    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), tuple(bs[k].tolist())
     evaluations = values.size
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = _envelope_terms(rows, c, theta, phi, b)
@@ -443,12 +486,12 @@ def _pairs_solve(a_mat, c_vec, n: int):
             else:  # the tangent step, projected back onto the sphere (the angles ignore the norm)
                 a, t_theta, t_phi = _frame(theta, phi)
                 new_theta, new_phi = _bloch_angles([s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, t_theta, t_phi)])
-            new_values, new_bs = _sphere_max(a_mat, c_vec, _single_bloch(new_theta, new_phi)[None])
+            new_value, new_b = _sphere_max_one(rows, c, _frame(new_theta, new_phi)[0])
             evaluations += 1
-            if new_values[0] >= value:
+            if new_value >= value:
                 break
             t *= 0.5
-        theta, phi, value, b = new_theta, new_phi, float(new_values[0]), new_bs[0].tolist()
+        theta, phi, value, b = new_theta, new_phi, new_value, new_b
     return (theta, phi, *_bloch_angles(b)), value, evaluations, False
 
 

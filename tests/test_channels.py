@@ -195,6 +195,15 @@ def test_kraus_channel_rejects_malformed_operators(ops, message):
         KrausChannel(ops, "malformed")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3], ids=["qubit", "qutrit"])
+def test_kraus_channel_rejects_overflowing_entries_without_warnings(dim):
+    # Completeness bounds every |K_ab| by 1, so entries whose products overflow are rejected before any contraction.
+    for scale in (1e200, 1e200j, 1.0 + 1e-6):
+        with pytest.raises(ValueError, match="completeness violated"):
+            KrausChannel((scale * np.eye(dim),), "x")
+
+
 def test_kraus_channel_ops_are_read_only_complex_copies():
     for op in (np.eye(2), np.eye(2, dtype=complex)):
         ch = KrausChannel((op,), "identity")
@@ -442,6 +451,10 @@ def test_builtin_kernel_registry():
         builtin_kernel("nope", {})
     with pytest.raises(ValueError, match="needs parameter"):
         builtin_kernel("rtn-damped", {"gamma": 1.0})
+    with pytest.raises(ValueError, match="does not take parameter.*lambda"):
+        builtin_kernel("rtn-damped", {"gamma": 1.0, "b": 2.0, "lambda": 0.3})
+    with pytest.raises(ValueError, match="does not take parameter.*gamma"):
+        builtin_kernel("nmd-linear", {"gamma": 1.0})
 
 
 @pytest.mark.parametrize("label", sorted(CHANNELS))

@@ -276,6 +276,24 @@ def test_sweep_usage_errors(tmp_path, capsys):
         assert run_cli(capsys, *argv)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["--channel", "rtn", "--sweep", "t=0:1:0.5", "--set", "gamma=1,b=2,lambda=0.3"], "lambda"),
+        (["--channel", "rtn", "--sweep", "t=0:1:0.5", "--set", "gamma=1,b=2,foo=3"], "foo"),
+        (["--channel", "nmd", "--sweep", "p=0:1:0.5", "--set", "gamma=1"], "gamma"),
+        (["--channel", "ad", "--sweep", "gamma=0:1:0.5", "--kernel", "rtn-damped"], "--kernel"),
+    ],
+    ids=["kernel-sweep-sets-channel-param", "unknown-param", "nmd-kernel-takes-none", "kernel-flag-on-plain-sweep"],
+)
+def test_kernel_sweeps_reject_unused_inputs(tmp_path, capsys, argv, named):
+    # A kernel sweep reads only its kernel's parameters; anything else is a usage error, not ignored input.
+    out_path = tmp_path / "unused.csv"
+    code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and named in err
+    assert not out_path.exists()
+
+
 def test_sweep_io_failure(tmp_path, capsys):
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.csv"
     code, _, err = run_cli(

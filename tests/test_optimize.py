@@ -730,36 +730,76 @@ def test_sphere_max_matches_eigh_route_on_random_maps(seed):
     assert np.all(values >= _dense_sphere_max(a_mat, c_vec, a_vecs, 40) - 1e-15)
 
 
+def _plain_float_route(a_mat, c_vec, a_vecs):
+    """:func:`optimize._sphere_max`'s (values, bs), from one plain-float solve per first input."""
+    solved = [optimize._sphere_max_one(a_mat.tolist(), c_vec.tolist(), a) for a in a_vecs.tolist()]
+    return np.array([value for value, _ in solved]), np.array([b for _, b in solved])
+
+
+@pytest.mark.parametrize("first_seed", range(0, 200, 20))
+def test_plain_float_inner_solve_matches_the_batched_one(first_seed):
+    for seed in range(first_seed, first_seed + 20):
+        rng = np.random.default_rng(seed)
+        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, 2 + seed % 2), "random"))
+        a_vecs = sample_ball(rng, 20)
+        a_vecs /= np.linalg.norm(a_vecs, axis=1, keepdims=True)
+        values, bs = _plain_float_route(a_mat, c_vec, a_vecs)
+        _check_attained(a_mat, c_vec, a_vecs, values, bs)
+        assert np.max(np.abs(values - optimize._sphere_max(a_mat, c_vec, a_vecs)[0])) <= 1e-15
+
+
 def test_sphere_max_on_degenerate_maps():
+    # both routes: the batched solve of the grid and the plain-float solve of a polish trial
     rng = np.random.default_rng(5)
     a_vecs = sample_ball(rng, 50)
     a_vecs /= np.linalg.norm(a_vecs, axis=1, keepdims=True)
-    # A = 0 (ad(1)): every output is the pole, f = 0
-    a_mat, c_vec = bloch_map(ad(1.0))
-    values, bs = optimize._sphere_max(a_mat, c_vec, a_vecs)
-    assert np.max(np.abs(a_mat)) == 0.0 and np.all(values == 0.0)
-    _check_attained(a_mat, c_vec, a_vecs, values, bs)
-    # rank 1, A = s x y^T: f is convex in y.b, so the maximum sits at b = +-y
     x, y = rng.normal(size=(2, 3))
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
-    a_mat, c_vec = 0.6 * np.outer(x, y), np.array([0.1, -0.2, 0.15])
-    values, bs = optimize._sphere_max(a_mat, c_vec, a_vecs)
-    _check_attained(a_mat, c_vec, a_vecs, values, bs)
-    u = a_vecs @ a_mat.T + c_vec
-    ends = [np.sum(np.cross(u, s * 0.6 * x + c_vec) ** 2, axis=1) for s in (1.0, -1.0)]
-    assert np.max(np.abs(values - np.maximum(*ends))) <= 1e-15
-    # orthogonal A, c = 0: Q Q^T = I and g = 0, the maximum |a x b|^2 = 1 at every b orthogonal to a
-    a_mat = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    values, bs = optimize._sphere_max(a_mat, np.zeros(3), a_vecs)
-    _check_attained(a_mat, np.zeros(3), a_vecs, values, bs)
-    assert np.max(np.abs(values - 1.0)) <= 4e-15  # rounding of A^T A = I and of the unit rows
-    # a first input mapped to u = A a + c = 0
-    a_mat, c_vec = 0.5 * np.eye(3), np.array([0.0, 0.0, 0.5])
-    rows = np.array([[0.0, 0.0, -1.0], [0.0, 0.6, -0.8]])
-    values, bs = optimize._sphere_max(a_mat, c_vec, rows)
-    _check_attained(a_mat, c_vec, rows, values, bs)
-    assert values[0] == 0.0
-    assert values[1] >= _dense_sphere_max(a_mat, c_vec, rows)[1] - 1e-15
+    orthogonal = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    for route in (optimize._sphere_max, _plain_float_route):
+        # A = 0 (ad(1)): every output is the pole, f = 0
+        a_mat, c_vec = bloch_map(ad(1.0))
+        values, bs = route(a_mat, c_vec, a_vecs)
+        assert np.max(np.abs(a_mat)) == 0.0 and np.all(values == 0.0)
+        _check_attained(a_mat, c_vec, a_vecs, values, bs)
+        # rank 1, A = s x y^T: f is convex in y.b, so the maximum sits at b = +-y
+        a_mat, c_vec = 0.6 * np.outer(x, y), np.array([0.1, -0.2, 0.15])
+        values, bs = route(a_mat, c_vec, a_vecs)
+        _check_attained(a_mat, c_vec, a_vecs, values, bs)
+        u = a_vecs @ a_mat.T + c_vec
+        ends = [np.sum(np.cross(u, s * 0.6 * x + c_vec) ** 2, axis=1) for s in (1.0, -1.0)]
+        assert np.max(np.abs(values - np.maximum(*ends))) <= 1e-15
+        # orthogonal A, c = 0: Q Q^T = I and g = 0, the maximum |a x b|^2 = 1 at every b orthogonal to a
+        values, bs = route(orthogonal, np.zeros(3), a_vecs)
+        _check_attained(orthogonal, np.zeros(3), a_vecs, values, bs)
+        assert np.max(np.abs(values - 1.0)) <= 4e-15  # rounding of A^T A = I and of the unit rows
+        # a first input mapped to u = A a + c = 0
+        a_mat, c_vec = 0.5 * np.eye(3), np.array([0.0, 0.0, 0.5])
+        rows = np.array([[0.0, 0.0, -1.0], [0.0, 0.6, -0.8]])
+        values, bs = route(a_mat, c_vec, rows)
+        _check_attained(a_mat, c_vec, rows, values, bs)
+        assert values[0] == 0.0
+        assert values[1] >= _dense_sphere_max(a_mat, c_vec, rows)[1] - 1e-15
+        # and ad(0.5) at the south pole
+        a_mat, c_vec = bloch_map(ad(0.5))
+        values, bs = route(a_mat, c_vec, rows[:1])
+        _check_attained(a_mat, c_vec, rows[:1], values, bs)
+        assert values[0] == 0.0
+
+
+def test_all_pairs_solve_batches_only_the_grid(monkeypatch):
+    # The grid is one batched _sphere_max call; every polish trial, axial or tangent-plane, is a plain-float solve.
+    batched, sizes = optimize._sphere_max, []
+
+    def counting(a_mat, c_vec, a_vecs):
+        sizes.append(len(a_vecs))
+        return batched(a_mat, c_vec, a_vecs)
+
+    monkeypatch.setattr(optimize, "_sphere_max", counting)
+    cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
+    for ch, grid in [(gad(0.3, 0.2), 24), (KrausChannel(random_kraus_ops(np.random.default_rng(4), 3), "random"), 576)]:
+        sizes.clear()
+        assert maximize_mu(ch, cfg).evaluations > grid and sizes == [grid]
 
 
 def test_all_pairs_solve_avoids_eigh(monkeypatch):

@@ -18,26 +18,85 @@ physical parameters. The kernel functional forms are documented defaults taken
 from the standard open-systems literature, not channel-intrinsic content, and
 can be swapped for any other map into [-1, 1].
 
-:data:`CHANNELS` is the one table of per-label facts: constructor, parameter
-names, closed forms and sweep kernel. Everything that dispatches on a channel
-label reads it.
+:data:`CHANNELS` is the one table of per-label facts: constructor, Kraus
+builder, parameter names, closed forms and sweep kernel. Everything that
+dispatches on a channel label reads it. Every constructor is the one-point
+case of :func:`make_channels`, which builds a batch of one family's points
+with one contraction and one CPTP check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from functools import partial
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, IDENTITY2, PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from .linalg import DensityMatrix, IDENTITY2, PAULIS
 
 COMPLETENESS_TOL = 1e-10
 KERNEL_TOL = 1e-12
 _BASIS = np.stack((IDENTITY2,) + PAULIS)
-# _PAULI_TENSOR[(ij), (abcd)] = conj(s_i[a, c]) s_j[b, d], so Tr(s_i Phi(s_j)) = _PAULI_TENSOR[(ij)] . vec(C)
+# _PAULI_TENSOR[(ij), (abcd)] = conj(s_i[a, c]) s_j[b, d], so Tr(s_i Phi(s_j)) = _PAULI_TENSOR[(ij)] . vec(C). Its four
+# entries per row are +-1 or +-i: the real part is a signed sum of C's float view at _PAULI_PICK, signs _PAULI_SIGN.
 _PAULI_TENSOR = np.einsum("iac,jbd->ijabcd", _BASIS.conj(), _BASIS).reshape(16, 16)
+_COEF = _PAULI_TENSOR[_PAULI_TENSOR != 0].reshape(16, 4)
+_PAULI_PICK = 2 * np.nonzero(_PAULI_TENSOR)[1].reshape(16, 4) + (_COEF.real == 0)
+_PAULI_SIGN = _COEF.real - _COEF.imag
+
+
+def _transfer_matrices(stacks: np.ndarray) -> Optional[np.ndarray]:
+    """The CPTP check of P Kraus sets stacked as (P, k, d, d); for qubits, their read-only (P, 4, 4) transfer matrices.
+
+    T[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) comes from the Choi matrix C[(ab), (cd)] = sum_k K_ab
+    conj(K_cd) by elementwise products and fixed-order sums, (t0 + t2) + (t1 + t3) over a row's four terms: a
+    channel's bits do not depend on P, and terms that cancel in pairs (as in rtn(0)) give exact zeros. T's first
+    row is sum K^dag K in the Pauli basis, so it is the completeness check; other dimensions check sum K^dag K
+    directly and return None. Raises for the first failing channel.
+    """
+    n, k, dim = stacks.shape[:3]
+    peak = np.abs(stacks).max(axis=(1, 2, 3))
+    bounded = peak <= 1.0 + COMPLETENESS_TOL  # |K_ab|^2 <= (sum K^dag K)_bb; so no contraction below overflows
+    safe = stacks if bounded.all() else np.where(bounded[:, None, None, None], stacks, 0.0)
+    if dim == 2:
+        flat = safe.reshape(n, k, 4)
+        prod = flat[:, :, :, None] * flat.conj()[:, :, None, :]
+        choi = prod[:, 0]
+        for j in range(1, k):
+            choi = choi + prod[:, j]
+        terms = choi.reshape(n, 16).view(float)[:, _PAULI_PICK] * _PAULI_SIGN
+        pairs = terms[..., :2] + terms[..., 2:]
+        t = (0.5 * (pairs[..., 0] + pairs[..., 1])).reshape(n, 4, 4)
+        # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
+        dev = np.maximum(np.abs(t[:, 0, 0] - 1.0) + np.abs(t[:, 0, 3]), np.hypot(t[:, 0, 1], t[:, 0, 2]))
+    else:
+        # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
+        rows = safe.reshape(n, k * dim, dim)
+        t, dev = None, np.abs(rows.conj().transpose(0, 2, 1) @ rows - np.eye(dim)).max(axis=(1, 2))
+    passed = bounded & (dev <= COMPLETENESS_TOL)
+    if not passed.all():
+        i = int(np.argmin(passed))
+        if bounded[i]:
+            raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev[i]:.3e}")
+        if not np.isfinite(stacks[i]).all():
+            raise ValueError("matrix entries must be finite")
+        raise ValueError(f"completeness violated: a Kraus entry has modulus {peak[i]:.3e}, above 1")
+    if t is not None:
+        t.setflags(write=False)
+    return t
+
+
+def _adopt(channels: list, label: str, stacks: np.ndarray, params: list) -> list:
+    """Check and contract ``stacks``, then give channel i the label, its read-only operators, params[i], Bloch map."""
+    t = _transfer_matrices(stacks)
+    stacks.setflags(write=False)
+    k, ops = stacks.shape[1], list(stacks.reshape(-1, *stacks.shape[2:]))  # one view per operator
+    blochs = [None] * len(channels) if t is None else zip(t[:, 1:, 1:], t[:, 1:, 0])
+    for i, (ch, p, bloch) in enumerate(zip(channels, params, blochs)):
+        vars(ch).update(label=label, ops=tuple(ops[i * k : (i + 1) * k]), params=p, _bloch=bloch)  # frozen: no setattr
+    return channels
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,12 +106,12 @@ class KrausChannel:
     ``ops`` are read-only complex128 views of one stacked copy of the given
     operators, so later changes to the caller's arrays do not reach the
     channel. A qubit channel builds its Pauli transfer matrix
-    T[i, j] = Tr(s_i Phi(s_j))/2 once, here, from one Choi contraction: the
-    first row is sum K^dag K in the Pauli basis, so it is the completeness
-    check, and the rest is the :func:`bloch_map`. Other dimensions check
-    sum K^dag K directly. ``params`` records the constructor arguments under
-    their stable names (gamma, alpha, xi, r, p0..p3, lambda, omega) for
-    reporting and for closed-form lookups. Channels compare and hash by identity.
+    T[i, j] = Tr(s_i Phi(s_j))/2 once, here, as the one-channel case of
+    :func:`make_channels`' check and contraction: the first row of T is the
+    completeness check, and the rest is the :func:`bloch_map`. ``params``
+    records the constructor arguments under their stable names (gamma,
+    alpha, xi, r, p0..p3, lambda, omega) for reporting and for closed-form
+    lookups. Channels compare and hash by identity.
     """
 
     ops: tuple
@@ -69,32 +128,7 @@ class KrausChannel:
                 raise ValueError(f"expected a square matrix, got shape {m.shape}")
             if m.shape != mats[0].shape:
                 raise ValueError("all Kraus operators must share one dimension")
-        stack, dim = np.array(mats), len(mats[0])
-        peak = np.abs(stack).max()
-        if not peak <= 1.0 + COMPLETENESS_TOL:  # |K_ab|^2 <= (sum K^dag K)_bb; so no contraction below overflows
-            if not np.isfinite(stack).all():
-                raise ValueError("matrix entries must be finite")
-            raise ValueError(f"completeness violated: a Kraus entry has modulus {peak:.3e}, above 1")
-        if dim == 2:
-            # T[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) from C[(ab), (cd)] = sum_k K_ab conj(K_cd), built
-            # from elementwise products: a BLAS product's fused multiply-adds break the exact zeros of rtn(0).
-            flat = stack.reshape(-1, 4)
-            choi = (flat[:, :, None] * flat.conj()[:, None, :]).sum(axis=0)
-            t = 0.5 * (_PAULI_TENSOR @ choi.reshape(16)).real.reshape(4, 4)
-            t.setflags(write=False)
-            object.__setattr__(self, "_bloch", (t[1:, 1:], t[1:, 0]))
-            # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
-            t00, t01, t02, t03 = t[0].tolist()
-            dev = max(abs(t00 - 1.0) + abs(t03), math.hypot(t01, t02))
-        else:
-            # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
-            rows = stack.reshape(-1, dim)
-            dev = float(np.abs(rows.conj().T @ rows - np.eye(dim)).max())
-        if not dev <= COMPLETENESS_TOL:
-            raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev:.3e}")
-        stack.setflags(write=False)
-        object.__setattr__(self, "ops", tuple(stack))
-        object.__setattr__(self, "params", dict(self.params))
+        _adopt([self], self.label, np.array(mats)[None], [dict(self.params)])
 
     @property
     def dim(self) -> int:
@@ -130,10 +164,17 @@ def _check_kernel_value(value: float, name: str) -> float:
     return min(1.0, max(-1.0, v))
 
 
-def _dephasing_pair(value: float):
-    k_plus = math.sqrt((1.0 + value) / 2.0)
-    k_minus = math.sqrt((1.0 - value) / 2.0)
-    return (k_plus * np.asarray(IDENTITY2), k_minus * np.asarray(SIGMA_Z))
+def _unit(value: float, name: str) -> float:
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {v}")
+    return v
+
+
+def _dephasing_kraus(name: str, value: float):
+    v = _check_kernel_value(value, name)
+    k_plus, k_minus = math.sqrt((1.0 + v) / 2.0), math.sqrt((1.0 - v) / 2.0)
+    return (k_plus, 0.0, 0.0, k_plus, k_minus, 0.0, 0.0, -k_minus), {name: v}
 
 
 def rtn(lambda_: float) -> KrausChannel:
@@ -142,14 +183,17 @@ def rtn(lambda_: float) -> KrausChannel:
     K0 = k+ I and K1 = k- sigma_z with k_pm = sqrt((1 +- Lambda)/2); the map
     scales off-diagonal entries by Lambda and leaves populations untouched.
     """
-    value = _check_kernel_value(lambda_, "lambda")
-    return KrausChannel(_dephasing_pair(value), "rtn", {"lambda": value})
+    return make_channel("rtn", {"lambda": lambda_})
 
 
 def nmd(omega: float) -> KrausChannel:
     """Non-Markovian dephasing: same operator structure as rtn, value Omega."""
-    value = _check_kernel_value(omega, "omega")
-    return KrausChannel(_dephasing_pair(value), "nmd", {"omega": value})
+    return make_channel("nmd", {"omega": omega})
+
+
+def _pd_kraus(gamma: float):
+    g = _unit(gamma, "gamma")
+    return (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, 0.0, 0.0, math.sqrt(g)), {"gamma": g}
 
 
 def pd(gamma: float) -> KrausChannel:
@@ -159,22 +203,24 @@ def pd(gamma: float) -> KrausChannel:
     preserved, coherences scaled by sqrt(1-gamma). The second operator's
     (0, 0) entry must be 0, not 1, for completeness to hold.
     """
-    g = float(gamma)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {g}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [0.0, np.sqrt(g)]], dtype=complex)
-    return KrausChannel((k0, k1), "pd", {"gamma": g})
+    return make_channel("pd", {"gamma": gamma})
+
+
+def _ad_kraus(gamma: float):
+    g = _unit(gamma, "gamma")
+    return (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, math.sqrt(g), 0.0, 0.0), {"gamma": g}
 
 
 def ad(gamma: float) -> KrausChannel:
     """Amplitude damping with gamma in [0, 1] (decay |1> -> |0>)."""
-    g = float(gamma)
-    if not 0.0 <= g <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {g}")
-    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - g)]], dtype=complex)
-    k1 = np.array([[0.0, np.sqrt(g)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel((k0, k1), "ad", {"gamma": g})
+    return make_channel("ad", {"gamma": gamma})
+
+
+def _gad_kraus(alpha: float, xi: float):
+    a, x = _unit(alpha, "alpha"), _unit(xi, "xi")
+    sa, sb, sx, sp = math.sqrt(a), math.sqrt(1.0 - a), math.sqrt(x), math.sqrt(1.0 - x)
+    ops = (sa, 0.0, 0.0, sa * sx, 0.0, sa * sp, 0.0, 0.0, sb * sx, 0.0, 0.0, sb, 0.0, 0.0, sb * sp, 0.0)
+    return ops, {"alpha": a, "xi": x}
 
 
 def gad(alpha: float, xi: float) -> KrausChannel:
@@ -186,19 +232,14 @@ def gad(alpha: float, xi: float) -> KrausChannel:
     alpha. alpha = 1 reduces to amplitude damping with gamma = 1 - xi; xi = 1
     is the identity for any alpha.
     """
-    a = float(alpha)
-    x = float(xi)
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {a}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"xi must be in [0, 1], got {x}")
-    beta = 1.0 - a
-    p = 1.0 - x
-    g0 = np.sqrt(a) * np.array([[1.0, 0.0], [0.0, np.sqrt(x)]], dtype=complex)
-    g1 = np.sqrt(a) * np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
-    g3 = np.sqrt(beta) * np.array([[np.sqrt(x), 0.0], [0.0, 1.0]], dtype=complex)
-    g4 = np.sqrt(beta) * np.array([[0.0, 0.0], [np.sqrt(p), 0.0]], dtype=complex)
-    return KrausChannel((g0, g1, g3, g4), "gad", {"alpha": a, "xi": x})
+    return make_channel("gad", {"alpha": alpha, "xi": xi})
+
+
+def _unruh_kraus(r: float):
+    rv = float(r)
+    if not 0.0 <= rv <= np.pi / 4.0 + 1e-15:
+        raise ValueError(f"r must be in [0, pi/4], got {rv}")
+    return (np.cos(rv), 0.0, 0.0, 1.0, 0.0, 0.0, np.sin(rv), 0.0), {"r": rv}
 
 
 def unruh(r: float) -> KrausChannel:
@@ -208,12 +249,7 @@ def unruh(r: float) -> KrausChannel:
     cos^2 r + sin^2 r = 1 on the |0> component. The parameter maps to an
     acceleration a through cos r = (1 + e^{-2 pi omega c / a})^{-1/2}.
     """
-    rv = float(r)
-    if not 0.0 <= rv <= np.pi / 4.0 + 1e-15:
-        raise ValueError(f"r must be in [0, pi/4], got {rv}")
-    u0 = np.array([[np.cos(rv), 0.0], [0.0, 1.0]], dtype=complex)
-    u1 = np.array([[0.0, 0.0], [np.sin(rv), 0.0]], dtype=complex)
-    return KrausChannel((u0, u1), "unruh", {"r": rv})
+    return make_channel("unruh", {"r": r})
 
 
 def unruh_r_from_acceleration(exponent: float) -> float:
@@ -227,21 +263,23 @@ def unruh_r_from_acceleration(exponent: float) -> float:
     return float(np.arccos(1.0 / np.sqrt(1.0 + np.exp(-x))))
 
 
+def _gdc_kraus(*weights: float):
+    if any(w < 0.0 for w in weights):
+        raise ValueError(f"negative weight in {list(weights)}")
+    total = sum(weights)
+    if not abs(total - 1.0) <= 1e-12:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+    s0, s1, s2, s3 = map(math.sqrt, weights)
+    ops = (s0, 0.0, 0.0, s0, 0.0, s1, s1, 0.0, 0.0, complex(0.0, -s2), complex(0.0, s2), 0.0, s3, 0.0, 0.0, -s3)
+    return ops, {f"p{i}": w for i, w in enumerate(weights)}
+
+
 def gdc(p0: float, p1: float, p2: float, p3: float) -> KrausChannel:
     """Generalized depolarizing channel: operators sqrt(p_i) sigma_i.
 
     Weights must be nonnegative and sum to 1 within 1e-12.
     """
-    weights = [float(p) for p in (p0, p1, p2, p3)]
-    if any(w < 0.0 for w in weights):
-        raise ValueError(f"negative weight in {weights}")
-    total = sum(weights)
-    if not abs(total - 1.0) <= 1e-12:
-        raise ValueError(f"weights must sum to 1, got {total!r}")
-    mats = (np.asarray(IDENTITY2), np.asarray(SIGMA_X), np.asarray(SIGMA_Y), np.asarray(SIGMA_Z))
-    ops = tuple(np.sqrt(w) * m for w, m in zip(weights, mats))
-    params = {f"p{i}": w for i, w in enumerate(weights)}
-    return KrausChannel(ops, "gdc", params)
+    return make_channel("gdc", {"p0": p0, "p1": p1, "p2": p2, "p3": p3})
 
 
 def _rates(gamma: float, b: float) -> tuple[float, float]:
@@ -326,68 +364,36 @@ def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
         raise ValueError(f"kernel rtn-damped needs parameter {exc}") from None
 
 
-def _squared(v: float) -> float:
-    return v**2
-
-
-def _one_minus(gamma: float) -> float:
-    return 1.0 - gamma
-
-
-def _cos_squared(r: float) -> float:
-    return float(np.cos(r) ** 2)
-
-
-def _ad_coherence(gamma: float) -> float:
-    if gamma > 1.0 / 6.0:
-        return 1.0 - gamma
-    return (6.0 * gamma * gamma - 3.0 * gamma + 2.0) / 6.0
-
-
-def _gad_coherence(alpha: float, xi: float) -> dict:
-    xi_tilde = 2.5 * (alpha - 1.0) ** 2 * (1.0 - xi) ** 2
-    return {"late": xi, "early": 0.5 * xi + xi_tilde}
-
-
 @dataclass(frozen=True)
 class ChannelSpec:
     """The facts about one channel family, keyed by its label in :data:`CHANNELS`.
 
-    Every callable takes the parameters positionally, in ``params`` order.
-    ``closed_form`` is the exact probe-domain maximum for every parameter
-    value, or None when the family has none (gad). ``coherence`` is the
-    coherence-based measure's reference curve. Sweeping ``kernel_param``
-    drives the first parameter through a memory kernel, ``default_kernel``
-    unless another is chosen.
+    Every callable takes the parameters positionally, in ``params`` order. ``make`` is the public constructor.
+    ``kraus`` checks one point's parameters and returns its 2x2 operators' entries, each row-major, in one tuple,
+    with its ``params`` record; :func:`make_channels` stacks them. ``closed_form`` is the exact probe-domain
+    maximum for every parameter value, or None when the family has none (gad). Sweeping ``kernel_param`` drives
+    the first parameter through a memory kernel, ``default_kernel`` unless another is chosen.
     """
 
     make: Callable[..., KrausChannel]
+    kraus: Callable[..., tuple]
     params: tuple
-    coherence: Callable
     closed_form: Optional[Callable[..., float]] = None
     kernel_param: Optional[str] = None
     default_kernel: Optional[str] = None
 
 
 CHANNELS = {
-    "rtn": ChannelSpec(
-        rtn, ("lambda",), closed_form=_squared, coherence=_squared, kernel_param="t", default_kernel="rtn-damped"
-    ),
-    "nmd": ChannelSpec(
-        nmd, ("omega",), closed_form=_squared, coherence=_squared, kernel_param="p", default_kernel="nmd-linear"
-    ),
-    "pd": ChannelSpec(pd, ("gamma",), closed_form=_one_minus, coherence=_one_minus),
-    "ad": ChannelSpec(ad, ("gamma",), closed_form=_one_minus, coherence=_ad_coherence),
-    "gad": ChannelSpec(gad, ("alpha", "xi"), coherence=_gad_coherence),
-    "unruh": ChannelSpec(unruh, ("r",), closed_form=_cos_squared, coherence=_cos_squared),
+    "rtn": ChannelSpec(rtn, partial(_dephasing_kraus, "lambda"), ("lambda",), lambda v: v**2, "t", "rtn-damped"),
+    "nmd": ChannelSpec(nmd, partial(_dephasing_kraus, "omega"), ("omega",), lambda v: v**2, "p", "nmd-linear"),
+    "pd": ChannelSpec(pd, _pd_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
+    "ad": ChannelSpec(ad, _ad_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
+    "gad": ChannelSpec(gad, _gad_kraus, ("alpha", "xi")),
+    "unruh": ChannelSpec(unruh, _unruh_kraus, ("r",), closed_form=lambda r: float(np.cos(r) ** 2)),
     "gdc": ChannelSpec(
-        gdc,
-        ("p0", "p1", "p2", "p3"),
+        gdc, _gdc_kraus, ("p0", "p1", "p2", "p3"),
         # Bloch map diag(l1, l2, l3), so |cof(A) n(phi)|^2 = l3^2 (l2^2 sin^2 phi + l1^2 cos^2 phi)
-        closed_form=lambda p0, p1, p2, p3: (
-            max((p0 + p1 - p2 - p3) ** 2, (p0 - p1 + p2 - p3) ** 2) * (p0 - p1 - p2 + p3) ** 2
-        ),
-        coherence=lambda p0, p1, p2, p3: (p0 - p1) ** 2 + (p2 - p3) ** 2,
+        lambda p0, p1, p2, p3: max((p0 + p1 - p2 - p3) ** 2, (p0 - p1 + p2 - p3) ** 2) * (p0 - p1 - p2 + p3) ** 2,
     ),
 }
 
@@ -403,10 +409,25 @@ def channel_args(label: str, params: Mapping[str, float]) -> tuple[ChannelSpec, 
     return spec, [float(params[k]) for k in spec.params]
 
 
+def make_channels(label: str, points: Sequence[Mapping[str, float]]) -> list[KrausChannel]:
+    """One channel per mapping in ``points``, each from exactly its named parameters.
+
+    Each point's operators come from its family's scalar arithmetic and checks. Then all points, stacked as
+    (P, k, 2, 2), go through one contraction and one CPTP check; channel i is bitwise the channel built alone.
+    """
+    built = []
+    for params in points:
+        spec, args = channel_args(label, params)
+        extra = [k for k in params if k not in spec.params]
+        if extra:
+            raise ValueError(f"channel {label} does not take parameter(s): {', '.join(extra)}")
+        built.append(spec.kraus(*args))
+    if not built:
+        return []
+    stacks = np.array([entries for entries, _ in built], dtype=complex).reshape(len(built), -1, 2, 2)
+    return _adopt([object.__new__(KrausChannel) for _ in built], label, stacks, [params for _, params in built])
+
+
 def make_channel(label: str, params: Mapping[str, float]) -> KrausChannel:
-    """Build a channel from its label and exactly its named parameters."""
-    spec, args = channel_args(label, params)
-    extra = [k for k in params if k not in spec.params]
-    if extra:
-        raise ValueError(f"channel {label} does not take parameter(s): {', '.join(extra)}")
-    return spec.make(*args)
+    """Build a channel from its label and exactly its named parameters: the one-point :func:`make_channels`."""
+    return make_channels(label, (params,))[0]

@@ -10,7 +10,6 @@ Environment: QCHAN_DEFAULT_GRID overrides the default grid size (24); the
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -19,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
-from .channels import CHANNELS, apply, builtin_kernel, make_channel
+from .channels import CHANNELS, apply, builtin_kernel, make_channel, make_channels
 from .measures import visibilities
 from .optimize import DOMAIN_PROBE, DOMAINS, MAX_GRID_POINTS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
@@ -28,6 +27,8 @@ DEFAULT_GRID = 24
 GRID_ENV_VAR = "QCHAN_DEFAULT_GRID"
 # Largest sweep; SweepSpec rejects a longer one before building its points.
 MAX_SWEEP_POINTS = 10**6
+# Sweep points per make_channels batch: batched intermediates take O(SWEEP_BLOCK) memory.
+SWEEP_BLOCK = 4096
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -77,7 +78,10 @@ class SweepRow(NamedTuple):
 
 
 def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
-    """Evaluate every sweep point in turn; rows follow ascending sweep values."""
+    """Evaluate every sweep point; rows follow ascending sweep values.
+
+    Channels are built ``SWEEP_BLOCK`` points at a time by :func:`make_channels`; each gets one :func:`maximize_mu`.
+    """
     entry = CHANNELS.get(spec.channel_label)
     if entry is None or spec.sweep_param not in entry.params + (entry.kernel_param,):
         raise ValueError(
@@ -88,28 +92,27 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
         kernel = builtin_kernel(spec.kernel_choice or entry.default_kernel, spec.fixed_params)
     elif spec.kernel_choice is not None:
         raise ValueError(f"--kernel applies only to kernel sweeps (t for rtn, p for nmd), not to {spec.sweep_param!r}")
-    rows = []
-    for value in spec.values():
+    values, rows = spec.values(), []
+    for start in range(0, len(values), SWEEP_BLOCK):
+        block = values[start : start + SWEEP_BLOCK]
         if kernel is None:
-            kernel_value = None
-            params = {**spec.fixed_params, spec.sweep_param: value}
+            kernel_values = [None] * len(block)
+            points = [{**spec.fixed_params, spec.sweep_param: value} for value in block]
         else:
-            kernel_value = kernel.evaluate(value)
-            params = {entry.params[0]: kernel_value}
-        result = maximize_mu(make_channel(spec.channel_label, params), cfg)
-        rows.append(SweepRow(value, result.mu, result.closed_form, result.abs_error, kernel_value))
+            kernel_values = [kernel.evaluate(value) for value in block]
+            points = [{entry.params[0]: kernel_value} for kernel_value in kernel_values]
+        channels = make_channels(spec.channel_label, points)
+        for value, kernel_value, channel in zip(block, kernel_values, channels):
+            result = maximize_mu(channel, cfg)
+            rows.append(SweepRow(value, result.mu, result.closed_form, result.abs_error, kernel_value))
     return rows
 
 
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow((spec.sweep_param,) + SweepRow._fields[1:])
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    """The sweep CSV in one write: the header, then one line of 17-digit floats per row, empty cells for None."""
+    lines = [",".join((spec.sweep_param,) + SweepRow._fields[1:])]
+    lines += [",".join(["" if v is None else "%.17g" % v for v in row]) for row in rows]
+    stream.write("\n".join(lines) + "\n")
 
 
 class ValidationRow(NamedTuple):
@@ -137,14 +140,12 @@ class ValidationReport:
         object.__setattr__(self, "overall_pass", all(asserted) if asserted else False)
 
 
-_PI = math.pi
-
 VALIDATION_GRID = (
     ("rtn", "lambda", (0.0, 0.25, 0.5, 0.75, 1.0)),
     ("nmd", "omega", (0.0, 0.25, 0.5, 0.75, 1.0)),
     ("pd", "gamma", (0.0, 0.25, 0.5, 0.75, 1.0)),
     ("ad", "gamma", (0.0, 0.25, 0.5, 0.75, 1.0)),
-    ("unruh", "r", (0.0, _PI / 8.0, _PI / 6.0, _PI / 4.0)),
+    ("unruh", "r", (0.0, math.pi / 8.0, math.pi / 6.0, math.pi / 4.0)),
 )
 
 # Ten generalized-depolarizing weight vectors; the gdc closed form holds for
@@ -178,14 +179,15 @@ def run_validation(tolerance: float = 1e-4, grid_points_per_angle: int = DEFAULT
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     cfg = OptimizerConfig(grid_points_per_angle=grid_points_per_angle)
-    points = [(label, {name: value}) for label, name, values in VALIDATION_GRID for value in values]
-    points += [("gdc", {f"p{i}": w for i, w in enumerate(weights)}) for weights in GDC_VALIDATION_WEIGHTS]
-    points += [("gad", params) for params in GAD_INFO_GRID]
+    families = [(label, [{name: value} for value in values]) for label, name, values in VALIDATION_GRID]
+    families.append(("gdc", [{f"p{i}": w for i, w in enumerate(weights)} for weights in GDC_VALIDATION_WEIGHTS]))
+    families.append(("gad", list(GAD_INFO_GRID)))
     rows = []
-    for label, params in points:
-        result = maximize_mu(make_channel(label, params), cfg)
-        passed = None if result.closed_form is None else result.abs_error <= tolerance
-        rows.append(ValidationRow(label, params, result.mu, result.closed_form, result.abs_error, passed))
+    for label, points in families:
+        for params, channel in zip(points, make_channels(label, points)):
+            result = maximize_mu(channel, cfg)
+            passed = None if result.closed_form is None else result.abs_error <= tolerance
+            rows.append(ValidationRow(label, params, result.mu, result.closed_form, result.abs_error, passed))
     return ValidationReport(rows=tuple(rows), tolerance=tolerance)
 
 
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kernel", default=None, help="kernel for rtn/nmd time sweeps (rtn-damped, nmd-linear)")
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "structured"), default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect, points run serially")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect (batched build, serial solves)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")

@@ -132,24 +132,3 @@ def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
     if spec.closed_form is None:
         raise ValueError(f"channel {label} has no closed form")
     return spec.closed_form(*args)
-
-
-def coherence_reference_mu(label: str, params: Mapping[str, float]):
-    """Closed forms of the coherence-based channel measure, for comparison plots.
-
-    Stored verbatim as reference curves; the underlying measure (basis
-    minimization plus state average) is out of scope here. For ``ad`` the
-    value is piecewise in gamma; for ``gad`` both time branches are returned
-    as a dict together with the crossover time helper
-    :func:`gad_reference_crossover_time`.
-    """
-    spec, args = channel_args(label, params)
-    return spec.coherence(*args)
-
-
-def gad_reference_crossover_time(gamma: float, n: float) -> float:
-    """Crossover time tau = -2/(gamma (2n+1)) ln[5/(6+4n+n^2)] for the gad reference curve."""
-    g, nv = float(gamma), float(n)
-    if g <= 0.0:
-        raise ValueError("gamma must be positive")
-    return -2.0 / (g * (2.0 * nv + 1.0)) * np.log(5.0 / (6.0 + 4.0 * nv + nv * nv))

@@ -256,11 +256,11 @@ def _probe_solve(a_mat, c_vec, n: int):
     ``REFINEMENT_TOLERANCE``.
     """
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
-    cols = (*_cofactor(a_mat)[:2], *(_cross(col, c) for col in a_cols))
     if math.hypot(*c) <= UNITAL_TOL:
-        # Top eigenpair of the block [[p, q], [q, r]]: (p + r)/2 + h, with eigenvector (h + d, q) or
-        # (q, h - d), the one without cancellation; a degenerate block (q = 0, p = r) gives phi = 0.
-        p, q, r = (sum(s * t for s, t in zip(cols[i], cols[j])) for i, j in ((0, 0), (0, 1), (1, 1)))
+        # Top eigenpair of [[p, q], [q, r]] from cof(A)'s first two columns: (p + r)/2 + h, eigenvector (h + d, q)
+        # or (q, h - d), the one without cancellation; a degenerate block (q = 0, p = r) gives phi = 0.
+        c0, c1 = _cross(a_cols[1], a_cols[2]), _cross(a_cols[2], a_cols[0])
+        p, q, r = _dot(c0, c0), _dot(c0, c1), _dot(c1, c1)
         d = 0.5 * (p - r)
         h = math.hypot(d, q)
         phi = math.atan2(*((h + d, q) if d >= 0.0 else (q, h - d))) % math.pi
@@ -271,6 +271,7 @@ def _probe_solve(a_mat, c_vec, n: int):
         (p, q, _), _, (_, _, t) = a_cols
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
+    cols = (*_cofactor(a_mat)[:2], *(_cross(col, c) for col in a_cols))
     xs, phis = _axes(HALF_PI, n)
     ix, ip = divmod(_grid_argmax(_probe_values(cols, xs, phis)), n)
     x, phi = float(xs[ix]), float(phis[ip])

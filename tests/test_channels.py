@@ -24,7 +24,7 @@ from qchan import (
     unruh,
     unruh_r_from_acceleration,
 )
-from qchan.channels import CHANNELS
+from qchan.channels import CHANNELS, _transfer_matrices, make_channels
 from qchan.linalg import PAULIS
 from conftest import random_kraus_ops, sample_ball
 
@@ -370,6 +370,73 @@ def test_bloch_map_keeps_exact_zeros():
     for ch in [rtn(v) for v in values] + [nmd(v) for v in values] + gdcs:
         a, c = bloch_map(ch)
         assert np.all(c == 0.0) and np.all(a[~np.eye(3, dtype=bool)] == 0.0), (ch.label, ch.params)
+
+
+# -- batches ----------------------------------------------------------------
+
+BATCH_POINTS = {
+    "rtn": lambda v: {"lambda": 2.0 * v - 1.0},
+    "nmd": lambda v: {"omega": 1.0 - 2.0 * v},
+    "pd": lambda v: {"gamma": v},
+    "ad": lambda v: {"gamma": v},
+    "gad": lambda v: {"alpha": 1.0 - v, "xi": v * v},
+    "unruh": lambda v: {"r": v * np.pi / 4.0},
+    "gdc": lambda v: {"p0": 1.0 - v, "p1": 0.5 * v, "p2": 0.3 * v, "p3": 0.2 * v},
+}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("label", sorted(CHANNELS))
+@pytest.mark.parametrize("size", [1, 2, 101])
+def test_batch_is_bitwise_the_one_point_build(label, size):
+    points = [BATCH_POINTS[label](v) for v in np.linspace(0.0, 1.0, size)]
+    for params, ch in zip(points, make_channels(label, points), strict=True):
+        alone = CHANNELS[label].make(*(params[k] for k in CHANNELS[label].params))
+        assert ch.label == label and ch.params == alone.params
+        assert len(ch.ops) == len(alone.ops) and all(_same_bits(a, b) for a, b in zip(ch.ops, alone.ops))
+        assert all(not k.flags.writeable for k in ch.ops)
+        assert all(_same_bits(a, b) for a, b in zip(bloch_map(ch), bloch_map(alone)))
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
+@pytest.mark.parametrize("size", [1, 2, 101])
+def test_batched_contraction_does_not_depend_on_the_batch(n_ops, size):
+    rng = np.random.default_rng(100 * n_ops + size)
+    maps = [random_kraus_ops(rng, n_ops) for _ in range(size)]
+    t = _transfer_matrices(np.array(maps, dtype=complex))
+    for ops, row in zip(maps, t, strict=True):
+        a, c = bloch_map(KrausChannel(ops, "random"))
+        assert _same_bits(row[1:, 1:].copy(), a.copy()) and _same_bits(row[1:, 0].copy(), c.copy())
+
+
+def test_batch_raises_the_one_point_message_for_its_first_failing_channel():
+    good = [random_kraus_ops(np.random.default_rng(seed), 2) for seed in range(5)]
+    broken = (np.diag([1.0, 1.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError) as alone:
+        KrausChannel(broken, "broken")
+    later = (np.eye(2), 0.5 * np.eye(2))  # fails too, but after the first failing channel
+    with pytest.raises(ValueError) as batch:
+        _transfer_matrices(np.array(good[:2] + [broken] + good[2:] + [later], dtype=complex))
+    assert str(batch.value) == str(alone.value) and str(alone.value).startswith("completeness violated")
+    overflow = (1e200 * np.eye(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="a Kraus entry has modulus 1.000e[+]200"):
+        _transfer_matrices(np.array(good + [overflow, broken], dtype=complex))
+    with pytest.raises(ValueError, match="must be finite"):
+        _transfer_matrices(np.array(good + [(np.diag([np.nan, 1.0]), np.zeros((2, 2)))], dtype=complex))
+
+
+def test_batch_checks_every_point_with_the_scalar_message():
+    points = [{"gamma": g} for g in (0.0, 0.5, 1.0, 1.5, 2.0)]
+    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
+        make_channels("ad", points)
+    with pytest.raises(ValueError, match="does not take parameter"):
+        make_channels("ad", [{"gamma": 0.5}, {"gamma": 0.5, "xi": 0.1}])
+    with pytest.raises(ValueError, match="unknown channel"):
+        make_channels("swap", [{}])
+    assert make_channels("ad", []) == []
 
 
 # -- memory kernels ---------------------------------------------------------

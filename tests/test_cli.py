@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -13,8 +14,10 @@ from qchan.cli import (
     make_channel,
     run_sweep,
     run_validation,
+    write_sweep_csv,
 )
-from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig
+from qchan import cli
+from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig, maximize_mu
 
 
 def run_cli(capsys, *argv):
@@ -292,6 +295,43 @@ def test_kernel_sweeps_reject_unused_inputs(tmp_path, capsys, argv, named):
     code, out, err = run_cli(capsys, "sweep", *argv, "--out", str(out_path))
     assert code == 2 and out == "" and named in err
     assert not out_path.exists()
+
+
+def test_sweep_blocks_do_not_change_the_csv(tmp_path, capsys, monkeypatch):
+    # 101 points in blocks of 7 (the last one holds 3) give the bytes of one block.
+    args = ["sweep", "--channel", "rtn", "--sweep", "t=0:5:0.05", "--set", "gamma=1,b=2"]
+    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+    assert run_cli(capsys, *args, "--out", str(whole))[0] == 0
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
+    calls = []
+    monkeypatch.setattr(cli, "maximize_mu", lambda ch, cfg: calls.append(ch) or maximize_mu(ch, cfg))
+    assert run_cli(capsys, *args, "--out", str(blocked))[0] == 0
+    assert blocked.read_bytes() == whole.read_bytes() and len(whole.read_text().splitlines()) == 102
+    assert len(calls) == 101 and len(set(map(id, calls))) == 101
+
+
+def test_sweep_with_a_bad_point_exits_2_and_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "ad.csv"
+    code, out, err = run_cli(capsys, "sweep", "--channel", "ad", "--sweep", "gamma=0:2:0.5", "--out", str(out_path))
+    with pytest.raises(ValueError) as alone:
+        make_channel("ad", {"gamma": 1.5})
+    assert code == 2 and out == "" and err == f"error: {alone.value}\n" and "1.5" in err
+    assert not out_path.exists()
+
+
+def test_sweep_csv_writer_matches_csv_module():
+    # gad has no closed form: its mu_closed_form, abs_error and kernel_value cells are None.
+    spec = SweepSpec("gad", {"alpha": 0.5}, "xi", 0.0, 1.0, 0.125)
+    rows = run_sweep(spec, OptimizerConfig())
+    assert all(r.mu_closed_form is None and r.kernel_value is None for r in rows)
+    rows.append(rows[0]._replace(mu_closed_form=-0.0, abs_error=float("nan"), kernel_value=1e-300))
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("xi", "mu_numeric", "mu_closed_form", "abs_error", "kernel_value"))
+    writer.writerows([["" if v is None else f"{v:.17g}" for v in row] for row in rows])
+    written = io.StringIO()
+    write_sweep_csv(spec, rows, written)
+    assert written.getvalue() == expected.getvalue()
 
 
 def test_sweep_io_failure(tmp_path, capsys):

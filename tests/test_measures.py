@@ -6,10 +6,8 @@ from qchan import (
     check_outer_inequality,
     closed_form_mu,
     coherence_l1,
-    coherence_reference_mu,
     from_bloch,
     gad,
-    gad_reference_crossover_time,
     gdc,
     incompatibility,
     incompatibility_bloch,
@@ -198,18 +196,3 @@ def test_closed_form_errors():
         closed_form_mu("bitflip", {"p": 0.1})
     with pytest.raises(ValueError, match="missing parameter"):
         closed_form_mu("gdc", {"p0": 1.0})
-
-
-def test_coherence_reference_values():
-    assert coherence_reference_mu("rtn", {"lambda": 0.5}) == 0.25
-    assert coherence_reference_mu("pd", {"gamma": 0.3}) == pytest.approx(0.7)
-    assert coherence_reference_mu("ad", {"gamma": 0.5}) == 0.5
-    low = coherence_reference_mu("ad", {"gamma": 0.1})
-    assert low == pytest.approx((6 * 0.01 - 0.3 + 2) / 6)
-    val = coherence_reference_mu("gdc", {"p0": 0.7, "p1": 0.1, "p2": 0.1, "p3": 0.1})
-    assert val == pytest.approx(0.6**2, abs=1e-12)
-    branches = coherence_reference_mu("gad", {"alpha": 0.5, "xi": 0.6})
-    assert branches["late"] == 0.6
-    assert branches["early"] == pytest.approx(0.3 + 2.5 * 0.25 * 0.16)
-    tau = gad_reference_crossover_time(1.0, 1.0)
-    assert tau == pytest.approx(-2.0 / 3.0 * np.log(5.0 / 11.0))

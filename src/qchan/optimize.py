@@ -33,29 +33,15 @@ The probe solve uses that every probe pair has
 
     (A a + c) x (A b + c) = cof(A) n(phi) + K (a - b),    K y = (A y) x c.
 
-:func:`_probe_values` evaluates its squared norm on the grid, values only;
-:func:`_probe_terms` adds gradient and Hessian at a point, for the polish. For
-a unital channel (``c = 0`` up to ``UNITAL_TOL``) the objective
-``|cof(A) n(phi)|^2`` does not depend on x: mu is the top eigenvalue of the
-upper-left 2x2 block of ``cof(A)^T cof(A)``, computed in closed form from the
-block's entries and reported at x = 0 and the phi of its eigenvector, for one
-evaluation and no grid. An axially symmetric channel (:func:`_is_axial`) has
-an objective that does not depend on phi, and its maximum
-``(p^2 + q^2)(|A_zz| + |c_z|)^2`` is one evaluation too. Otherwise the solve
-scans the uniform grid and polishes its best point with projected Newton
-steps.
-
-The all-pairs solve is exact in the second input b: for each first input a
-the maximum over b is a trust-region subproblem in the plane normal to
-A a + c (:func:`_sphere_max`), solved without ``eigh``. A unital channel gives
-``|cof(A)(a x b)|^2 <= (s1 s2)^2``, attained at the top two right singular
-vectors of A, for one evaluation. Otherwise the solve scans a grid over a
-(n polar angles at phi_a = 0 for an axially symmetric channel, else n x n)
-and polishes its best point by Newton steps on the envelope
-``F(a) = max_b f(a, b)``, with the analytic gradient and Hessian of
-:func:`_envelope_terms` and one exact inner solve per trial point: the grid's
-in one numpy batch, a trial's in plain floats (:func:`_sphere_max_one`), where
-numpy's per-call cost on one-element arrays would outweigh the arithmetic.
+For fixed x, grouped by phi, this is ``|G(x) n + w(x)|^2`` on the unit
+circle, a trust-region subproblem (Moré & Sorensen 1983) that
+:func:`_probe_circle` solves exactly; :func:`_probe_solve` scans x and
+polishes the envelope ``max_phi``. The all-pairs solve (:func:`_pairs_solve`)
+is exact in the second input b: for each first input a the maximum over b is
+a trust-region subproblem in the plane normal to A a + c
+(:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a. Unital
+channels, and axially symmetric ones in the probe domain, have closed forms.
+The plain-float 2x2 solves of both domains share :func:`_trust_region_2x2`.
 """
 
 from __future__ import annotations
@@ -66,7 +52,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import CHANNELS, KrausChannel, bloch_map
+from .channels import KrausChannel, bloch_map
 from .measures import closed_form_mu
 from .states import StatePairParams
 
@@ -138,11 +124,10 @@ class QuantumnessResult:
     :data:`qchan.channels.CHANNELS` (all but gad), at every parameter value,
     and None otherwise. ``evaluations`` counts the objective evaluations of
     the domain's solve: 1 for a closed form (unital, or axial in the probe
-    domain), otherwise the grid's plus the polish's. An all-pairs evaluation
-    is one first input solved exactly over every second input: n*n grid
-    points (n on the axial branch) plus one per polish trial. ``converged``
-    is False only when the polish hit ``REFINEMENT_ITERATIONS``; the best
-    value seen is still returned.
+    domain), else n (probe) or n*n (all-pairs; n if axial) grid points plus
+    one per polish trial, each an exact solve over phi (probe) or over the
+    second input (all-pairs). ``converged`` is False only when the polish hit
+    ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
     """
 
     mu: float
@@ -194,16 +179,18 @@ def _cofactor(a_mat):
 
 
 def _probe_terms(cols, x, phi):
-    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi), for the polish.
+    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi).
 
     ``cols`` carries the first two columns of cof(A) and the three of K as
     float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
     the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
-    ``x`` and ``phi`` are floats or arrays that broadcast together.
+    ``x`` and ``phi`` are floats (computed with ``math``, cheaper per call
+    than numpy) or arrays that broadcast together.
     """
     c0, c1, k0, k1, k2 = cols
-    sp, cp = np.sin(phi), np.cos(phi)
-    s_minus, s_plus = np.sin(x) - np.cos(x), np.sin(x) + np.cos(x)
+    trig = np if isinstance(x, np.ndarray) or isinstance(phi, np.ndarray) else math
+    sp, cp = trig.sin(phi), trig.cos(phi)
+    s_minus, s_plus = trig.sin(x) - trig.cos(x), trig.sin(x) + trig.cos(x)
     f = f_x = f_p = f_xx = f_pp = f_xp = 0.0
     for i in range(3):
         cn, cm = sp * c0[i] + cp * c1[i], cp * c0[i] - sp * c1[i]
@@ -219,52 +206,96 @@ def _probe_terms(cols, x, phi):
     return f, (2.0 * f_x, 2.0 * f_p), (2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp)
 
 
-def _ascent_step(grad, hess, axis=None):
-    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient.
-
-    With ``axis`` set to 0 or 1 only that angle moves, by the same rule in one dimension.
-    """
-    if axis is not None:
-        g, h = grad[axis], hess[2 * axis]
-        step = -g / h if h < 0.0 else g
-        return (step, 0.0) if axis == 0 else (0.0, step)
+def _ascent_step(grad, hess, axial=False):
+    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient; axial: angle 0 only."""
     g_0, g_1 = grad
     h_00, h_01, h_11 = hess
+    if axial:
+        return (-g_0 / h_00 if h_00 < 0.0 else g_0), 0.0
     det = h_00 * h_11 - h_01 * h_01
     if h_00 < 0.0 and det > 0.0:
         return (h_01 * g_1 - h_11 * g_0) / det, (h_01 * g_0 - h_00 * g_1) / det
     return g_0, g_1
 
 
-def _probe_values(cols, xs, phis):
-    """The probe objective alone on the grid ``xs`` x ``phis``, as ``|G(x) (sin phi, cos phi) + s_plus k2|^2``."""
-    # G = [c0 - s_minus k1, c1 + s_minus k0]: the terms of _probe_terms grouped by phi.
-    c0, c1, k0, k1, k2 = np.array(cols)
-    s_minus, s_plus = (np.sin(xs) - np.cos(xs))[:, None, None], (np.sin(xs) + np.cos(xs))[:, None, None]
-    g = (c0 - s_minus * k1) * np.sin(phis)[:, None] + (c1 + s_minus * k0) * np.cos(phis)[:, None] + s_plus * k2
-    return np.sum(g * g, axis=-1)
+def _trust_region_2x2(p, q, r, d=None, row_space=False):
+    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0`` and a two-term trust-region maximizer, in plain floats.
+
+    Returns (w1, y). Without d, y is the top eigenvector (h + half, q) or (q, h - half), the one without cancellation,
+    and (1, 0) for a multiple of the identity; v1 is y normalized. With d, y comes from the unit beta that maximizes
+    ``sum_j w_j beta_j^2 + 2 g_j beta_j``, delta = V^T d, V = [v1, v1 turned by +90 degrees]. Circle form,
+    ``max |G n + w|^2`` with block G^T G and d = G^T w: g = delta, y = V beta = n. ``row_space`` form,
+    ``max |Q b + d|^2`` with block Q Q^T: ``g_j = sqrt(w_j) delta_j``, ``y = V diag(w)^(-1/2) beta``, b along Q^T y.
+    Newton on the concave, increasing ``1/|beta(lam)|`` from below finds the secular root ``lam >= w1``;
+    ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0).
+    """
+    half = 0.5 * (p - r)
+    h = math.hypot(half, q)
+    w1, w2 = 0.5 * (p + r) + h, max(0.5 * (p + r) - h, 0.0)
+    vx, vy = (max(h + half, 1e-300), q) if half >= 0.0 else (q, h - half)
+    if d is None:
+        return w1, (vx, vy)
+    vn = math.hypot(vx, vy)
+    vx, vy = vx / vn, vy / vn
+    delta1, delta2 = vx * d[0] + vy * d[1], vx * d[1] - vy * d[0]
+    root1, root2 = (math.sqrt(w1), math.sqrt(w2)) if row_space else (1.0, 1.0)
+    g1, g2 = root1 * abs(delta1), root2 * delta2
+    # |beta(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
+    lam = max(w1 + g1, w2 + abs(g2))
+    for _ in range(100):
+        r1, r2 = (1.0 / (lam - w1) if lam > w1 else 0.0), (1.0 / (lam - w2) if lam > w2 else 0.0)
+        t1, t2 = g1 * r1, g2 * r2
+        s = t1 * t1 + t2 * t2
+        step = s * (math.sqrt(s) - 1.0) / max(t1 * t1 * r1 + t2 * t2 * r2, 1e-300) if s > 1.0 else 0.0
+        if step <= 1e-15 * (1.0 + lam):
+            break
+        lam += step
+    # the coefficient of V's second column, beta_2 / root2, is delta2 r2 in both forms
+    top = math.copysign(math.sqrt(max(1.0 - t2 * t2, 0.0)), delta1) / root1 if root1 > 0.0 else 0.0
+    return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2)
+
+
+def _probe_circle(cols, x):
+    """Exact maximum over phi of the probe objective at x, as (phi, value).
+
+    The objective is ``|G n + w|^2`` with n = (sin phi, cos phi), G's columns ``c0 - s_minus k1`` and
+    ``c1 + s_minus k0`` and ``w = s_plus k2``. Its block goes to :func:`_trust_region_2x2` in (cos phi, sin phi) order,
+    so a multiple of the identity gives phi = 0. The value is read at phi, so it is attained.
+    """
+    c0, c1, k0, k1, k2 = cols
+    s_minus, s_plus = math.sin(x) - math.cos(x), math.sin(x) + math.cos(x)
+    g_sin = [a - s_minus * b for a, b in zip(c0, k1)]
+    g_cos = [a + s_minus * b for a, b in zip(c1, k0)]
+    w = [s_plus * b for b in k2]
+    p, q, r, d1, d2 = _dot(g_cos, g_cos), _dot(g_sin, g_cos), _dot(g_sin, g_sin), _dot(g_cos, w), _dot(g_sin, w)
+    # The block's smaller eigenvalue adds a constant on the circle. Dropped, and the rest scaled to order one, the
+    # secular step neither cancels against it nor stops at its absolute tolerance (rounding-level c, near-unitary A).
+    half = 0.5 * (p - r)
+    h = math.hypot(half, q)
+    scale = (h + math.hypot(d1, d2)) or 1.0
+    _, (n_cos, n_sin) = _trust_region_2x2((h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
+    phi = math.atan2(n_sin, n_cos) % TWO_PI
+    sp, cp = math.sin(phi), math.cos(phi)
+    g = [sp * a + cp * b + c for a, b, c in zip(g_sin, g_cos, w)]
+    return phi, _dot(g, g)
 
 
 def _probe_solve(a_mat, c_vec, n: int):
-    """Exact solve for a unital or axially symmetric channel, else the n x n grid and a projected Newton polish.
+    """Exact solve for a unital or axially symmetric channel, else an x grid and a Newton polish of the envelope.
 
-    Returns (angles, value, evaluations, converged). The unital solve is one
-    evaluation, the top eigenpair of a 2x2 block in closed form, and so is
-    the axial one (:func:`_is_axial`). The polish of the grid's best point
-    never lowers the value: a step is halved until the value does not drop,
-    and the polish stops once a step moves the angles by at most
+    Returns (angles, value, evaluations, converged). The unital solve is the top eigenpair of a 2x2 block and the
+    axial one a closed form, one evaluation each. Otherwise each evaluation is one :func:`_probe_circle`: n points x
+    in [0, pi/2], then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and ``F'' = f_xx - f_xphi^2 / f_phiphi``
+    (f_xx where f_phiphi >= 0) from :func:`_probe_terms`, or gradient steps where F'' >= 0. A step is clamped to
+    [0, pi/2] and halved until the value does not drop; the polish stops once x moves by at most
     ``REFINEMENT_TOLERANCE``.
     """
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:
-        # Top eigenpair of [[p, q], [q, r]] from cof(A)'s first two columns: (p + r)/2 + h, eigenvector (h + d, q)
-        # or (q, h - d), the one without cancellation; a degenerate block (q = 0, p = r) gives phi = 0.
+        # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
         c0, c1 = _cross(a_cols[1], a_cols[2]), _cross(a_cols[2], a_cols[0])
-        p, q, r = _dot(c0, c0), _dot(c0, c1), _dot(c1, c1)
-        d = 0.5 * (p - r)
-        h = math.hypot(d, q)
-        phi = math.atan2(*((h + d, q) if d >= 0.0 else (q, h - d))) % math.pi
-        return (0.0, phi), 0.5 * (p + r) + h, 1, True
+        mu, (v_cos, v_sin) = _trust_region_2x2(_dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
+        return (0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
         # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
         # mu = (p^2 + q^2)(|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
@@ -272,28 +303,27 @@ def _probe_solve(a_mat, c_vec, n: int):
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     cols = (*_cofactor(a_mat)[:2], *(_cross(col, c) for col in a_cols))
-    xs, phis = _axes(HALF_PI, n)
-    ix, ip = divmod(_grid_argmax(_probe_values(cols, xs, phis)), n)
-    x, phi = float(xs[ix]), float(phis[ip])
-    value, grad, hess = _probe_terms(cols, x, phi)
-    evaluations = n * n + 1
+    xs = np.linspace(0.0, HALF_PI, n).tolist()
+    grid = [_probe_circle(cols, x) for x in xs]
+    k = _grid_argmax(np.array([value for _, value in grid]))
+    x, (phi, value) = xs[k], grid[k]
+    evaluations = n
     for _ in range(REFINEMENT_ITERATIONS):
-        # on a bound of [0, pi/2] with the gradient pointing out, only phi moves
-        outward = (x <= 0.0 and grad[0] < 0.0) or (x >= HALF_PI and grad[0] > 0.0)
-        step_x, step_p = _ascent_step(grad, hess, 1 if outward else None)
+        _, (f_x, _), (f_xx, f_xp, f_pp) = _probe_terms(cols, x, phi)
+        curvature = f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx
+        step = -f_x / curvature if curvature < 0.0 else f_x
         t = 1.0
         while True:
-            new_x = min(max(x + t * step_x, 0.0), HALF_PI)
-            if max(abs(new_x - x), abs(t * step_p)) <= REFINEMENT_TOLERANCE:
-                return (float(x), float(phi)), float(value), evaluations, True
-            terms = _probe_terms(cols, new_x, phi + t * step_p)
+            new_x = min(max(x + t * step, 0.0), HALF_PI)
+            if abs(new_x - x) <= REFINEMENT_TOLERANCE:
+                return (x, phi), value, evaluations, True
+            new_phi, new_value = _probe_circle(cols, new_x)
             evaluations += 1
-            if terms[0] >= value:
+            if new_value >= value:
                 break
             t *= 0.5
-        x, phi = new_x, (phi + t * step_p) % TWO_PI
-        value, grad, hess = terms
-    return (float(x), float(phi)), float(value), evaluations, False
+        x, phi, value = new_x, new_phi, new_value
+    return (x, phi), value, evaluations, False
 
 
 def _is_axial(a_mat, c_vec) -> bool:
@@ -310,19 +340,10 @@ def _is_axial(a_mat, c_vec) -> bool:
 def _sphere_max(a_mat, c_vec, a_vecs):
     """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for each row a of ``a_vecs``.
 
-    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to
-    u (Duff et al. 2017's branchless one), the objective is
-    ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``,
-    ``A^T e2`` and d = (e1.c, e2.c). So the trust-region subproblem (Moré &
-    Sorensen 1983) lives in the row space of Q: with ``Q Q^T = W diag(w) W^T``
-    in closed form and delta = W^T d, the top two eigencomponents of
-    ``g = Q^T d`` are ``sqrt(w_j) delta_j`` and the secular equation
-    ``sum_j g_j^2 / (lam - w_j)^2 = 1`` has two terms. Newton on the concave,
-    increasing ``1/|b(lam)|`` from below finds its root ``lam >= w_1``; the
-    second coefficient is ``g_2 / (lam - w_2)`` and the top one follows from
-    ``|b| = 1``, which also covers the hard case (no top component of g).
-    Inside, vectors are (3, m) arrays with one column per first input; the
-    maximizers come back as the rows of an (m, 3) array.
+    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
+    the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
+    the row-space form of :func:`_trust_region_2x2`, solved line for line on arrays. Inside, vectors are (3, m) arrays
+    with one column per first input; the maximizers come back as the rows of an (m, 3) array.
     """
     u = a_mat @ a_vecs.T + c_vec[:, None]
     norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
@@ -332,8 +353,6 @@ def _sphere_max(a_mat, c_vec, a_vecs):
     xy = nx * ny * k
     e1, e2 = np.array([1.0 + sign * nx * nx * k, sign * xy, -sign * nx]), np.array([xy, sign + ny * ny * k, -ny])
     q1, q2, d1, d2 = a_mat.T @ e1, a_mat.T @ e2, c_vec @ e1, c_vec @ e2
-    # Eigenpairs of [[p, q], [q, r]] = Q Q^T as in _probe_solve: top eigenvector (h + half, q) or
-    # (q, h - half), the one without cancellation, and (1, 0) for a multiple of the identity.
     p, q, r = np.sum(q1 * q1, axis=0), np.sum(q1 * q2, axis=0), np.sum(q2 * q2, axis=0)
     half = 0.5 * (p - r)
     h = np.hypot(half, q)
@@ -343,7 +362,6 @@ def _sphere_max(a_mat, c_vec, a_vecs):
     vx, vy = vx / vn, vy / vn
     delta1, delta2 = vx * d1 + vy * d2, vx * d2 - vy * d1
     g1, g2 = np.sqrt(w1) * np.abs(delta1), np.sqrt(w2) * delta2
-    # |b(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
     lam = np.maximum(w1 + g1, w2 + np.abs(g2))
     for _ in range(100):
         r1, r2 = (lam > w1) / np.maximum(lam - w1, 1e-300), (lam > w2) / np.maximum(lam - w2, 1e-300)
@@ -353,7 +371,6 @@ def _sphere_max(a_mat, c_vec, a_vecs):
         if (step <= 1e-15 * (1.0 + lam)).all():
             break
         lam = lam + step
-    # b = Q^T W diag(w)^(-1/2) beta with beta_2 = t2 and beta_1 = +-sqrt(1 - beta_2^2); beta_2 / sqrt(w_2) = delta2 r2.
     top = np.copysign(np.sqrt(np.maximum(1.0 - t2 * t2, 0.0)), delta1) / np.sqrt(np.where(w1 > 0.0, w1, np.inf))
     b = q1 * (vx * top - vy * delta2 * r2) + q2 * (vy * top + vx * delta2 * r2)
     b_norm = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
@@ -366,7 +383,7 @@ def _sphere_max(a_mat, c_vec, a_vecs):
 def _sphere_max_one(rows, c, a):
     """(value, b) of :func:`_sphere_max` for one first input a, line for line in plain floats; A given by its rows.
 
-    Every vector, b included, is a float triple.
+    Every vector, b included, is a float triple; the 2x2 solve is the row-space form of :func:`_trust_region_2x2`.
     """
     u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
     norm = math.sqrt(_dot(u, u))
@@ -375,27 +392,10 @@ def _sphere_max_one(rows, c, a):
     k = -1.0 / (sign + nz)
     xy = nx * ny * k
     e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
-    q1, q2, d1, d2 = *(tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2)), _dot(c, e1), _dot(c, e2)
-    p, q, r = _dot(q1, q1), _dot(q1, q2), _dot(q2, q2)
-    half = 0.5 * (p - r)
-    h = math.hypot(half, q)
-    w1, w2 = 0.5 * (p + r) + h, max(0.5 * (p + r) - h, 0.0)
-    vx, vy = (max(h + half, 1e-300), q) if half >= 0.0 else (q, h - half)
-    vn = math.hypot(vx, vy)
-    vx, vy = vx / vn, vy / vn
-    delta1, delta2 = vx * d1 + vy * d2, vx * d2 - vy * d1
-    g1, g2 = math.sqrt(w1) * abs(delta1), math.sqrt(w2) * delta2
-    lam = max(w1 + g1, w2 + abs(g2))
-    for _ in range(100):
-        r1, r2 = (1.0 / (lam - w1) if lam > w1 else 0.0), (1.0 / (lam - w2) if lam > w2 else 0.0)
-        t1, t2 = g1 * r1, g2 * r2
-        s = t1 * t1 + t2 * t2
-        step = s * (math.sqrt(s) - 1.0) / max(t1 * t1 * r1 + t2 * t2 * r2, 1e-300) if s > 1.0 else 0.0
-        if step <= 1e-15 * (1.0 + lam):
-            break
-        lam += step
-    top = math.copysign(math.sqrt(max(1.0 - t2 * t2, 0.0)), delta1) / math.sqrt(w1) if w1 > 0.0 else 0.0
-    b = tuple(s * (vx * top - vy * delta2 * r2) + t * (vy * top + vx * delta2 * r2) for s, t in zip(q1, q2))
+    q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
+    block, d = (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
+    _, (y1, y2) = _trust_region_2x2(*block, d, row_space=True)
+    b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
     b_norm = math.sqrt(_dot(b, b))
     b = tuple(s / b_norm for s in b) if b_norm > 0.0 else e1
     w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
@@ -463,7 +463,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
     # numpy's products round differently for strided operands; C order makes the result depend on values only.
     a_mat, c_vec = np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec)
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
-        _, sing, vt = np.linalg.svd(a_mat)
+        _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
         return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
     axial = _is_axial(a_mat, c_vec)
     rows, c = a_mat.tolist(), c_vec.tolist()
@@ -475,7 +475,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
     evaluations = values.size
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = _envelope_terms(rows, c, theta, phi, b)
-        step = _ascent_step(grad, hess, 0 if axial else None)
+        step = _ascent_step(grad, hess, axial)
         gain = grad[0] * step[0] + grad[1] * step[1]  # first-order gain of the full step
         t = 1.0
         while True:
@@ -523,12 +523,9 @@ def _require_qubit(ch: KrausChannel):
 
 
 def _closed_form_fields(ch: KrausChannel, mu: float):
-    spec = CHANNELS.get(ch.label)
-    if spec is None or spec.closed_form is None:
-        return None, None
     try:
         cf = float(closed_form_mu(ch.label, ch.params))
-    except ValueError:  # a KrausChannel built directly may lack the parameters
+    except ValueError:  # not a registry label, a KrausChannel built directly without its parameters, or no closed form
         return None, None
     return cf, abs(mu - cf)
 

@@ -479,29 +479,22 @@ def test_unital_probe_solve_on_special_blocks():
     assert abs(phi - np.pi / 2) <= 1e-12 and (x, evaluations, converged) == (0.0, 1, True)
 
 
-@pytest.mark.parametrize("n_ops", [3, 4])
-def test_probe_grid_values_match_probe_terms(n_ops):
-    xs, phis = optimize._axes(np.pi / 2, 24)
-    for seed in range(10):
-        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random"))
-        cols = _probe_cols(a_mat, c_vec)
-        values = optimize._probe_values(cols, xs, phis)
-        assert values.shape == (24, 24)
-        assert np.max(np.abs(values - optimize._probe_terms(cols, xs[:, None], phis)[0])) <= 1e-15
-
-
 def test_probe_solve_avoids_small_array_numpy(monkeypatch):
     # Construction, bloch_map and the probe solve call none of these; the probe solve runs on
-    # plain floats and only the non-unital grid is an array computation.
-    expected = [maximize_mu(ch).mu for ch in (rtn(0.3), ad(0.25))]
+    # plain floats, the circle solves and the polish of a map that is neither unital nor axial too
+    # (its maximum is inside the x range, so the polish takes steps).
+    random_map = KrausChannel(random_kraus_ops(np.random.default_rng(0), 3), "random")
+    channels = (rtn(0.3), ad(0.25), random_map)
+    expected = [maximize_mu(ch).mu for ch in channels]
+    assert maximize_mu(random_map).evaluations > 24
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the probe solve called a small-array numpy routine")
 
+    for name in ("sin", "cos", "arctan2", "cross", "einsum"):
+        monkeypatch.setattr(np, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(np, "cross", forbidden)
-    monkeypatch.setattr(np, "einsum", forbidden)
-    assert [maximize_mu(ch).mu for ch in (rtn(0.3), ad(0.25))] == expected
+    assert [maximize_mu(ch).mu for ch in channels] == expected
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -517,6 +510,56 @@ def test_probe_solve_on_random_maps(seed, n_ops):
     u = random_unitary(rng)
     rotated = KrausChannel(tuple(u @ k for k in ops), "random")
     assert abs(maximize_mu(rotated).mu - res.mu) <= 1e-10
+
+
+def test_probe_solve_finds_the_basin_a_2d_grid_missed():
+    # A 24 x 24 (x, phi) grid and a 2-D polish stopped at 0.2917922338787219 on this map.
+    ch = KrausChannel(random_kraus_ops(np.random.default_rng(678), 3), "random")
+    res = maximize_mu(ch)
+    assert abs(res.mu - 0.2944173361469945) <= 1e-12
+    assert res.mu >= brute_force_mu(ch, 48) - 1e-12
+
+
+def test_probe_solve_reaches_the_x_scan_maximum():
+    # 240 maps, among them seeds 36 and 118 with 2 operators, where a 2-D grid picked the wrong basin.
+    xs = np.linspace(0.0, np.pi / 2, 401).tolist()
+    for seed in range(120):
+        for n_ops in (2, 3):
+            ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random")
+            cols = _probe_cols(*bloch_map(ch))
+            scan = max(optimize._probe_circle(cols, x)[1] for x in xs)
+            res = maximize_mu(ch)
+            assert res.mu >= scan - 1e-12, (seed, n_ops)
+            # 36 at most on these maps; with f_xx alone as the curvature, not the envelope's F'', up to 69
+            assert res.converged and res.evaluations <= 48, (seed, n_ops)
+
+
+def _circle_cases():
+    """Bloch maps (A, c) for the circle solve: random CPTP maps, unitary and near-unitary ones, rank-deficient G."""
+    rng = np.random.default_rng(11)
+    for n_ops in (1, 1, 2, 3, 4):
+        yield bloch_map(KrausChannel(random_kraus_ops(rng, n_ops), "random"))
+    for scale in (1e-6, *(3e-15, 1e-15) * 4):
+        # A rotation and c of that size: the block's eigenvalues agree to about |c|. At rounding-level |c| a secular
+        # solve of the unshifted block falls up to 4e-15 short, and its n can miss unit norm, so that the quadratic's
+        # own value there would exceed the maximum.
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        yield rotation * np.sign(np.linalg.det(rotation)), scale * rng.normal(size=3)
+    u, v = rng.normal(size=(2, 3)) / 2.0
+    yield np.outer(u, v), rng.normal(size=3) / 2.0  # rank-one A: cof(A) = 0 and G has rank at most one
+    yield np.zeros((3, 3)), rng.normal(size=3) / 2.0  # G = 0: every phi attains |w|^2
+
+
+def test_probe_circle_solve_against_a_dense_phi_scan():
+    rng = np.random.default_rng(12)
+    phis = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+    for a_mat, c_vec in _circle_cases():
+        cols = _probe_cols(a_mat, c_vec)
+        for x in [0.0, np.pi / 2, *rng.uniform(0.0, np.pi / 2, 20)]:
+            phi, value = optimize._probe_circle(cols, float(x))
+            assert 0.0 <= phi < 2 * np.pi
+            assert value >= np.max(optimize._probe_terms(cols, x, phis)[0]) - 1e-15
+            assert abs(value - optimize._probe_terms(cols, float(x), phi)[0]) <= 1e-15
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

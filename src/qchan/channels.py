@@ -350,32 +350,35 @@ def nmd_memory_kernel() -> MemoryKernel:
     return MemoryKernel(evaluate=nmd_kernel, label="nmd-linear")
 
 
+# The built-in memory kernels by name: each factory and the names of its parameters, in its argument order.
+KERNELS = {"rtn-damped": (rtn_memory_kernel, ("gamma", "b")), "nmd-linear": (nmd_memory_kernel, ())}
+
+
 def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
-    """Resolve a kernel by name from exactly its parameters: rtn-damped takes gamma and b, nmd-linear none."""
-    names = {"rtn-damped": ("gamma", "b"), "nmd-linear": ()}.get(name)
-    if names is None:
-        raise ValueError(f"unknown kernel {name!r} (available: rtn-damped, nmd-linear)")
+    """Resolve a kernel of :data:`KERNELS` by name from exactly its parameters."""
+    if name not in KERNELS:
+        raise ValueError(f"unknown kernel {name!r} (available: {', '.join(KERNELS)})")
+    factory, names = KERNELS[name]
     extra = [k for k in params if k not in names]
     if extra:
         raise ValueError(f"kernel {name} does not take parameter(s): {', '.join(extra)}")
-    try:
-        return nmd_memory_kernel() if name == "nmd-linear" else rtn_memory_kernel(params["gamma"], params["b"])
-    except KeyError as exc:
-        raise ValueError(f"kernel rtn-damped needs parameter {exc}") from None
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ValueError(f"kernel {name} needs parameter {missing[0]!r}")
+    return factory(*(params[k] for k in names))
 
 
 @dataclass(frozen=True)
 class ChannelSpec:
     """The facts about one channel family, keyed by its label in :data:`CHANNELS`.
 
-    Every callable takes the parameters positionally, in ``params`` order. ``make`` is the public constructor.
-    ``kraus`` checks one point's parameters and returns its 2x2 operators' entries, each row-major, in one tuple,
-    with its ``params`` record; :func:`make_channels` stacks them. ``closed_form`` is the exact probe-domain
-    maximum for every parameter value, or None when the family has none (gad). Sweeping ``kernel_param`` drives
-    the first parameter through a memory kernel, ``default_kernel`` unless another is chosen.
+    Every callable takes the parameters positionally, in ``params`` order. ``kraus`` checks one point's parameters
+    and returns its 2x2 operators' entries, each row-major, in one tuple, with its ``params`` record;
+    :func:`make_channels` stacks them. ``closed_form`` is the exact probe-domain maximum for every parameter value,
+    or None when the family has none (gad). Sweeping ``kernel_param`` drives the first parameter through a memory
+    kernel of :data:`KERNELS`, ``default_kernel`` unless another is chosen.
     """
 
-    make: Callable[..., KrausChannel]
     kraus: Callable[..., tuple]
     params: tuple
     closed_form: Optional[Callable[..., float]] = None
@@ -384,14 +387,14 @@ class ChannelSpec:
 
 
 CHANNELS = {
-    "rtn": ChannelSpec(rtn, partial(_dephasing_kraus, "lambda"), ("lambda",), lambda v: v**2, "t", "rtn-damped"),
-    "nmd": ChannelSpec(nmd, partial(_dephasing_kraus, "omega"), ("omega",), lambda v: v**2, "p", "nmd-linear"),
-    "pd": ChannelSpec(pd, _pd_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
-    "ad": ChannelSpec(ad, _ad_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
-    "gad": ChannelSpec(gad, _gad_kraus, ("alpha", "xi")),
-    "unruh": ChannelSpec(unruh, _unruh_kraus, ("r",), closed_form=lambda r: float(np.cos(r) ** 2)),
+    "rtn": ChannelSpec(partial(_dephasing_kraus, "lambda"), ("lambda",), lambda v: v**2, "t", "rtn-damped"),
+    "nmd": ChannelSpec(partial(_dephasing_kraus, "omega"), ("omega",), lambda v: v**2, "p", "nmd-linear"),
+    "pd": ChannelSpec(_pd_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
+    "ad": ChannelSpec(_ad_kraus, ("gamma",), closed_form=lambda gamma: 1.0 - gamma),
+    "gad": ChannelSpec(_gad_kraus, ("alpha", "xi")),
+    "unruh": ChannelSpec(_unruh_kraus, ("r",), closed_form=lambda r: float(np.cos(r) ** 2)),
     "gdc": ChannelSpec(
-        gdc, _gdc_kraus, ("p0", "p1", "p2", "p3"),
+        _gdc_kraus, ("p0", "p1", "p2", "p3"),
         # Bloch map diag(l1, l2, l3), so |cof(A) n(phi)|^2 = l3^2 (l2^2 sin^2 phi + l1^2 cos^2 phi)
         lambda p0, p1, p2, p3: max((p0 + p1 - p2 - p3) ** 2, (p0 - p1 + p2 - p3) ** 2) * (p0 - p1 - p2 + p3) ** 2,
     ),

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional
 
-from .channels import CHANNELS, apply, builtin_kernel, make_channel, make_channels
+from .channels import CHANNELS, KERNELS, apply, builtin_kernel, make_channel, make_channels
 from .measures import visibilities
 from .optimize import DOMAIN_PROBE, DOMAINS, MAX_GRID_POINTS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
@@ -131,63 +131,60 @@ class ValidationRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Validation rows; ``asserted`` counts the rows with a closed form, and overall_pass needs one and all to pass."""
+
     rows: tuple
     tolerance: float
+    asserted: int = field(init=False)
     overall_pass: bool = field(init=False)
 
     def __post_init__(self):
-        asserted = [r.passed for r in self.rows if r.passed is not None]
-        object.__setattr__(self, "overall_pass", all(asserted) if asserted else False)
+        verdicts = [r.passed for r in self.rows if r.passed is not None]
+        object.__setattr__(self, "asserted", len(verdicts))
+        object.__setattr__(self, "overall_pass", bool(verdicts) and all(verdicts))
 
 
-VALIDATION_GRID = (
-    ("rtn", "lambda", (0.0, 0.25, 0.5, 0.75, 1.0)),
-    ("nmd", "omega", (0.0, 0.25, 0.5, 0.75, 1.0)),
-    ("pd", "gamma", (0.0, 0.25, 0.5, 0.75, 1.0)),
-    ("ad", "gamma", (0.0, 0.25, 0.5, 0.75, 1.0)),
-    ("unruh", "r", (0.0, math.pi / 8.0, math.pi / 6.0, math.pi / 4.0)),
-)
+def _family(label: str, *points: tuple) -> tuple[str, tuple]:
+    """(label, points) with each point's values named in the family's ``params`` order."""
+    return label, tuple(dict(zip(CHANNELS[label].params, values)) for values in points)
 
-# Ten generalized-depolarizing weight vectors; the gdc closed form holds for
-# every order of the weights.
-GDC_VALIDATION_WEIGHTS = (
-    (1.0, 0.0, 0.0, 0.0),
-    (0.25, 0.25, 0.25, 0.25),
-    (0.7, 0.1, 0.1, 0.1),
-    (0.85, 0.05, 0.05, 0.05),
-    (0.4, 0.2, 0.2, 0.2),
-    (0.55, 0.15, 0.15, 0.15),
-    (0.5, 0.3, 0.1, 0.1),
-    (0.6, 0.2, 0.1, 0.1),
-    (0.4, 0.3, 0.2, 0.1),
-    (0.45, 0.25, 0.2, 0.1),
-)
 
-GAD_INFO_GRID = tuple(
-    {"alpha": a, "xi": x} for a in (0.5, 1.0) for x in (0.3, 0.6, 0.9)
+_QUARTERS = ((0.0,), (0.25,), (0.5,), (0.75,), (1.0,))
+# The validate points, one family per entry. gdc's ten weight vectors are nonincreasing, though its closed form
+# holds for every order of the weights; gad has no closed form, so its rows are informational.
+VALIDATION_POINTS = (
+    _family("rtn", *_QUARTERS),
+    _family("nmd", *_QUARTERS),
+    _family("pd", *_QUARTERS),
+    _family("ad", *_QUARTERS),
+    _family("unruh", (0.0,), (math.pi / 8.0,), (math.pi / 6.0,), (math.pi / 4.0,)),
+    _family(
+        "gdc", (1.0, 0.0, 0.0, 0.0), (0.25, 0.25, 0.25, 0.25), (0.7, 0.1, 0.1, 0.1), (0.85, 0.05, 0.05, 0.05),
+        (0.4, 0.2, 0.2, 0.2), (0.55, 0.15, 0.15, 0.15), (0.5, 0.3, 0.1, 0.1), (0.6, 0.2, 0.1, 0.1),
+        (0.4, 0.3, 0.2, 0.1), (0.45, 0.25, 0.2, 0.1),
+    ),
+    _family("gad", *((alpha, xi) for alpha in (0.5, 1.0) for xi in (0.3, 0.6, 0.9))),
 )
 
 
 def run_validation(tolerance: float = 1e-4, grid_points_per_angle: int = DEFAULT_GRID) -> ValidationReport:
-    """Maximize mu over the fixed reference parameter grid and compare closed forms.
+    """Maximize mu over :data:`VALIDATION_POINTS` and compare closed forms.
 
     A row passes when its error against the closed form is within
     ``tolerance``. Rows of a channel with no closed form (gad) are
     informational: ``passed`` and the closed-form cells are None, and they
-    are excluded from overall_pass.
+    are excluded from overall_pass. Every point takes an exact probe solve
+    (unital or axial), so the rows do not depend on ``grid_points_per_angle``.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     cfg = OptimizerConfig(grid_points_per_angle=grid_points_per_angle)
-    families = [(label, [{name: value} for value in values]) for label, name, values in VALIDATION_GRID]
-    families.append(("gdc", [{f"p{i}": w for i, w in enumerate(weights)} for weights in GDC_VALIDATION_WEIGHTS]))
-    families.append(("gad", list(GAD_INFO_GRID)))
     rows = []
-    for label, points in families:
+    for label, points in VALIDATION_POINTS:
         for params, channel in zip(points, make_channels(label, points)):
             result = maximize_mu(channel, cfg)
             passed = None if result.closed_form is None else result.abs_error <= tolerance
-            rows.append(ValidationRow(label, params, result.mu, result.closed_form, result.abs_error, passed))
+            rows.append(ValidationRow(label, dict(params), result.mu, result.closed_form, result.abs_error, passed))
     return ValidationReport(rows=tuple(rows), tolerance=tolerance)
 
 
@@ -199,10 +196,10 @@ def _parse_set(text: Optional[str]) -> dict[str, float]:
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise ValueError(f"--set entries must look like name=value, got {item!r}")
         name, _, raw = item.partition("=")
         name = name.strip()
+        if not name or "=" not in item:
+            raise ValueError(f"--set entries must look like name=value, got {item!r}")
         if name in params:
             raise ValueError(f"duplicate parameter {name!r} in --set")
         try:
@@ -214,14 +211,14 @@ def _parse_set(text: Optional[str]) -> dict[str, float]:
 
 def _parse_sweep(text: str) -> tuple[str, float, float, float]:
     name, _, spec = text.partition("=")
-    parts = spec.split(":")
+    name, parts = name.strip(), spec.split(":")
     if not name or len(parts) != 3:
-        raise ValueError("--sweep must look like name=start:stop:step")
+        raise ValueError(f"--sweep must look like name=start:stop:step, got {text!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"non-numeric sweep bounds in {text!r}") from None
-    return name.strip(), start, stop, step
+    return name, start, stop, step
 
 
 def _resolve_grid(flag_value: Optional[int]) -> int:
@@ -240,10 +237,17 @@ def _resolve_grid(flag_value: Optional[int]) -> int:
 
 
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(
-        grid_points_per_angle=_resolve_grid(args.grid),
-        domain=args.domain,
-    )
+    return OptimizerConfig(_resolve_grid(args.grid), args.domain)
+
+
+def _write_json(document: dict, path: Optional[str] = None) -> None:
+    """``document`` as JSON indented by 2 and a newline, to the file at ``path`` or else to stdout."""
+    text = json.dumps(document, indent=2) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as stream:
+            stream.write(text)
 
 
 def _result_document(args, channel, result) -> dict:
@@ -263,21 +267,13 @@ def _result_document(args, channel, result) -> dict:
 def _cmd_measure(args) -> int:
     channel = make_channel(args.channel, _parse_set(args.set))
     result = maximize_mu(channel, _optimizer_config(args))
-    print(json.dumps(_result_document(args, channel, result), indent=2))
+    _write_json(_result_document(args, channel, result))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    name, start, stop, step = _parse_sweep(args.sweep)
-    spec = SweepSpec(
-        channel_label=args.channel,
-        fixed_params=_parse_set(args.set),
-        sweep_param=name,
-        start=start,
-        stop=stop,
-        step=step,
-        kernel_choice=args.kernel,
-    )
+    sweep = _parse_sweep(args.sweep)  # (sweep_param, start, stop, step), in SweepSpec's field order
+    spec = SweepSpec(args.channel, _parse_set(args.set), *sweep, args.kernel)
     rows = run_sweep(spec, _optimizer_config(args))
     if args.format == "csv":
         with open(args.out, "w", newline="") as stream:
@@ -291,9 +287,7 @@ def _cmd_sweep(args) -> int:
             "domain": args.domain,
             "rows": [row._asdict() for row in rows],
         }
-        with open(args.out, "w") as stream:
-            json.dump(document, stream, indent=2)
-            stream.write("\n")
+        _write_json(document, args.out)
     return 0
 
 
@@ -314,21 +308,14 @@ def _cmd_validate(args) -> int:
             f"{row.channel:<8} {_params_text(row.params):<40} "
             f"{row.mu_numeric:<22.12g} {closed:<22} {err:<12} {status}"
         )
-    asserted = [r for r in report.rows if r.passed is not None]
     verdict = "PASS" if report.overall_pass else "FAIL"
     print(
         f"overall: {verdict} (tolerance={report.tolerance:g}, "
-        f"asserted rows={len(asserted)}, informational rows={len(report.rows) - len(asserted)})"
+        f"asserted rows={report.asserted}, informational rows={len(report.rows) - report.asserted})"
     )
     if args.out:
-        payload = {
-            "tolerance": report.tolerance,
-            "overall_pass": report.overall_pass,
-            "rows": [row._asdict() for row in report.rows],
-        }
-        with open(args.out, "w") as stream:
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
+        rows = [row._asdict() for row in report.rows]
+        _write_json({"tolerance": report.tolerance, "overall_pass": report.overall_pass, "rows": rows}, args.out)
     return 0 if report.overall_pass else 1
 
 
@@ -347,7 +334,7 @@ def _cmd_visibility(args) -> int:
         "v2": pair.v2,
         "measure": 4.0 * (pair.v1 - pair.v2),
     }
-    print(json.dumps(document, indent=2))
+    _write_json(document)
     return 0
 
 
@@ -380,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one parameter and write rows to a file")
     add_common(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="k=start:stop:step")
-    p_sweep.add_argument("--kernel", default=None, help="kernel for rtn/nmd time sweeps (rtn-damped, nmd-linear)")
+    p_sweep.add_argument("--kernel", default=None, help=f"kernel for rtn/nmd time sweeps ({', '.join(KERNELS)})")
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "structured"), default="csv")
     p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect (batched build, serial solves)")

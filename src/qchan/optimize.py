@@ -54,10 +54,7 @@ import numpy as np
 
 from .channels import KrausChannel, bloch_map
 from .measures import closed_form_mu
-from .states import StatePairParams
-
-TWO_PI = 2.0 * np.pi
-HALF_PI = 0.5 * np.pi
+from .states import HALF_PI, TWO_PI, StatePairParams, bloch_vectors
 
 DOMAIN_PROBE = "probe"
 DOMAIN_ALL_PAIRS = "all-pairs"
@@ -138,23 +135,15 @@ class QuantumnessResult:
     converged: bool
 
 
-def _pair_bloch_vectors(x, phi):
-    """Bloch vectors of the probe pair (second state at polar angle x + pi/2)."""
-    sx, cx = np.sin(x), np.cos(x)
-    cp, sp = np.cos(phi), np.sin(phi)
-    a = np.stack([sx * cp, -sx * sp, cx], axis=-1)
-    b = np.stack([cx * cp, -cx * sp, -sx], axis=-1)
-    return a, b
-
-
-def _single_bloch(theta, phi):
-    st, ct = np.sin(theta), np.cos(theta)
-    return np.stack([st * np.cos(phi), -st * np.sin(phi), ct], axis=-1)
+def _azimuth(s, c):
+    """atan2(s, c) in [0, 2 pi); ``% TWO_PI`` alone rounds a tiny negative angle to 2 pi, here folded to 0."""
+    phi = math.atan2(s, c) % TWO_PI
+    return 0.0 if phi == TWO_PI else phi
 
 
 def _bloch_angles(v):
-    """(theta, phi) of a unit Bloch vector, the inverse of :func:`_single_bloch`."""
-    return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(-v[1], v[0]) % TWO_PI
+    """(theta, phi) of a unit Bloch vector, the inverse of :func:`qchan.states.bloch_vectors`."""
+    return math.atan2(math.hypot(v[0], v[1]), v[2]), _azimuth(-v[1], v[0])
 
 
 def _axes(polar_max: float, n: int):
@@ -172,38 +161,35 @@ def _cross(u, v):
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _cofactor(a_mat):
-    """Columns of cof(A) as float triples: (A u) x (A v) = cof(A) (u x v); column j is A e_{j+1} x A e_{j+2}."""
-    cols = a_mat.T.tolist()
-    return [_cross(cols[j - 2], cols[j - 1]) for j in range(3)]
+def _cofactor(cols):
+    """The first two columns of cof(A), from A's columns, as float triples: A e_1 x A e_2 and A e_2 x A e_0.
+
+    (A u) x (A v) = cof(A) (u x v), and a probe pair's u x v lies in the xy plane.
+    """
+    return _cross(cols[1], cols[2]), _cross(cols[2], cols[0])
 
 
-def _probe_terms(cols, x, phi):
-    """Probe objective |cof(A) n + K d|^2 with its gradient and Hessian in (x, phi).
+def _probe_terms(cols, x: float, phi: float):
+    """(f_x, f_xx, f_xphi, f_phiphi) of the probe objective f = |cof(A) n + K d|^2, in plain floats.
 
     ``cols`` carries the first two columns of cof(A) and the three of K as
     float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
     the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
-    ``x`` and ``phi`` are floats (computed with ``math``, cheaper per call
-    than numpy) or arrays that broadcast together.
     """
     c0, c1, k0, k1, k2 = cols
-    trig = np if isinstance(x, np.ndarray) or isinstance(phi, np.ndarray) else math
-    sp, cp = trig.sin(phi), trig.cos(phi)
-    s_minus, s_plus = trig.sin(x) - trig.cos(x), trig.sin(x) + trig.cos(x)
-    f = f_x = f_p = f_xx = f_pp = f_xp = 0.0
+    sp, cp = math.sin(phi), math.cos(phi)
+    s_minus, s_plus = math.sin(x) - math.cos(x), math.sin(x) + math.cos(x)
+    f_x = f_xx = f_pp = f_xp = 0.0
     for i in range(3):
         cn, cm = sp * c0[i] + cp * c1[i], cp * c0[i] - sp * c1[i]
         kn, km = sp * k0[i] + cp * k1[i], cp * k0[i] - sp * k1[i]
         g = cn + s_minus * km + s_plus * k2[i]
         g_x, g_p = s_plus * km - s_minus * k2[i], cm - s_minus * kn
-        f += g * g
         f_x += g * g_x
-        f_p += g * g_p
         f_xx += g_x * g_x - g * (s_minus * km + s_plus * k2[i])
         f_pp += g_p * g_p - g * (cn + s_minus * km)
         f_xp += g_x * g_p - g * s_plus * kn
-    return f, (2.0 * f_x, 2.0 * f_p), (2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp)
+    return 2.0 * f_x, 2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp
 
 
 def _ascent_step(grad, hess, axial=False):
@@ -274,7 +260,7 @@ def _probe_circle(cols, x):
     h = math.hypot(half, q)
     scale = (h + math.hypot(d1, d2)) or 1.0
     _, (n_cos, n_sin) = _trust_region_2x2((h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
-    phi = math.atan2(n_sin, n_cos) % TWO_PI
+    phi = _azimuth(n_sin, n_cos)
     sp, cp = math.sin(phi), math.cos(phi)
     g = [sp * a + cp * b + c for a, b, c in zip(g_sin, g_cos, w)]
     return phi, _dot(g, g)
@@ -293,7 +279,7 @@ def _probe_solve(a_mat, c_vec, n: int):
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:
         # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
-        c0, c1 = _cross(a_cols[1], a_cols[2]), _cross(a_cols[2], a_cols[0])
+        c0, c1 = _cofactor(a_cols)
         mu, (v_cos, v_sin) = _trust_region_2x2(_dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return (0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
@@ -302,14 +288,14 @@ def _probe_solve(a_mat, c_vec, n: int):
         (p, q, _), _, (_, _, t) = a_cols
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
-    cols = (*_cofactor(a_mat)[:2], *(_cross(col, c) for col in a_cols))
+    cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
     xs = np.linspace(0.0, HALF_PI, n).tolist()
     grid = [_probe_circle(cols, x) for x in xs]
     k = _grid_argmax(np.array([value for _, value in grid]))
     x, (phi, value) = xs[k], grid[k]
     evaluations = n
     for _ in range(REFINEMENT_ITERATIONS):
-        _, (f_x, _), (f_xx, f_xp, f_pp) = _probe_terms(cols, x, phi)
+        f_x, f_xx, f_xp, f_pp = _probe_terms(cols, x, phi)
         curvature = f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx
         step = -f_x / curvature if curvature < 0.0 else f_x
         t = 1.0
@@ -469,7 +455,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
     rows, c = a_mat.tolist(), c_vec.tolist()
     thetas, phis = _axes(np.pi, n)
     grid_t, grid_p = np.meshgrid(thetas, phis[:1] if axial else phis, indexing="ij")
-    values, bs = _sphere_max(a_mat, c_vec, _single_bloch(grid_t.ravel(), grid_p.ravel()))
+    values, bs = _sphere_max(a_mat, c_vec, bloch_vectors(grid_t.ravel(), grid_p.ravel()))
     k = _grid_argmax(values)
     theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), tuple(bs[k].tolist())
     evaluations = values.size
@@ -544,14 +530,7 @@ def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> Q
     angles, mu, evaluations, converged = domain.solve(*bloch_map(ch), cfg.grid_points_per_angle)
     mu = min(mu, 1.0)  # |a' x b'|^2 <= 1; bloch_map rounding can land just above
     cf, err = _closed_form_fields(ch, mu)
-    return QuantumnessResult(
-        mu=mu,
-        argmax_params=domain.pair(*angles),
-        closed_form=cf,
-        abs_error=err,
-        evaluations=evaluations,
-        converged=converged,
-    )
+    return QuantumnessResult(mu, domain.pair(*angles), cf, err, evaluations, converged)
 
 
 def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> float:
@@ -586,11 +565,11 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
         h = (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1) @ to_coords).real
         return (h[:, :, None] * h[:, None, :]).reshape(-1, 16)
 
-    if domain == DOMAIN_PROBE:
-        a, b = _pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
-        return 4.0 * float(np.max(np.einsum("ni,ni->n", rows(a), rows(b) @ TRACE_FORM.T)))
+    q = rows(bloch_vectors(grid_x.ravel(), grid_p.ravel()))
+    if domain == DOMAIN_PROBE:  # each state's partner is at polar angle x + pi/2, as in DOMAINS[DOMAIN_PROBE].pair
+        partners = rows(bloch_vectors(grid_x.ravel() + HALF_PI, grid_p.ravel()))
+        return 4.0 * float(np.max(np.einsum("ni,ni->n", q, partners @ TRACE_FORM.T)))
 
-    q = rows(_single_bloch(grid_x.ravel(), grid_p.ravel()))
     qb = q @ TRACE_FORM.T
     best = 0.0
     for start in range(0, len(q), ORACLE_BLOCK):

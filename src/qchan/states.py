@@ -7,8 +7,9 @@ The probe family is built from two single-qubit pure states
 
 whose density matrices carry e^{+i phi} on the upper off-diagonal. The sign
 convention matters: it fixes the Bloch vector to
-(sin x cos phi, -sin x sin phi, cos x). Setting y = x + pi/2 and xi = phi
-makes the pair maximally noncommuting (incompatibility 1) for every (x, phi).
+(sin x cos phi, -sin x sin phi, cos x), the one map :func:`bloch_vectors`.
+Setting y = x + pi/2 and xi = phi makes the pair maximally noncommuting
+(incompatibility 1) for every (x, phi).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, from_bloch
 
 TWO_PI = 2.0 * np.pi
+HALF_PI = 0.5 * np.pi
 
 
 class StatePairParams(NamedTuple):
@@ -31,14 +33,10 @@ class StatePairParams(NamedTuple):
     xi: float
 
 
-def _single_state(angle: float, phase: float) -> DensityMatrix:
-    half = 0.5 * angle
-    off = np.exp(1j * phase) * np.sin(angle) / 2.0
-    mat = np.array(
-        [[np.cos(half) ** 2, off], [np.conj(off), np.sin(half) ** 2]],
-        dtype=complex,
-    )
-    return DensityMatrix(mat)
+def bloch_vectors(theta, phi):
+    """Bloch vectors of the pure states at polar angles theta and azimuths phi, stacked on a new last axis."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), -st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def state_pair(params: StatePairParams) -> tuple[DensityMatrix, DensityMatrix]:
@@ -48,7 +46,7 @@ def state_pair(params: StatePairParams) -> tuple[DensityMatrix, DensityMatrix]:
     rejected, so optimizer refinement steps may wander freely.
     """
     x, phi, y, xi = (float(v) % TWO_PI for v in params)
-    return _single_state(x, phi), _single_state(y, xi)
+    return from_bloch(bloch_vectors(x, phi)), from_bloch(bloch_vectors(y, xi))
 
 
 def max_noncommuting_pair(x: float, phi: float) -> tuple[DensityMatrix, DensityMatrix]:
@@ -56,4 +54,4 @@ def max_noncommuting_pair(x: float, phi: float) -> tuple[DensityMatrix, DensityM
 
     The incompatibility of the returned pair is 1 for every (x, phi).
     """
-    return state_pair(StatePairParams(x, phi, x + np.pi / 2.0, phi))
+    return state_pair(StatePairParams(x, phi, x + HALF_PI, phi))

@@ -24,8 +24,7 @@ from qchan import (
 )
 from qchan.channels import ad, gad, gdc, nmd, pd, unruh
 from qchan.cli import (
-    GDC_VALIDATION_WEIGHTS,
-    VALIDATION_GRID,
+    VALIDATION_POINTS,
     SweepSpec,
     make_channel,
     run_sweep,
@@ -205,15 +204,11 @@ def test_criterion_7_outer_inequality():
 def test_criterion_8_oracle_dominance_and_determinism(tmp_path):
     cfg = OptimizerConfig()
     worst_gap = np.inf
-    for label, name, values in VALIDATION_GRID:
-        for value in values:
-            ch = make_channel(label, {name: value})
+    for label, points in VALIDATION_POINTS:
+        for params in points:
+            ch = make_channel(label, params)
             gap = maximize_mu(ch, cfg).mu - brute_force_mu(ch, cfg.grid_points_per_angle)
             worst_gap = min(worst_gap, gap)
-    for weights in GDC_VALIDATION_WEIGHTS:
-        ch = gdc(*weights)
-        gap = maximize_mu(ch, cfg).mu - brute_force_mu(ch, cfg.grid_points_per_angle)
-        worst_gap = min(worst_gap, gap)
     dominance = worst_gap >= -1e-12
 
     spec = SweepSpec("rtn", {"gamma": 1.0, "b": 2.0}, "t", 0.0, 2.0, 0.1)

@@ -24,7 +24,8 @@ from qchan import (
     unruh,
     unruh_r_from_acceleration,
 )
-from qchan.channels import CHANNELS, _transfer_matrices, make_channels
+from qchan import channels as channel_module
+from qchan.channels import CHANNELS, KERNELS, _transfer_matrices, make_channels
 from qchan.linalg import PAULIS
 from conftest import random_kraus_ops, sample_ball
 
@@ -394,7 +395,7 @@ def _same_bits(a, b):
 def test_batch_is_bitwise_the_one_point_build(label, size):
     points = [BATCH_POINTS[label](v) for v in np.linspace(0.0, 1.0, size)]
     for params, ch in zip(points, make_channels(label, points), strict=True):
-        alone = CHANNELS[label].make(*(params[k] for k in CHANNELS[label].params))
+        alone = getattr(channel_module, label)(*(params[k] for k in CHANNELS[label].params))
         assert ch.label == label and ch.params == alone.params
         assert len(ch.ops) == len(alone.ops) and all(_same_bits(a, b) for a, b in zip(ch.ops, alone.ops))
         assert all(not k.flags.writeable for k in ch.ops)
@@ -514,20 +515,25 @@ def test_builtin_kernel_registry():
     assert k.evaluate(0.0) == 1.0
     assert "gamma=1" in k.label
     assert builtin_kernel("nmd-linear", {}).evaluate(0.25) == 0.5
-    with pytest.raises(ValueError, match="unknown kernel"):
+    with pytest.raises(ValueError, match=r"unknown kernel 'nope' \(available: rtn-damped, nmd-linear\)"):
         builtin_kernel("nope", {})
-    with pytest.raises(ValueError, match="needs parameter"):
+    with pytest.raises(ValueError, match="kernel rtn-damped needs parameter 'b'"):
         builtin_kernel("rtn-damped", {"gamma": 1.0})
     with pytest.raises(ValueError, match="does not take parameter.*lambda"):
         builtin_kernel("rtn-damped", {"gamma": 1.0, "b": 2.0, "lambda": 0.3})
     with pytest.raises(ValueError, match="does not take parameter.*gamma"):
         builtin_kernel("nmd-linear", {"gamma": 1.0})
+    # every entry of the one kernel table resolves to its factory called with its parameters in order
+    for name, (factory, names) in KERNELS.items():
+        kernel, direct = builtin_kernel(name, dict.fromkeys(names, 1.0)), factory(*[1.0] * len(names))
+        assert kernel.label == direct.label and kernel.evaluate(0.5) == direct.evaluate(0.5)
 
 
 @pytest.mark.parametrize("label", sorted(CHANNELS))
 def test_registry_params_match_constructor_signature(label):
-    # A keyword-named parameter (lambda) takes a trailing underscore in Python.
-    spec = CHANNELS[label]
-    names = tuple(p.rstrip("_") for p in inspect.signature(spec.make).parameters)
+    # Each label's public constructor has the label's name; a keyword-named parameter (lambda) takes a trailing
+    # underscore in Python.
+    spec, make = CHANNELS[label], getattr(channel_module, label)
+    names = tuple(p.rstrip("_") for p in inspect.signature(make).parameters)
     assert names == spec.params
-    assert spec.make(*([0.25] * len(names))).label == label
+    assert make(*([0.25] * len(names))).label == label

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from qchan.cli import (
-    GDC_VALIDATION_WEIGHTS,
     MAX_SWEEP_POINTS,
+    VALIDATION_POINTS,
     SweepSpec,
     build_parser,
     main,
@@ -297,6 +297,29 @@ def test_kernel_sweeps_reject_unused_inputs(tmp_path, capsys, argv, named):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, entry",
+    [
+        (["measure", "--channel", "pd", "--set", "=0.5,gamma=0.2"], "'=0.5'"),
+        (["measure", "--channel", "pd", "--set", "gamma=0.2, =0.5"], "'=0.5'"),
+        (["sweep", "--channel", "pd", "--sweep", " =0:1:0.5", "--out", "OUT"], "' =0:1:0.5'"),
+        (["sweep", "--channel", "pd", "--sweep", "=0:1:0.5", "--out", "OUT"], "'=0:1:0.5'"),
+    ],
+    ids=["set-leading", "set-blank", "sweep-blank", "sweep-empty"],
+)
+def test_empty_parameter_names_are_usage_errors(tmp_path, capsys, argv, entry):
+    out_path = tmp_path / "unused.csv"
+    code, out, err = run_cli(capsys, *[str(out_path) if a == "OUT" else a for a in argv])
+    assert code == 2 and out == "" and entry in err and "must look like name=" in err
+    assert not out_path.exists()
+
+
+def test_kernel_help_lists_the_kernel_table(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help at the terminal width, also inside a kernel name
+    code, out, _ = run_cli(capsys, "sweep", "--help")
+    assert code == 0 and "kernel for rtn/nmd time sweeps (rtn-damped, nmd-linear)" in out
+
+
 def test_sweep_blocks_do_not_change_the_csv(tmp_path, capsys, monkeypatch):
     # 101 points in blocks of 7 (the last one holds 3) give the bytes of one block.
     args = ["sweep", "--channel", "rtn", "--sweep", "t=0:5:0.05", "--set", "gamma=1,b=2"]
@@ -488,9 +511,18 @@ def test_make_channel_registry():
 def test_validation_weights_are_sorted():
     # Nonincreasing weights give |l1| >= |l2| in the gdc closed form
     # max(l1^2, l2^2) l3^2, so every row takes its l1^2 l3^2 branch.
-    for weights in GDC_VALIDATION_WEIGHTS:
-        assert list(weights) == sorted(weights, reverse=True)
+    for params in dict(VALIDATION_POINTS)["gdc"]:
+        weights = list(params.values())
+        assert list(params) == ["p0", "p1", "p2", "p3"]
+        assert weights == sorted(weights, reverse=True)
         assert abs(sum(weights) - 1.0) < 1e-12
+
+
+def test_validation_rows_do_not_depend_on_the_grid():
+    # Every validate point is unital or axial, so each probe solve is exact in one evaluation.
+    report = run_validation()
+    assert run_validation(grid_points_per_angle=2).rows == report.rows
+    assert report.asserted == 34 and len(report.rows) == 40
 
 
 def test_validation_report_library_entry():

@@ -32,6 +32,7 @@ from qchan import (
 )
 from qchan import channels, optimize
 from qchan.channels import bloch_map
+from qchan.states import bloch_vectors
 from conftest import random_kraus_ops, random_unitary, sample_ball
 
 IDENTITY = KrausChannel((np.eye(2),), "identity")
@@ -167,10 +168,10 @@ def _complex_row_oracle(ch, n, domain):
         row = np.concatenate([sq.reshape(-1, 4), -np.einsum("njk,nli->nijkl", sigma, sigma).reshape(-1, 16)], axis=1)
         return np.conj(row).view(float)
 
+    rho = outputs(bloch_vectors(grid_x.ravel(), grid_p.ravel()))
     if domain == DOMAIN_PROBE:
-        a, b = optimize._pair_bloch_vectors(grid_x.ravel(), grid_p.ravel())
-        return 4.0 * float(np.max(np.einsum("ni,ni->n", left(outputs(a)), right(outputs(b)))))
-    rho = outputs(optimize._single_bloch(grid_x.ravel(), grid_p.ravel()))
+        partners = outputs(bloch_vectors(grid_x.ravel() + np.pi / 2, grid_p.ravel()))
+        return 4.0 * float(np.max(np.einsum("ni,ni->n", left(rho), right(partners))))
     return 4.0 * float(np.max(left(rho) @ right(rho).T))
 
 
@@ -227,12 +228,13 @@ def test_determinism():
 
 
 def _probe_cols(a_mat, c_vec):
-    """The cofactor and K columns that optimize._probe_terms takes."""
-    return (*optimize._cofactor(a_mat)[:2], *np.cross(a_mat.T, c_vec).tolist())
+    """The cofactor and K columns that optimize._probe_terms and optimize._probe_circle take."""
+    return (*optimize._cofactor(a_mat.T.tolist()), *np.cross(a_mat.T, c_vec).tolist())
 
 
 def _direct_probe_objective(a_mat, c_vec, x, phi):
-    a, b = optimize._pair_bloch_vectors(x, phi)
+    """|a' x b'|^2 for the probe pair at (x, phi): the second state at polar angle x + pi/2, same azimuth."""
+    a, b = bloch_vectors(x, phi), bloch_vectors(np.add(x, np.pi / 2), phi)
     return np.sum(np.cross(a @ a_mat.T + c_vec, b @ a_mat.T + c_vec) ** 2, axis=-1)
 
 
@@ -242,9 +244,11 @@ def test_probe_objective_constant_for_dephasing_channels():
     gx, gp = np.meshgrid(xs, phis, indexing="ij")
     for ch in (rtn(0.7), nmd(0.45), pd(0.2)):
         a, c = bloch_map(ch)
-        vals = optimize._probe_terms(_probe_cols(a, c), gx, gp)[0]
-        assert np.max(np.abs(vals - _direct_probe_objective(a, c, gx, gp))) <= 1e-14
+        vals = _direct_probe_objective(a, c, gx, gp)
         assert np.std(vals) <= 1e-10
+        # the exact circle solve reads the same constant at every x
+        circle = [optimize._probe_circle(_probe_cols(a, c), x)[1] for x in xs.tolist()]
+        assert np.max(np.abs(np.array(circle) - np.max(vals))) <= 1e-14
 
 
 def test_probe_point_is_attainable():
@@ -401,26 +405,29 @@ def test_probe_objective_matches_cofactor_form(seed, n_ops):
     xs = np.linspace(0.0, np.pi / 2, 7)
     phis = np.linspace(0.0, 2 * np.pi, 9)
     gx, gp = np.meshgrid(xs, phis, indexing="ij")
-    a, b = optimize._pair_bloch_vectors(gx, gp)
+    a, b = bloch_vectors(gx, gp), bloch_vectors(gx + np.pi / 2, gp)
     n = np.stack([np.sin(gp), np.cos(gp), np.zeros_like(gp)], axis=-1)
     cofactor_form = np.sum((n @ cof.T + np.cross((a - b) @ a_mat.T, c_vec)) ** 2, axis=-1)
     direct = _direct_probe_objective(a_mat, c_vec, gx, gp)
     assert np.max(np.abs(direct - cofactor_form)) <= 1e-14
 
-    # The one probe objective on a grid, and pointwise with its gradient and
-    # Hessian (central differences) as the Newton polish calls it.
+    # The derivatives the Newton polish reads, against differences of the direct objective
+    # (f_x and f_phiphi) and of f_x (f_xx and f_xphi).
     cols = _probe_cols(a_mat, c_vec)
-    assert np.max(np.abs(optimize._probe_terms(cols, gx, gp)[0] - direct)) <= 1e-14
-    h = 1e-5
-    for x, phi, expected in zip(gx.ravel(), gp.ravel(), direct.ravel()):
-        f, (f_x, f_p), (f_xx, f_xp, f_pp) = optimize._probe_terms(cols, x, phi)
-        assert abs(f - expected) <= 1e-14
+    h, wide = 1e-5, 1e-3
+
+    def f(x, phi):
+        return float(_direct_probe_objective(a_mat, c_vec, x, phi))
+
+    for x, phi in zip(gx.ravel().tolist(), gp.ravel().tolist()):
+        f_x, f_xx, f_xp, f_pp = optimize._probe_terms(cols, x, phi)
         terms = {d: optimize._probe_terms(cols, x + d[0], phi + d[1]) for d in ((h, 0), (-h, 0), (0, h), (0, -h))}
-        assert abs(f_x - (terms[h, 0][0] - terms[-h, 0][0]) / (2 * h)) <= 1e-8
-        assert abs(f_p - (terms[0, h][0] - terms[0, -h][0]) / (2 * h)) <= 1e-8
-        assert abs(f_xx - (terms[h, 0][1][0] - terms[-h, 0][1][0]) / (2 * h)) <= 1e-8
-        assert abs(f_pp - (terms[0, h][1][1] - terms[0, -h][1][1]) / (2 * h)) <= 1e-8
-        assert abs(f_xp - (terms[0, h][1][0] - terms[0, -h][1][0]) / (2 * h)) <= 1e-8
+        assert abs(f_x - (f(x + h, phi) - f(x - h, phi)) / (2 * h)) <= 1e-8
+        assert abs(f_xx - (terms[h, 0][0] - terms[-h, 0][0]) / (2 * h)) <= 1e-8
+        assert abs(f_xp - (terms[0, h][0] - terms[0, -h][0]) / (2 * h)) <= 1e-8
+        # the five-point second difference, accurate to O(wide^4)
+        s = [f(x, phi + k * wide) for k in (-2, -1, 0, 1, 2)]
+        assert abs(f_pp - (16 * (s[1] + s[3]) - s[0] - s[4] - 30 * s[2]) / (12 * wide**2)) <= 1e-8
 
 
 def _numpy_cofactor(a_mat):
@@ -433,9 +440,10 @@ def test_cofactor_maps_input_cross_products_to_output_ones():
     singular = [np.outer(rng.normal(size=3), rng.normal(size=3)), np.zeros((3, 3)), bloch_map(rtn(0.0))[0]]
     u, v = rng.normal(size=(2, 20, 3))
     for a_mat in [rng.normal(size=(3, 3)) for _ in range(20)] + singular:
-        cof = np.array(optimize._cofactor(a_mat)).T
+        cof = _numpy_cofactor(a_mat)
         assert np.max(np.abs(np.cross(u @ a_mat.T, v @ a_mat.T) - np.cross(u, v) @ cof.T)) <= 1e-14
-        assert np.max(np.abs(cof - _numpy_cofactor(a_mat))) <= 1e-15
+        # optimize._cofactor gives the two columns that probe pairs (u x v in the xy plane) read
+        assert np.max(np.abs(np.array(optimize._cofactor(a_mat.T.tolist())).T - cof[:, :2])) <= 1e-15
 
 
 def _pauli_mixture(seed):
@@ -447,8 +455,8 @@ def _pauli_mixture(seed):
 
 def _eigh_probe_solve(a_mat):
     """mu and phi of the top eigenvector of the upper-left 2x2 block of cof(A)^T cof(A), by np.linalg.eigh."""
-    cof = np.array(optimize._cofactor(a_mat)).T
-    w, vecs = np.linalg.eigh((cof.T @ cof)[:2, :2])
+    cof = np.array(optimize._cofactor(a_mat.T.tolist())).T  # cof(A)'s first two columns
+    w, vecs = np.linalg.eigh(cof.T @ cof)
     return w[-1], np.arctan2(vecs[0, -1], vecs[1, -1])
 
 
@@ -470,8 +478,8 @@ def test_unital_probe_solve_on_special_blocks():
     # the (lam - r, q) form of the eigenvector gives phi = pi/2.
     a_mat = np.diag([0.65, 0.76, 0.59])
     a_mat[0, 1] = 5e-20
-    cof = np.array(optimize._cofactor(a_mat)).T
-    block = (cof.T @ cof)[:2, :2]
+    cof = np.array(optimize._cofactor(a_mat.T.tolist())).T
+    block = cof.T @ cof
     assert block[0, 0] > block[1, 1] and 1e-21 < abs(block[0, 1]) < 1e-19
     (x, phi), value, evaluations, converged = optimize._probe_solve(a_mat, np.zeros(3), 24)
     mu, phi_eigh = _eigh_probe_solve(a_mat)
@@ -558,8 +566,16 @@ def test_probe_circle_solve_against_a_dense_phi_scan():
         for x in [0.0, np.pi / 2, *rng.uniform(0.0, np.pi / 2, 20)]:
             phi, value = optimize._probe_circle(cols, float(x))
             assert 0.0 <= phi < 2 * np.pi
-            assert value >= np.max(optimize._probe_terms(cols, x, phis)[0]) - 1e-15
-            assert abs(value - optimize._probe_terms(cols, float(x), phi)[0]) <= 1e-15
+            assert value >= np.max(_direct_probe_objective(a_mat, c_vec, np.full_like(phis, x), phis)) - 1e-15
+            assert abs(value - _direct_probe_objective(a_mat, c_vec, x, phi)) <= 1e-15
+
+
+def test_azimuths_stay_below_two_pi():
+    # atan2 of a tiny negative angle, taken % 2 pi, rounds to 2 pi itself; both angle readers fold it to 0.
+    assert optimize._bloch_angles((1.0, 1e-17, 0.0)) == (np.pi / 2, 0.0)
+    zero = (0.0, 0.0, 0.0)
+    # |G n + w|^2 with G's sin column (-1e-17, 0, 0), cos column e_x and w = e_x: the maximizer is at phi = -1e-17
+    assert optimize._probe_circle(((-1e-17, 0.0, 0.0), (1.0, 0.0, 0.0), zero, zero, (1.0, 0.0, 0.0)), 0.0) == (0.0, 4.0)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -732,7 +748,7 @@ def _eigh_sphere_max(a_mat, c_vec, a_vecs):
 def _dense_sphere_max(a_mat, c_vec, a_vecs, n=120):
     """Maximum of f(a, b) over an n x 2n grid of b for each row a: a lower bound on the sphere maximum."""
     tb, pb = np.meshgrid(np.linspace(0.0, np.pi, n), np.linspace(0.0, 2 * np.pi, 2 * n, endpoint=False), indexing="ij")
-    v = optimize._single_bloch(tb.ravel(), pb.ravel()) @ a_mat.T + c_vec
+    v = bloch_vectors(tb.ravel(), pb.ravel()) @ a_mat.T + c_vec
     vv = np.sum(v * v, axis=1)
     best = []
     for start in range(0, len(a_vecs), 32):
@@ -752,7 +768,7 @@ def test_sphere_max_on_the_gad_grid_against_references():
     # and falls up to 2.5e-3 short of the maximum (grid index 340: 0.104816 against 0.107361).
     a_mat, c_vec = bloch_map(gad(0.3, 0.2))
     grid_t, grid_p = np.meshgrid(*optimize._axes(np.pi, 24), indexing="ij")
-    a_vecs = optimize._single_bloch(grid_t.ravel(), grid_p.ravel())
+    a_vecs = bloch_vectors(grid_t.ravel(), grid_p.ravel())
     values, bs = optimize._sphere_max(a_mat, c_vec, a_vecs)
     _check_attained(a_mat, c_vec, a_vecs, values, bs)
     dense, eigh = _dense_sphere_max(a_mat, c_vec, a_vecs), _eigh_sphere_max(a_mat, c_vec, a_vecs)
@@ -869,7 +885,7 @@ def test_envelope_terms_match_differences(seed):
     rng = np.random.default_rng(seed)
     a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, 3), "random"))
     for theta, phi in rng.uniform((0.3, 0.0), (2.8, 2 * np.pi), size=(3, 2)):
-        b = optimize._sphere_max(a_mat, c_vec, optimize._single_bloch(theta, phi)[None])[1][0]
+        b = optimize._sphere_max(a_mat, c_vec, bloch_vectors(theta, phi)[None])[1][0]
         grad, (h_00, h_01, h_11) = optimize._envelope_terms(a_mat.tolist(), c_vec.tolist(), theta, phi, b.tolist())
         hess = np.array([[h_00, h_01], [h_01, h_11]])
         h = 1e-4
@@ -885,6 +901,6 @@ def test_all_pairs_polish_on_near_identity_maps(gamma):
     ch = ad(gamma)
     a_mat, c_vec = bloch_map(ch)
     theta = np.linspace(0.0, np.pi, 20001)
-    scan = optimize._sphere_max(a_mat, c_vec, optimize._single_bloch(theta, np.zeros_like(theta)))[0]
+    scan = optimize._sphere_max(a_mat, c_vec, bloch_vectors(theta, np.zeros_like(theta)))[0]
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.converged and res.mu >= np.max(scan) - 1e-15

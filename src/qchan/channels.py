@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, IDENTITY2, PAULIS
+from .linalg import DensityMatrix, IDENTITY2, PAULIS, as_matrix
 
 COMPLETENESS_TOL = 1e-10
 KERNEL_TOL = 1e-12
@@ -120,14 +120,11 @@ class KrausChannel:
     _bloch: Optional[tuple] = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        mats = [np.asarray(k, dtype=complex) for k in self.ops]
+        mats = [as_matrix(k) for k in self.ops]
         if not mats:
             raise ValueError("channel needs at least one Kraus operator")
-        for m in mats:
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"expected a square matrix, got shape {m.shape}")
-            if m.shape != mats[0].shape:
-                raise ValueError("all Kraus operators must share one dimension")
+        if any(m.shape != mats[0].shape for m in mats):
+            raise ValueError("all Kraus operators must share one dimension")
         _adopt([self], self.label, np.array(mats)[None], [dict(self.params)])
 
     @property
@@ -350,6 +347,21 @@ def nmd_memory_kernel() -> MemoryKernel:
     return MemoryKernel(evaluate=nmd_kernel, label="nmd-linear")
 
 
+def named_values(kind: str, name: str, names: Sequence[str], params: Mapping[str, float]) -> list[float]:
+    """The values of exactly the parameters ``names`` in ``params``, as floats in ``names`` order.
+
+    Raises naming the ``kind`` (channel or kernel), its ``name`` and every missing parameter, else every extra one.
+    """
+    try:
+        values = [float(params[k]) for k in names]
+    except KeyError:
+        missing = ", ".join(k for k in names if k not in params)
+        raise ValueError(f"{kind} {name} is missing parameter(s): {missing}") from None
+    if len(params) > len(names):  # every name is present, so the other keys are extra
+        raise ValueError(f"{kind} {name} does not take parameter(s): {', '.join(k for k in params if k not in names)}")
+    return values
+
+
 # The built-in memory kernels by name: each factory and the names of its parameters, in its argument order.
 KERNELS = {"rtn-damped": (rtn_memory_kernel, ("gamma", "b")), "nmd-linear": (nmd_memory_kernel, ())}
 
@@ -359,13 +371,7 @@ def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
     if name not in KERNELS:
         raise ValueError(f"unknown kernel {name!r} (available: {', '.join(KERNELS)})")
     factory, names = KERNELS[name]
-    extra = [k for k in params if k not in names]
-    if extra:
-        raise ValueError(f"kernel {name} does not take parameter(s): {', '.join(extra)}")
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ValueError(f"kernel {name} needs parameter {missing[0]!r}")
-    return factory(*(params[k] for k in names))
+    return factory(*named_values("kernel", name, names, params))
 
 
 @dataclass(frozen=True)
@@ -401,15 +407,25 @@ CHANNELS = {
 }
 
 
-def channel_args(label: str, params: Mapping[str, float]) -> tuple[ChannelSpec, list]:
-    """Registry entry for ``label`` and its parameter values in ``params`` order."""
+def channel_args(label: str, params: Mapping[str, float]) -> tuple[ChannelSpec, list[float]]:
+    """Registry entry for ``label`` and the values of exactly its parameters, in ``params`` order."""
     spec = CHANNELS.get(label)
     if spec is None:
         raise ValueError(f"unknown channel {label!r} (available: {', '.join(sorted(CHANNELS))})")
-    missing = [k for k in spec.params if k not in params]
-    if missing:
-        raise ValueError(f"missing parameter(s) for {label}: {', '.join(missing)}")
-    return spec, [float(params[k]) for k in spec.params]
+    return spec, named_values("channel", label, spec.params, params)
+
+
+def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
+    """The family's ``closed_form`` at exactly its parameters; ValueError for a label with none (gad).
+
+    Exact maxima over the probe domain for every parameter value: rtn -> Lambda^2, nmd -> Omega^2, pd -> 1 - gamma,
+    ad -> 1 - gamma, unruh -> cos^2 r, gdc -> max(l1^2, l2^2) l3^2 with l1 = p0+p1-p2-p3, l2 = p0-p1+p2-p3,
+    l3 = p0-p1-p2+p3 (the Bloch map is diag(l1, l2, l3)).
+    """
+    spec, args = channel_args(label, params)
+    if spec.closed_form is None:
+        raise ValueError(f"channel {label} has no closed form")
+    return spec.closed_form(*args)
 
 
 def make_channels(label: str, points: Sequence[Mapping[str, float]]) -> list[KrausChannel]:
@@ -421,9 +437,6 @@ def make_channels(label: str, points: Sequence[Mapping[str, float]]) -> list[Kra
     built = []
     for params in points:
         spec, args = channel_args(label, params)
-        extra = [k for k in params if k not in spec.params]
-        if extra:
-            raise ValueError(f"channel {label} does not take parameter(s): {', '.join(extra)}")
         built.append(spec.kraus(*args))
     if not built:
         return []

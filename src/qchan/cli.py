@@ -3,8 +3,8 @@
 Exit codes: 0 success (validate: all rows pass), 1 validation failure,
 2 usage error, 3 runtime or I/O failure.
 
-Environment: QCHAN_DEFAULT_GRID overrides the default grid size (24); the
-``--grid`` flag wins over the environment.
+Environment: QCHAN_DEFAULT_GRID overrides the default grid size
+(:data:`qchan.optimize.DEFAULT_GRID`); the ``--grid`` flag wins over it.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from typing import Mapping, NamedTuple, Optional
 
 from .channels import CHANNELS, KERNELS, apply, builtin_kernel, make_channel, make_channels
 from .measures import visibilities
-from .optimize import DOMAIN_PROBE, DOMAINS, MAX_GRID_POINTS, OptimizerConfig, maximize_mu
+from .optimize import DEFAULT_GRID, DOMAIN_PROBE, DOMAINS, OptimizerConfig, check_grid, maximize_mu
 from .states import max_noncommuting_pair
 
-DEFAULT_GRID = 24
 GRID_ENV_VAR = "QCHAN_DEFAULT_GRID"
 # Largest sweep; SweepSpec rejects a longer one before building its points.
 MAX_SWEEP_POINTS = 10**6
@@ -231,9 +230,7 @@ def _resolve_grid(flag_value: Optional[int]) -> int:
             value, source = int(env), GRID_ENV_VAR
         except ValueError:
             raise ValueError(f"{GRID_ENV_VAR} must be an integer, got {env!r}") from None
-    if not 2 <= value <= MAX_GRID_POINTS:
-        raise ValueError(f"{source} must be between 2 and {MAX_GRID_POINTS}, got {value}")
-    return value
+    return check_grid(value, source)
 
 
 def _optimizer_config(args) -> OptimizerConfig:

@@ -115,15 +115,20 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def from_bloch(v) -> DensityMatrix:
-    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
+def bloch_array(v) -> np.ndarray:
+    """A Bloch vector as a float array, checked to have three components and norm at most 1 + ``BLOCH_NORM_TOL``."""
     r = np.asarray(tuple(v), dtype=float)
     if r.shape != (3,):
         raise ValueError("Bloch vector must have three real components")
     norm = float(np.linalg.norm(r))
     if norm > 1.0 + BLOCH_NORM_TOL:
         raise ValueError(f"invalid Bloch vector: norm {norm:.12f} exceeds 1")
-    x, y, z = r
+    return r
+
+
+def from_bloch(v) -> DensityMatrix:
+    """Qubit state (I + r . sigma)/2 for a Bloch vector with |r| <= 1."""
+    x, y, z = bloch_array(v)
     mat = 0.5 * np.array([[1 + z, x - 1j * y], [x + 1j * y, 1 - z]], dtype=complex)
     return DensityMatrix(mat)
 

@@ -1,4 +1,4 @@
-"""Incompatibility of state pairs and channel quantumness closed forms.
+"""Incompatibility of state pairs; the channel closed forms live in :mod:`qchan.channels`.
 
 The central quantity is the squared Hilbert-Schmidt norm of the commutator,
 
@@ -11,12 +11,11 @@ factors are the interferometric visibilities: M = 4 (v1 - v2).
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import channel_args
-from .linalg import BLOCH_NORM_TOL, as_matrix, commutator, hs_norm_sq
+from .linalg import as_matrix, bloch_array, commutator, hs_norm_sq
 
 IMAG_RESIDUE_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -50,14 +49,7 @@ def incompatibility(rho, sigma) -> float:
 
 def incompatibility_bloch(a, b) -> float:
     """Qubit form |a x b|^2 on Bloch vectors (norms must not exceed 1)."""
-    va = np.asarray(tuple(a), dtype=float)
-    vb = np.asarray(tuple(b), dtype=float)
-    for v in (va, vb):
-        if v.shape != (3,):
-            raise ValueError("Bloch vectors must have three components")
-        if np.linalg.norm(v) > 1.0 + BLOCH_NORM_TOL:
-            raise ValueError(f"invalid Bloch vector: norm {np.linalg.norm(v):.12f}")
-    cross = np.cross(va, vb)
+    cross = np.cross(bloch_array(a), bloch_array(b))
     return float(np.dot(cross, cross))
 
 
@@ -118,17 +110,3 @@ def check_outer_inequality(rho0, rhot, tol: float = 1e-10) -> OuterInequalityChe
     slack = rhs - lhs
     return OuterInequalityCheck(holds=slack >= -tol, slack=slack)
 
-
-def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
-    """Analytic quantumness for a channel label, from the registry.
-
-    Values are exact maxima over the maximally noncommuting probe family for
-    every parameter value: rtn -> Lambda^2, nmd -> Omega^2, pd -> 1 - gamma,
-    ad -> 1 - gamma, unruh -> cos^2 r, gdc -> max(l1^2, l2^2) l3^2 with
-    l1 = p0+p1-p2-p3, l2 = p0-p1+p2-p3, l3 = p0-p1-p2+p3 (the Bloch map is
-    diag(l1, l2, l3)). A label with no closed form (gad) raises ValueError.
-    """
-    spec, args = channel_args(label, params)
-    if spec.closed_form is None:
-        raise ValueError(f"channel {label} has no closed form")
-    return spec.closed_form(*args)

@@ -4,10 +4,10 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
 
 ``probe`` (default)
     The maximally noncommuting probe protocol: input pairs are
-    ``max_noncommuting_pair(x, phi)`` with x in [0, pi/2] and phi in
+    ``probe_params(x, phi)`` with x in [0, pi/2] and phi in
     [0, 2 pi). The upper x bound keeps the partner polar angle x + pi/2
     inside the canonical [0, pi] range. The analytic closed forms of
-    :func:`qchan.measures.closed_form_mu` are exact maxima over this domain,
+    :func:`qchan.channels.closed_form_mu` are exact maxima over this domain,
     which is what ``validate`` checks.
 
 ``all-pairs``
@@ -17,16 +17,17 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     most of that gap, since the full x-circle of maximally noncommuting pairs
     reaches 0.91337; only the rest comes from non-orthogonal pairs. Convexity
     of the objective in each Bloch argument pushes the maximum to pure states,
-    so this domain also dominates every mixed input pair.
+    so this domain also dominates every mixed input pair. The closed forms do
+    not apply here, so its results carry no closed-form fields.
 
 Each domain has one ``solve`` on the channel's affine Bloch map
-``r -> A r + c``; :func:`maximize_mu` is ``bloch_map``, that solve, then the
-closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum tie,
-and ties go to the lexicographically smallest angle tuple, outer axes first.
-Both polishes never lower the value and stop after ``REFINEMENT_ITERATIONS``
-iterations or at ``REFINEMENT_TOLERANCE``; the all-pairs polish also stops once
-a step's first-order gain is below one ulp of the value. Both solves are
-deterministic.
+``r -> A r + c``; :func:`maximize_mu` is ``bloch_map``, that solve, then, in
+the probe domain, the closed-form fields. Grid values within ``TIE_TOL`` of
+the grid maximum tie, and ties go to the lexicographically smallest angle
+tuple, outer axes first. Both polishes never lower the value and stop after
+``REFINEMENT_ITERATIONS`` iterations or at ``REFINEMENT_TOLERANCE``; the
+all-pairs polish also stops once a step's first-order gain is below one ulp
+of the value. Both solves are deterministic.
 
 The probe solve uses that every probe pair has
 ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
@@ -52,9 +53,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channels import KrausChannel, bloch_map
-from .measures import closed_form_mu
-from .states import HALF_PI, TWO_PI, StatePairParams, bloch_vectors
+from .channels import KrausChannel, bloch_map, closed_form_mu
+from .states import HALF_PI, TWO_PI, StatePairParams, bloch_vectors, probe_params
 
 DOMAIN_PROBE = "probe"
 DOMAIN_ALL_PAIRS = "all-pairs"
@@ -70,7 +70,8 @@ REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
 TIE_TOL = 1e-14
 
-# Largest grid: all-pairs solves its n * n first inputs in one batch.
+# Grid points per angle: the default, and the largest (all-pairs solves its n * n first inputs in one batch).
+DEFAULT_GRID = 24
 MAX_GRID_POINTS = 1024
 
 # Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
@@ -100,14 +101,20 @@ def _domain(name: str) -> Domain:
     return DOMAINS[name]
 
 
+def check_grid(n: int, source: str) -> int:
+    """``n`` if it is a grid size in [2, ``MAX_GRID_POINTS``], else a ValueError that names its ``source``."""
+    if not 2 <= n <= MAX_GRID_POINTS:
+        raise ValueError(f"{source} must be between 2 and {MAX_GRID_POINTS}, got {n}")
+    return n
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    grid_points_per_angle: int = 24
+    grid_points_per_angle: int = DEFAULT_GRID
     domain: str = DOMAIN_PROBE
 
     def __post_init__(self):
-        if not 2 <= self.grid_points_per_angle <= MAX_GRID_POINTS:
-            raise ValueError(f"grid_points_per_angle must be between 2 and {MAX_GRID_POINTS}, got {self.grid_points_per_angle}")
+        check_grid(self.grid_points_per_angle, "grid_points_per_angle")
         _domain(self.domain)
 
 
@@ -117,13 +124,13 @@ class QuantumnessResult:
 
     ``mu`` is at most 1, the bound of ``|a' x b'|^2`` for Bloch vectors;
     rounding above it is clipped. ``closed_form`` and ``abs_error`` are filled
-    for every channel whose label has a closed form in
-    :data:`qchan.channels.CHANNELS` (all but gad), at every parameter value,
-    and None otherwise. ``evaluations`` counts the objective evaluations of
-    the domain's solve: 1 for a closed form (unital, or axial in the probe
-    domain), else n (probe) or n*n (all-pairs; n if axial) grid points plus
-    one per polish trial, each an exact solve over phi (probe) or over the
-    second input (all-pairs). ``converged`` is False only when the polish hit
+    in the probe domain for every channel whose label has a closed form in
+    :data:`qchan.channels.CHANNELS` (all but gad), and None otherwise and in
+    all-pairs. ``evaluations`` counts the objective evaluations of the domain's
+    solve: 1 for a closed form (unital, or axial in the probe domain), else n
+    (probe) or n*n (all-pairs; n if axial) grid points plus one per polish
+    trial, each an exact solve over phi (probe) or over the second input
+    (all-pairs). ``converged`` is False only when the polish hit
     ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
     """
 
@@ -498,7 +505,7 @@ class Domain:
 
 
 DOMAINS = {
-    DOMAIN_PROBE: Domain(HALF_PI, _probe_solve, pair=lambda x, phi: StatePairParams(x, phi, x + HALF_PI, phi)),
+    DOMAIN_PROBE: Domain(HALF_PI, _probe_solve, probe_params),
     DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_solve, StatePairParams),
 }
 
@@ -511,7 +518,7 @@ def _require_qubit(ch: KrausChannel):
 def _closed_form_fields(ch: KrausChannel, mu: float):
     try:
         cf = float(closed_form_mu(ch.label, ch.params))
-    except ValueError:  # not a registry label, a KrausChannel built directly without its parameters, or no closed form
+    except ValueError:  # not a registry label, a KrausChannel built directly without exactly its parameters, or gad
         return None, None
     return cf, abs(mu - cf)
 
@@ -529,7 +536,7 @@ def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> Q
     domain = DOMAINS[cfg.domain]
     angles, mu, evaluations, converged = domain.solve(*bloch_map(ch), cfg.grid_points_per_angle)
     mu = min(mu, 1.0)  # |a' x b'|^2 <= 1; bloch_map rounding can land just above
-    cf, err = _closed_form_fields(ch, mu)
+    cf, err = _closed_form_fields(ch, mu) if cfg.domain == DOMAIN_PROBE else (None, None)  # probe-domain maxima
     return QuantumnessResult(mu, domain.pair(*angles), cf, err, evaluations, converged)
 
 
@@ -550,9 +557,7 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     first row on. The bound is nondecreasing under nested grid refinement.
     """
     _require_qubit(ch)
-    if n < 2:
-        raise ValueError("grid size must be at least 2")
-    polars, phis = _axes(_domain(domain).polar_max, n)
+    polars, phis = _axes(_domain(domain).polar_max, check_grid(n, "n"))
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
@@ -565,9 +570,10 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
         h = (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1) @ to_coords).real
         return (h[:, :, None] * h[:, None, :]).reshape(-1, 16)
 
-    q = rows(bloch_vectors(grid_x.ravel(), grid_p.ravel()))
-    if domain == DOMAIN_PROBE:  # each state's partner is at polar angle x + pi/2, as in DOMAINS[DOMAIN_PROBE].pair
-        partners = rows(bloch_vectors(grid_x.ravel() + HALF_PI, grid_p.ravel()))
+    pairs = probe_params(grid_x.ravel(), grid_p.ravel())
+    q = rows(bloch_vectors(pairs.x, pairs.phi))
+    if domain == DOMAIN_PROBE:
+        partners = rows(bloch_vectors(pairs.y, pairs.xi))
         return 4.0 * float(np.max(np.einsum("ni,ni->n", q, partners @ TRACE_FORM.T)))
 
     qb = q @ TRACE_FORM.T

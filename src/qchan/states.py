@@ -49,9 +49,11 @@ def state_pair(params: StatePairParams) -> tuple[DensityMatrix, DensityMatrix]:
     return from_bloch(bloch_vectors(x, phi)), from_bloch(bloch_vectors(y, xi))
 
 
-def max_noncommuting_pair(x: float, phi: float) -> tuple[DensityMatrix, DensityMatrix]:
-    """Maximally noncommuting pair: y = x + pi/2, xi = phi.
+def probe_params(x, phi) -> StatePairParams:
+    """Angles of the maximally noncommuting probe pair at (x, phi): y = x + pi/2, xi = phi; floats or arrays."""
+    return StatePairParams(x, phi, x + HALF_PI, phi)
 
-    The incompatibility of the returned pair is 1 for every (x, phi).
-    """
-    return state_pair(StatePairParams(x, phi, x + HALF_PI, phi))
+
+def max_noncommuting_pair(x: float, phi: float) -> tuple[DensityMatrix, DensityMatrix]:
+    """The states of :func:`probe_params`; their incompatibility is 1 for every (x, phi)."""
+    return state_pair(probe_params(x, phi))

@@ -517,7 +517,7 @@ def test_builtin_kernel_registry():
     assert builtin_kernel("nmd-linear", {}).evaluate(0.25) == 0.5
     with pytest.raises(ValueError, match=r"unknown kernel 'nope' \(available: rtn-damped, nmd-linear\)"):
         builtin_kernel("nope", {})
-    with pytest.raises(ValueError, match="kernel rtn-damped needs parameter 'b'"):
+    with pytest.raises(ValueError, match=r"^kernel rtn-damped is missing parameter\(s\): b$"):
         builtin_kernel("rtn-damped", {"gamma": 1.0})
     with pytest.raises(ValueError, match="does not take parameter.*lambda"):
         builtin_kernel("rtn-damped", {"gamma": 1.0, "b": 2.0, "lambda": 0.3})

@@ -537,3 +537,21 @@ def test_validation_report_library_entry():
     # rtn and nmd at kernel value 0 erase all coherence: mu is exactly 0, not a rounding residue.
     zeros = [r.mu_numeric for r in report.rows if r.channel in ("rtn", "nmd") and list(r.params.values()) == [0.0]]
     assert zeros == [0.0, 0.0]
+
+
+def test_all_pairs_outputs_leave_the_closed_form_empty(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.25", "--domain", "all-pairs")
+    doc = json.loads(out)
+    assert code == 0 and doc["closed_form"] is None and doc["abs_error"] is None
+    out_path = tmp_path / "ad.csv"
+    argv = ["sweep", "--channel", "ad", "--sweep", "gamma=0:1:0.5", "--domain", "all-pairs", "--out", str(out_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))[1:]
+    assert len(rows) == 3 and all(row[2:] == ["", "", ""] for row in rows)
+
+
+def test_kernel_sweep_without_parameters_names_both(tmp_path, capsys):
+    out_path = tmp_path / "rtn.csv"
+    code, out, err = run_cli(capsys, "sweep", "--channel", "rtn", "--sweep", "t=0:1:0.5", "--out", str(out_path))
+    assert code == 2 and out == "" and err == "error: kernel rtn-damped is missing parameter(s): gamma, b\n"
+    assert not out_path.exists()

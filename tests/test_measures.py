@@ -196,3 +196,10 @@ def test_closed_form_errors():
         closed_form_mu("bitflip", {"p": 0.1})
     with pytest.raises(ValueError, match="missing parameter"):
         closed_form_mu("gdc", {"p0": 1.0})
+
+
+@pytest.mark.parametrize("bad, message", [((1.0, 0.0), "must have three real components"), ((1.0, 1e-5, 0.0), "norm 1.0000000000")])
+def test_bloch_inputs_share_one_check(bad, message):
+    for check in (from_bloch, lambda v: incompatibility_bloch(v, (0, 0, 1)), lambda v: incompatibility_bloch((0, 0, 1), v)):
+        with pytest.raises(ValueError, match=message):
+            check(bad)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -273,7 +274,7 @@ def test_all_pairs_domain_exceeds_closed_form_for_nonunital_channels():
     oracle = kappa * np.max(bracket**2)
 
     res = maximize_mu(ad(g), OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
-    assert res.mu > res.closed_form + 0.1
+    assert res.mu > closed_form_mu("ad", {"gamma": g}) + 0.1
     assert res.mu >= oracle - 1e-6
     assert res.mu <= oracle + 1e-3
 
@@ -904,3 +905,46 @@ def test_all_pairs_polish_on_near_identity_maps(gamma):
     scan = optimize._sphere_max(a_mat, c_vec, bloch_vectors(theta, np.zeros_like(theta)))[0]
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.converged and res.mu >= np.max(scan) - 1e-15
+
+
+@pytest.mark.parametrize("label", sorted(channels.CHANNELS))
+def test_all_pairs_results_carry_no_closed_form(label):
+    # The closed forms are probe-domain maxima; an all-pairs result reports neither them nor a gap to them.
+    from qchan.cli import VALIDATION_POINTS
+
+    ch = channels.make_channel(label, dict(VALIDATION_POINTS)[label][1])
+    res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
+    assert res.closed_form is None and res.abs_error is None
+    assert (maximize_mu(ch).closed_form is None) == (channels.CHANNELS[label].closed_form is None)
+
+
+def test_brute_force_grid_is_bounded():
+    cap = optimize.MAX_GRID_POINTS
+    for n in (1, cap + 1):
+        with pytest.raises(ValueError, match=rf"^n must be between 2 and {cap}, got {n}$"):
+            brute_force_mu(ad(0.25), n)
+
+
+def test_probe_domain_reports_the_states_probe_pair():
+    from qchan.states import probe_params
+
+    assert optimize.DOMAINS[DOMAIN_PROBE].pair is probe_params
+    res = maximize_mu(gad(0.3, 0.6))
+    assert res.argmax_params == probe_params(res.argmax_params.x, res.argmax_params.phi)
+
+
+def test_frame_matches_bloch_vectors():
+    # _frame is the plain-float copy of bloch_vectors that the all-pairs polish reads, with its unit tangents.
+    rng = np.random.default_rng(21)
+    h = 1e-5
+    for theta, phi in rng.uniform((1e-3, 0.0), (np.pi - 1e-3, 2 * np.pi), size=(200, 2)):
+        point, t_theta, t_phi = (np.array(v) for v in optimize._frame(theta, phi))
+        np.testing.assert_array_max_ulp(point, bloch_vectors(theta, phi), maxulp=1)
+        back_theta, back_phi = optimize._bloch_angles(point)
+        assert abs(back_theta - theta) <= 1e-13
+        assert abs(math.remainder(back_phi - phi, 2 * np.pi)) <= 1e-12
+        if np.sin(theta) >= 0.1:  # the phi difference is divided by sin theta, which amplifies its rounding
+            d_theta = (bloch_vectors(theta + h, phi) - bloch_vectors(theta - h, phi)) / (2 * h)
+            d_phi = (bloch_vectors(theta, phi + h) - bloch_vectors(theta, phi - h)) / (2 * h * np.sin(theta))
+            assert np.max(np.abs(t_theta - d_theta)) <= 1e-9
+            assert np.max(np.abs(t_phi - d_phi)) <= 1e-9

@@ -66,3 +66,14 @@ def test_angles_reduced_modulo_two_pi():
     shifted = state_pair(StatePairParams(0.4 + 2 * np.pi, 1.2 - 2 * np.pi, 2.0, 5.9 + 4 * np.pi))
     np.testing.assert_allclose(base[0].mat, shifted[0].mat, atol=1e-12)
     np.testing.assert_allclose(base[1].mat, shifted[1].mat, atol=1e-12)
+
+
+def test_probe_params_takes_floats_and_arrays():
+    from qchan.states import probe_params
+
+    xs, phis = np.array([0.0, 0.7, 1.5]), np.array([1.1, 0.0, 6.0])
+    batch = probe_params(xs, phis)
+    for i, (x, phi) in enumerate(zip(xs.tolist(), phis.tolist())):
+        one = probe_params(x, phi)
+        assert one == (x, phi, x + np.pi / 2, phi) and tuple(float(v[i]) for v in batch) == one
+    assert all(np.allclose(a.mat, b.mat) for a, b in zip(max_noncommuting_pair(0.7, 0.0), state_pair(probe_params(0.7, 0.0))))

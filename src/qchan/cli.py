@@ -166,19 +166,18 @@ VALIDATION_POINTS = (
 )
 
 
-def run_validation(tolerance: float = 1e-4, grid_points_per_angle: int = DEFAULT_GRID) -> ValidationReport:
+def run_validation(tolerance: float = 1e-4) -> ValidationReport:
     """Maximize mu over :data:`VALIDATION_POINTS` and compare closed forms.
 
     A row passes when its error against the closed form is within
     ``tolerance``. Rows of a channel with no closed form (gad) are
     informational: ``passed`` and the closed-form cells are None, and they
     are excluded from overall_pass. Every point takes an exact probe solve
-    (unital or axial), so the rows do not depend on ``grid_points_per_angle``.
+    (unital or axial) in one evaluation, so no grid size enters.
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    cfg = OptimizerConfig(grid_points_per_angle=grid_points_per_angle)
-    rows = []
+    cfg, rows = OptimizerConfig(), []
     for label, points in VALIDATION_POINTS:
         for params, channel in zip(points, make_channels(label, points)):
             result = maximize_mu(channel, cfg)
@@ -293,7 +292,8 @@ def _params_text(params: Mapping[str, float]) -> str:
 
 
 def _cmd_validate(args) -> int:
-    report = run_validation(tolerance=args.tol, grid_points_per_angle=_resolve_grid(args.grid))
+    _resolve_grid(args.grid)  # range-checked as for measure and sweep, though no validate point reads it
+    report = run_validation(tolerance=args.tol)
     header = f"{'channel':<8} {'params':<40} {'mu_numeric':<22} {'closed_form':<22} {'abs_error':<12} status"
     print(header)
     print("-" * len(header))
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")
     p_validate.add_argument("--tol", type=float, default=1e-4)
-    p_validate.add_argument("--grid", type=int, default=None)
+    grid_help = "range-checked as for measure; no effect, every validate point is solved exactly"
+    p_validate.add_argument("--grid", type=int, default=None, help=grid_help)
     p_validate.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
     p_validate.add_argument("--out", default=None, help="optional JSON report path")
     p_validate.set_defaults(func=_cmd_validate)

@@ -42,7 +42,9 @@ is exact in the second input b: for each first input a the maximum over b is
 a trust-region subproblem in the plane normal to A a + c
 (:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a. Unital
 channels, and axially symmetric ones in the probe domain, have closed forms.
-The plain-float 2x2 solves of both domains share :func:`_trust_region_2x2`.
+Each exact solve (:func:`_trust_region_2x2`, :func:`_sphere_max`,
+:func:`_probe_circle`) is one routine, run on a grid batch of numpy arrays
+(``xp = numpy``) or on one polish trial's floats (``xp =`` :class:`_Floats`).
 """
 
 from __future__ import annotations
@@ -102,7 +104,9 @@ def _domain(name: str) -> Domain:
 
 
 def check_grid(n: int, source: str) -> int:
-    """``n`` if it is a grid size in [2, ``MAX_GRID_POINTS``], else a ValueError that names its ``source``."""
+    """``n`` if it is an integer grid size in [2, ``MAX_GRID_POINTS``], else a ValueError that names its ``source``."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{source} must be an integer, got {n!r}")
     if not 2 <= n <= MAX_GRID_POINTS:
         raise ValueError(f"{source} must be between 2 and {MAX_GRID_POINTS}, got {n}")
     return n
@@ -142,15 +146,22 @@ class QuantumnessResult:
     converged: bool
 
 
-def _azimuth(s, c):
+class _Floats:
+    """``xp`` for one point: the numpy names the shared solves call, on floats; ``where`` evaluates both branches."""
+
+    sqrt, hypot, copysign, sin, cos, arctan2 = math.sqrt, math.hypot, math.copysign, math.sin, math.cos, math.atan2
+    maximum, all, where = max, bool, staticmethod(lambda cond, a, b: a if cond else b)
+
+
+def _azimuth(xp, s, c):
     """atan2(s, c) in [0, 2 pi); ``% TWO_PI`` alone rounds a tiny negative angle to 2 pi, here folded to 0."""
-    phi = math.atan2(s, c) % TWO_PI
-    return 0.0 if phi == TWO_PI else phi
+    phi = xp.arctan2(s, c) % TWO_PI
+    return xp.where(phi == TWO_PI, 0.0, phi)
 
 
 def _bloch_angles(v):
     """(theta, phi) of a unit Bloch vector, the inverse of :func:`qchan.states.bloch_vectors`."""
-    return math.atan2(math.hypot(v[0], v[1]), v[2]), _azimuth(-v[1], v[0])
+    return math.atan2(math.hypot(v[0], v[1]), v[2]), _azimuth(_Floats, -v[1], v[0])
 
 
 def _axes(polar_max: float, n: int):
@@ -164,7 +175,7 @@ def _grid_argmax(values) -> int:
 
 
 def _cross(u, v):
-    """u x v for float triples, in plain floats (small-array numpy costs more here)."""
+    """u x v for triples of floats or of arrays, by components."""
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
@@ -211,8 +222,8 @@ def _ascent_step(grad, hess, axial=False):
     return g_0, g_1
 
 
-def _trust_region_2x2(p, q, r, d=None, row_space=False):
-    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0`` and a two-term trust-region maximizer, in plain floats.
+def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
+    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0`` and a two-term trust-region maximizer.
 
     Returns (w1, y). Without d, y is the top eigenvector (h + half, q) or (q, h - half), the one without cancellation,
     and (1, 0) for a multiple of the identity; v1 is y normalized. With d, y comes from the unit beta that maximizes
@@ -221,42 +232,45 @@ def _trust_region_2x2(p, q, r, d=None, row_space=False):
     ``max |Q b + d|^2`` with block Q Q^T: ``g_j = sqrt(w_j) delta_j``, ``y = V diag(w)^(-1/2) beta``, b along Q^T y.
     Newton on the concave, increasing ``1/|beta(lam)|`` from below finds the secular root ``lam >= w1``;
     ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0).
+    The entries are floats (``xp`` = :class:`_Floats`) or arrays of blocks (``xp`` = numpy).
     """
     half = 0.5 * (p - r)
-    h = math.hypot(half, q)
-    w1, w2 = 0.5 * (p + r) + h, max(0.5 * (p + r) - h, 0.0)
-    vx, vy = (max(h + half, 1e-300), q) if half >= 0.0 else (q, h - half)
+    h = xp.hypot(half, q)
+    w1, w2 = 0.5 * (p + r) + h, xp.maximum(0.5 * (p + r) - h, 0.0)
+    turn = half >= 0.0
+    vx, vy = xp.where(turn, xp.maximum(h + half, 1e-300), q), xp.where(turn, q, h - half)
     if d is None:
         return w1, (vx, vy)
-    vn = math.hypot(vx, vy)
+    vn = xp.hypot(vx, vy)
     vx, vy = vx / vn, vy / vn
     delta1, delta2 = vx * d[0] + vy * d[1], vx * d[1] - vy * d[0]
-    root1, root2 = (math.sqrt(w1), math.sqrt(w2)) if row_space else (1.0, 1.0)
+    root1, root2 = (xp.sqrt(w1), xp.sqrt(w2)) if row_space else (1.0, 1.0)
     g1, g2 = root1 * abs(delta1), root2 * delta2
     # |beta(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
-    lam = max(w1 + g1, w2 + abs(g2))
+    lam = xp.maximum(w1 + g1, w2 + abs(g2))
     for _ in range(100):
-        r1, r2 = (1.0 / (lam - w1) if lam > w1 else 0.0), (1.0 / (lam - w2) if lam > w2 else 0.0)
+        r1, r2 = (lam > w1) / xp.maximum(lam - w1, 1e-300), (lam > w2) / xp.maximum(lam - w2, 1e-300)
         t1, t2 = g1 * r1, g2 * r2
         s = t1 * t1 + t2 * t2
-        step = s * (math.sqrt(s) - 1.0) / max(t1 * t1 * r1 + t2 * t2 * r2, 1e-300) if s > 1.0 else 0.0
-        if step <= 1e-15 * (1.0 + lam):
+        step = xp.where(s > 1.0, s * (xp.sqrt(s) - 1.0) / xp.maximum(t1 * t1 * r1 + t2 * t2 * r2, 1e-300), 0.0)
+        if xp.all(step <= 1e-15 * (1.0 + lam)):
             break
-        lam += step
+        lam = lam + step
     # the coefficient of V's second column, beta_2 / root2, is delta2 r2 in both forms
-    top = math.copysign(math.sqrt(max(1.0 - t2 * t2, 0.0)), delta1) / root1 if root1 > 0.0 else 0.0
+    top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2 * t2, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
     return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2)
 
 
-def _probe_circle(cols, x):
-    """Exact maximum over phi of the probe objective at x, as (phi, value).
+def _probe_circle(xp, cols, x):
+    """Exact maximum over phi of the probe objective at x, as (phi, value); x a float, or an array of them.
 
     The objective is ``|G n + w|^2`` with n = (sin phi, cos phi), G's columns ``c0 - s_minus k1`` and
     ``c1 + s_minus k0`` and ``w = s_plus k2``. Its block goes to :func:`_trust_region_2x2` in (cos phi, sin phi) order,
     so a multiple of the identity gives phi = 0. The value is read at phi, so it is attained.
     """
     c0, c1, k0, k1, k2 = cols
-    s_minus, s_plus = math.sin(x) - math.cos(x), math.sin(x) + math.cos(x)
+    sin_x, cos_x = xp.sin(x), xp.cos(x)
+    s_minus, s_plus = sin_x - cos_x, sin_x + cos_x
     g_sin = [a - s_minus * b for a, b in zip(c0, k1)]
     g_cos = [a + s_minus * b for a, b in zip(c1, k0)]
     w = [s_plus * b for b in k2]
@@ -264,11 +278,12 @@ def _probe_circle(cols, x):
     # The block's smaller eigenvalue adds a constant on the circle. Dropped, and the rest scaled to order one, the
     # secular step neither cancels against it nor stops at its absolute tolerance (rounding-level c, near-unitary A).
     half = 0.5 * (p - r)
-    h = math.hypot(half, q)
-    scale = (h + math.hypot(d1, d2)) or 1.0
-    _, (n_cos, n_sin) = _trust_region_2x2((h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
-    phi = _azimuth(n_sin, n_cos)
-    sp, cp = math.sin(phi), math.cos(phi)
+    h = xp.hypot(half, q)
+    scale = h + xp.hypot(d1, d2)
+    scale = xp.where(scale > 0.0, scale, 1.0)
+    _, (n_cos, n_sin) = _trust_region_2x2(xp, (h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
+    phi = _azimuth(xp, n_sin, n_cos)
+    sp, cp = xp.sin(phi), xp.cos(phi)
     g = [sp * a + cp * b + c for a, b, c in zip(g_sin, g_cos, w)]
     return phi, _dot(g, g)
 
@@ -278,16 +293,16 @@ def _probe_solve(a_mat, c_vec, n: int):
 
     Returns (angles, value, evaluations, converged). The unital solve is the top eigenpair of a 2x2 block and the
     axial one a closed form, one evaluation each. Otherwise each evaluation is one :func:`_probe_circle`: n points x
-    in [0, pi/2], then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and ``F'' = f_xx - f_xphi^2 / f_phiphi``
-    (f_xx where f_phiphi >= 0) from :func:`_probe_terms`, or gradient steps where F'' >= 0. A step is clamped to
-    [0, pi/2] and halved until the value does not drop; the polish stops once x moves by at most
-    ``REFINEMENT_TOLERANCE``.
+    in [0, pi/2] in one batch, then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and
+    ``F'' = f_xx - f_xphi^2 / f_phiphi`` (f_xx where f_phiphi >= 0) from :func:`_probe_terms`, or gradient steps where
+    F'' >= 0. A step is clamped to [0, pi/2] and halved until the value does not drop; the polish stops once x moves
+    by at most ``REFINEMENT_TOLERANCE``.
     """
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:
         # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
         c0, c1 = _cofactor(a_cols)
-        mu, (v_cos, v_sin) = _trust_region_2x2(_dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
+        mu, (v_cos, v_sin) = _trust_region_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return (0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
         # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
@@ -296,10 +311,10 @@ def _probe_solve(a_mat, c_vec, n: int):
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
-    xs = np.linspace(0.0, HALF_PI, n).tolist()
-    grid = [_probe_circle(cols, x) for x in xs]
-    k = _grid_argmax(np.array([value for _, value in grid]))
-    x, (phi, value) = xs[k], grid[k]
+    xs = np.linspace(0.0, HALF_PI, n)
+    phis, values = _probe_circle(np, cols, xs)
+    k = _grid_argmax(values)
+    x, phi, value = float(xs[k]), float(phis[k]), float(values[k])
     evaluations = n
     for _ in range(REFINEMENT_ITERATIONS):
         f_x, f_xx, f_xp, f_pp = _probe_terms(cols, x, phi)
@@ -310,7 +325,7 @@ def _probe_solve(a_mat, c_vec, n: int):
             new_x = min(max(x + t * step, 0.0), HALF_PI)
             if abs(new_x - x) <= REFINEMENT_TOLERANCE:
                 return (x, phi), value, evaluations, True
-            new_phi, new_value = _probe_circle(cols, new_x)
+            new_phi, new_value = _probe_circle(_Floats, cols, new_x)
             evaluations += 1
             if new_value >= value:
                 break
@@ -330,67 +345,28 @@ def _is_axial(a_mat, c_vec) -> bool:
     return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
 
 
-def _sphere_max(a_mat, c_vec, a_vecs):
-    """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for each row a of ``a_vecs``.
+def _sphere_max(xp, rows, c, a):
+    """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for the first input a; A given by its rows.
 
     With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
     the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
-    the row-space form of :func:`_trust_region_2x2`, solved line for line on arrays. Inside, vectors are (3, m) arrays
-    with one column per first input; the maximizers come back as the rows of an (m, 3) array.
-    """
-    u = a_mat @ a_vecs.T + c_vec[:, None]
-    norm = np.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    nx, ny, nz = u / np.maximum(norm, 1e-300)  # u = 0 gives the basis (e_x, e_y)
-    sign = np.copysign(1.0, nz)
-    k = -1.0 / (sign + nz)
-    xy = nx * ny * k
-    e1, e2 = np.array([1.0 + sign * nx * nx * k, sign * xy, -sign * nx]), np.array([xy, sign + ny * ny * k, -ny])
-    q1, q2, d1, d2 = a_mat.T @ e1, a_mat.T @ e2, c_vec @ e1, c_vec @ e2
-    p, q, r = np.sum(q1 * q1, axis=0), np.sum(q1 * q2, axis=0), np.sum(q2 * q2, axis=0)
-    half = 0.5 * (p - r)
-    h = np.hypot(half, q)
-    w1, w2 = 0.5 * (p + r) + h, np.maximum(0.5 * (p + r) - h, 0.0)
-    vx, vy = np.where(half >= 0.0, np.maximum(h + half, 1e-300), q), np.where(half >= 0.0, q, h - half)
-    vn = np.hypot(vx, vy)
-    vx, vy = vx / vn, vy / vn
-    delta1, delta2 = vx * d1 + vy * d2, vx * d2 - vy * d1
-    g1, g2 = np.sqrt(w1) * np.abs(delta1), np.sqrt(w2) * delta2
-    lam = np.maximum(w1 + g1, w2 + np.abs(g2))
-    for _ in range(100):
-        r1, r2 = (lam > w1) / np.maximum(lam - w1, 1e-300), (lam > w2) / np.maximum(lam - w2, 1e-300)
-        t1, t2 = g1 * r1, g2 * r2
-        s = t1 * t1 + t2 * t2
-        step = np.where(s > 1.0, s * (np.sqrt(s) - 1.0) / np.maximum(t1 * t1 * r1 + t2 * t2 * r2, 1e-300), 0.0)
-        if (step <= 1e-15 * (1.0 + lam)).all():
-            break
-        lam = lam + step
-    top = np.copysign(np.sqrt(np.maximum(1.0 - t2 * t2, 0.0)), delta1) / np.sqrt(np.where(w1 > 0.0, w1, np.inf))
-    b = q1 * (vx * top - vy * delta2 * r2) + q2 * (vy * top + vx * delta2 * r2)
-    b_norm = np.sqrt(b[0] * b[0] + b[1] * b[1] + b[2] * b[2])
-    b = np.where(b_norm > 0.0, b / np.maximum(b_norm, 1e-300), e1)  # Q = 0: every b attains the maximum
-    v = a_mat @ b + c_vec[:, None]
-    values = (u[1] * v[2] - u[2] * v[1]) ** 2 + (u[2] * v[0] - u[0] * v[2]) ** 2 + (u[0] * v[1] - u[1] * v[0]) ** 2
-    return values, b.T
-
-
-def _sphere_max_one(rows, c, a):
-    """(value, b) of :func:`_sphere_max` for one first input a, line for line in plain floats; A given by its rows.
-
-    Every vector, b included, is a float triple; the 2x2 solve is the row-space form of :func:`_trust_region_2x2`.
+    the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
+    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
     """
     u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
-    norm = math.sqrt(_dot(u, u))
-    nx, ny, nz = (s / max(norm, 1e-300) for s in u)
-    sign = math.copysign(1.0, nz)
+    norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
+    nx, ny, nz = (s / norm for s in u)  # u = 0 gives the basis (e_x, e_y)
+    sign = xp.copysign(1.0, nz)
     k = -1.0 / (sign + nz)
     xy = nx * ny * k
     e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
     q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
     block, d = (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
-    _, (y1, y2) = _trust_region_2x2(*block, d, row_space=True)
+    _, (y1, y2) = _trust_region_2x2(xp, *block, d, row_space=True)
     b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
-    b_norm = math.sqrt(_dot(b, b))
-    b = tuple(s / b_norm for s in b) if b_norm > 0.0 else e1
+    b_norm = xp.sqrt(_dot(b, b))
+    found, b_norm = b_norm > 0.0, xp.maximum(b_norm, 1e-300)
+    b = tuple(xp.where(found, s / b_norm, e) for s, e in zip(b, e1))  # Q = 0: every b attains the maximum
     w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
     return _dot(w, w), b
 
@@ -443,18 +419,16 @@ def _pairs_solve(a_mat, c_vec, n: int):
     """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
 
     Returns (angles, value, evaluations, converged). Every grid point and
-    polish trial is one exact solve over the second input: the grid's as one
-    :func:`_sphere_max` batch, each trial's by :func:`_sphere_max_one` in
-    plain floats, with b kept as a float triple. The polish steps by
-    :func:`_ascent_step` on the gradient and Hessian of
-    :func:`_envelope_terms`, halving a step until the value does not drop.
+    polish trial is one exact :func:`_sphere_max` over the second input: the
+    grid's as one batch, each trial's on one point, with b kept as a float
+    triple. The polish steps by :func:`_ascent_step` on the gradient and
+    Hessian of :func:`_envelope_terms`, halving a step until the value does
+    not drop.
     An axially symmetric map (:func:`_is_axial`) leaves the envelope
     invariant under rotations about z, so phi_a = 0 is exact: its grid is n
     polar angles and its polish moves theta_a alone. Otherwise the grid is
     n x n and the polish steps in the tangent plane of the first input.
     """
-    # numpy's products round differently for strided operands; C order makes the result depend on values only.
-    a_mat, c_vec = np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec)
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
         _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
         return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
@@ -462,9 +436,9 @@ def _pairs_solve(a_mat, c_vec, n: int):
     rows, c = a_mat.tolist(), c_vec.tolist()
     thetas, phis = _axes(np.pi, n)
     grid_t, grid_p = np.meshgrid(thetas, phis[:1] if axial else phis, indexing="ij")
-    values, bs = _sphere_max(a_mat, c_vec, bloch_vectors(grid_t.ravel(), grid_p.ravel()))
+    values, bs = _sphere_max(np, rows, c, tuple(bloch_vectors(grid_t.ravel(), grid_p.ravel()).T))
     k = _grid_argmax(values)
-    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), tuple(bs[k].tolist())
+    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), tuple(float(s[k]) for s in bs)
     evaluations = values.size
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = _envelope_terms(rows, c, theta, phi, b)
@@ -480,7 +454,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
             else:  # the tangent step, projected back onto the sphere (the angles ignore the norm)
                 a, t_theta, t_phi = _frame(theta, phi)
                 new_theta, new_phi = _bloch_angles([s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, t_theta, t_phi)])
-            new_value, new_b = _sphere_max_one(rows, c, _frame(new_theta, new_phi)[0])
+            new_value, new_b = _sphere_max(_Floats, rows, c, _frame(new_theta, new_phi)[0])
             evaluations += 1
             if new_value >= value:
                 break

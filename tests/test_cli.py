@@ -518,15 +518,20 @@ def test_validation_weights_are_sorted():
         assert abs(sum(weights) - 1.0) < 1e-12
 
 
-def test_validation_rows_do_not_depend_on_the_grid():
+def test_validation_rows_do_not_depend_on_the_grid(tmp_path, capsys):
     # Every validate point is unital or axial, so each probe solve is exact in one evaluation.
+    outputs = []
+    for grid in ([], ["--grid", "2"]):
+        out_path = tmp_path / f"validate{len(grid)}.json"
+        code, out, _ = run_cli(capsys, "validate", *grid, "--out", str(out_path))
+        outputs.append((code, out, out_path.read_bytes()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
     report = run_validation()
-    assert run_validation(grid_points_per_angle=2).rows == report.rows
     assert report.asserted == 34 and len(report.rows) == 40
 
 
 def test_validation_report_library_entry():
-    report = run_validation(tolerance=1e-4, grid_points_per_angle=12)
+    report = run_validation(tolerance=1e-4)
     assert report.overall_pass
     asserted = [r for r in report.rows if r.passed is not None]
     assert len(asserted) == 34

@@ -248,7 +248,7 @@ def test_probe_objective_constant_for_dephasing_channels():
         vals = _direct_probe_objective(a, c, gx, gp)
         assert np.std(vals) <= 1e-10
         # the exact circle solve reads the same constant at every x
-        circle = [optimize._probe_circle(_probe_cols(a, c), x)[1] for x in xs.tolist()]
+        circle = [optimize._probe_circle(optimize._Floats, _probe_cols(a, c), x)[1] for x in xs.tolist()]
         assert np.max(np.abs(np.array(circle) - np.max(vals))) <= 1e-14
 
 
@@ -489,21 +489,33 @@ def test_unital_probe_solve_on_special_blocks():
 
 
 def test_probe_solve_avoids_small_array_numpy(monkeypatch):
-    # Construction, bloch_map and the probe solve call none of these; the probe solve runs on
-    # plain floats, the circle solves and the polish of a map that is neither unital nor axial too
-    # (its maximum is inside the x range, so the polish takes steps).
+    # The probe solve makes no numpy call per point. The unital and axial solves call none of these; a map that is
+    # neither calls the trigonometric ones only on the x grid's n-element arrays (its maximum is inside the x range,
+    # so the polish takes steps, each a plain-float circle solve).
     random_map = KrausChannel(random_kraus_ops(np.random.default_rng(0), 3), "random")
-    channels = (rtn(0.3), ad(0.25), random_map)
-    expected = [maximize_mu(ch).mu for ch in channels]
+    exact = (rtn(0.3), ad(0.25))
+    expected = [maximize_mu(ch).mu for ch in (*exact, random_map)]
     assert maximize_mu(random_map).evaluations > 24
+    sizes = []
+
+    def on_arrays(routine):
+        def checked(x, *args):
+            sizes.append(np.size(x))
+            return routine(x, *args)
+
+        return checked
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the probe solve called a small-array numpy routine")
 
-    for name in ("sin", "cos", "arctan2", "cross", "einsum"):
+    for name in ("sin", "cos", "arctan2"):
+        monkeypatch.setattr(np, name, on_arrays(getattr(np, name)))
+    for name in ("cross", "einsum"):
         monkeypatch.setattr(np, name, forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    assert [maximize_mu(ch).mu for ch in channels] == expected
+    assert [maximize_mu(ch).mu for ch in exact] == expected[:2] and sizes == []
+    assert maximize_mu(random_map).mu == expected[2]
+    assert sizes == [24] * 5  # sin and cos of the x grid, arctan2 for its phis, and their sin and cos
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
@@ -536,7 +548,7 @@ def test_probe_solve_reaches_the_x_scan_maximum():
         for n_ops in (2, 3):
             ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), n_ops), "random")
             cols = _probe_cols(*bloch_map(ch))
-            scan = max(optimize._probe_circle(cols, x)[1] for x in xs)
+            scan = max(optimize._probe_circle(optimize._Floats, cols, x)[1] for x in xs)
             res = maximize_mu(ch)
             assert res.mu >= scan - 1e-12, (seed, n_ops)
             # 36 at most on these maps; with f_xx alone as the curvature, not the envelope's F'', up to 69
@@ -565,10 +577,54 @@ def test_probe_circle_solve_against_a_dense_phi_scan():
     for a_mat, c_vec in _circle_cases():
         cols = _probe_cols(a_mat, c_vec)
         for x in [0.0, np.pi / 2, *rng.uniform(0.0, np.pi / 2, 20)]:
-            phi, value = optimize._probe_circle(cols, float(x))
+            phi, value = optimize._probe_circle(optimize._Floats, cols, float(x))
             assert 0.0 <= phi < 2 * np.pi
             assert value >= np.max(_direct_probe_objective(a_mat, c_vec, np.full_like(phis, x), phis)) - 1e-15
             assert abs(value - _direct_probe_objective(a_mat, c_vec, x, phi)) <= 1e-15
+
+
+def _trust_region_cases():
+    """Blocks [[p, q], [q, r]] >= 0 and d: random ones, then a zero block, multiples of the identity, g_1 = 0, w_2 = 0."""
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m = rng.normal(size=(2, 3))
+        block = m @ m.T
+        yield block[0, 0], block[0, 1], block[1, 1], tuple(rng.normal(size=2))
+    yield 0.0, 0.0, 0.0, (0.3, -0.2)
+    yield 0.0, 0.0, 0.0, (0.0, 0.0)
+    yield 0.7, 0.0, 0.7, (0.1, 0.4)
+    yield 0.7, 0.0, 0.7, (0.0, 0.0)
+    yield 0.9, 0.0, 0.2, (0.0, 0.5)  # d orthogonal to the top eigenvector (1, 0): the hard case g_1 = 0
+    yield 0.9, 0.0, 0.2, (0.0, 0.05)
+    yield 0.36, 0.48, 0.64, (0.3, 0.1)  # rank one: w_2 = 0
+
+
+@pytest.mark.parametrize("row_space", [False, True])
+def test_trust_region_2x2_on_floats_and_arrays_agree(row_space):
+    cases = list(_trust_region_cases())
+    p, q, r, d1, d2 = (np.array(v) for v in zip(*[(p, q, r, *d) for p, q, r, d in cases]))
+    w1, (y1, y2) = optimize._trust_region_2x2(np, p, q, r, (d1, d2), row_space)
+    top, (v1, v2) = optimize._trust_region_2x2(np, p, q, r)
+    for i, (p, q, r, d) in enumerate(cases):
+        w, y = optimize._trust_region_2x2(optimize._Floats, p, q, r, d, row_space)
+        assert abs(w - w1[i]) <= 1e-15 and max(abs(y[0] - y1[i]), abs(y[1] - y2[i])) <= 1e-15, i
+        w, v = optimize._trust_region_2x2(optimize._Floats, p, q, r)
+        assert abs(w - top[i]) <= 1e-15 and max(abs(v[0] - v1[i]), abs(v[1] - v2[i])) <= 1e-15, i
+
+
+def test_probe_circle_on_floats_and_arrays_agree():
+    # the x grids of 200 random maps, and the circle cases, near-unitary maps with rounding-level c among them
+    xs = np.linspace(0.0, np.pi / 2, 24)
+    rng = np.random.default_rng(13)
+    maps = [bloch_map(KrausChannel(random_kraus_ops(rng, 2 + i % 3), "random")) for i in range(200)]
+    for a_mat, c_vec in [*maps, *_circle_cases()]:
+        cols = _probe_cols(a_mat, c_vec)
+        phis, values = optimize._probe_circle(np, cols, xs)
+        for x, phi, value in zip(xs.tolist(), phis, values):
+            one_phi, one_value = optimize._probe_circle(optimize._Floats, cols, x)
+            assert abs(one_value - value) <= 1e-15
+            # the value is stationary in phi at the maximum, so the two roundings move phi more (1.9e-14 at most)
+            assert abs(math.remainder(one_phi - phi, 2 * np.pi)) <= 1e-13
 
 
 def test_azimuths_stay_below_two_pi():
@@ -576,7 +632,8 @@ def test_azimuths_stay_below_two_pi():
     assert optimize._bloch_angles((1.0, 1e-17, 0.0)) == (np.pi / 2, 0.0)
     zero = (0.0, 0.0, 0.0)
     # |G n + w|^2 with G's sin column (-1e-17, 0, 0), cos column e_x and w = e_x: the maximizer is at phi = -1e-17
-    assert optimize._probe_circle(((-1e-17, 0.0, 0.0), (1.0, 0.0, 0.0), zero, zero, (1.0, 0.0, 0.0)), 0.0) == (0.0, 4.0)
+    cols = ((-1e-17, 0.0, 0.0), (1.0, 0.0, 0.0), zero, zero, (1.0, 0.0, 0.0))
+    assert optimize._probe_circle(optimize._Floats, cols, 0.0) == (0.0, 4.0)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -758,6 +815,12 @@ def _dense_sphere_max(a_mat, c_vec, a_vecs, n=120):
     return np.concatenate(best)
 
 
+def _batched_route(a_mat, c_vec, a_vecs):
+    """(values, bs) of :func:`optimize._sphere_max` for the rows of ``a_vecs``, from one batch on arrays."""
+    values, bs = optimize._sphere_max(np, a_mat.tolist(), c_vec.tolist(), tuple(a_vecs.T))
+    return values, np.stack(bs, axis=1)
+
+
 def _check_attained(a_mat, c_vec, a_vecs, values, bs):
     assert np.all(np.isfinite(bs)) and np.max(np.abs(np.linalg.norm(bs, axis=1) - 1.0)) <= 1e-15
     direct = np.sum(np.cross(a_vecs @ a_mat.T + c_vec, bs @ a_mat.T + c_vec) ** 2, axis=1)
@@ -770,7 +833,7 @@ def test_sphere_max_on_the_gad_grid_against_references():
     a_mat, c_vec = bloch_map(gad(0.3, 0.2))
     grid_t, grid_p = np.meshgrid(*optimize._axes(np.pi, 24), indexing="ij")
     a_vecs = bloch_vectors(grid_t.ravel(), grid_p.ravel())
-    values, bs = optimize._sphere_max(a_mat, c_vec, a_vecs)
+    values, bs = _batched_route(a_mat, c_vec, a_vecs)
     _check_attained(a_mat, c_vec, a_vecs, values, bs)
     dense, eigh = _dense_sphere_max(a_mat, c_vec, a_vecs), _eigh_sphere_max(a_mat, c_vec, a_vecs)
     assert np.all(values >= dense - 1e-15)
@@ -784,15 +847,15 @@ def test_sphere_max_matches_eigh_route_on_random_maps(seed):
     a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, 3), "random"))
     a_vecs = sample_ball(rng, 200)
     a_vecs /= np.linalg.norm(a_vecs, axis=1, keepdims=True)
-    values, bs = optimize._sphere_max(a_mat, c_vec, a_vecs)
+    values, bs = _batched_route(a_mat, c_vec, a_vecs)
     _check_attained(a_mat, c_vec, a_vecs, values, bs)
     assert np.max(np.abs(values - _eigh_sphere_max(a_mat, c_vec, a_vecs))) <= 1e-14
     assert np.all(values >= _dense_sphere_max(a_mat, c_vec, a_vecs, 40) - 1e-15)
 
 
 def _plain_float_route(a_mat, c_vec, a_vecs):
-    """:func:`optimize._sphere_max`'s (values, bs), from one plain-float solve per first input."""
-    solved = [optimize._sphere_max_one(a_mat.tolist(), c_vec.tolist(), a) for a in a_vecs.tolist()]
+    """(values, bs) of :func:`optimize._sphere_max` for the rows of ``a_vecs``, from one plain-float solve per row."""
+    solved = [optimize._sphere_max(optimize._Floats, a_mat.tolist(), c_vec.tolist(), a) for a in a_vecs.tolist()]
     return np.array([value for value, _ in solved]), np.array([b for _, b in solved])
 
 
@@ -805,7 +868,7 @@ def test_plain_float_inner_solve_matches_the_batched_one(first_seed):
         a_vecs /= np.linalg.norm(a_vecs, axis=1, keepdims=True)
         values, bs = _plain_float_route(a_mat, c_vec, a_vecs)
         _check_attained(a_mat, c_vec, a_vecs, values, bs)
-        assert np.max(np.abs(values - optimize._sphere_max(a_mat, c_vec, a_vecs)[0])) <= 1e-15
+        assert np.max(np.abs(values - _batched_route(a_mat, c_vec, a_vecs)[0])) <= 1e-15
 
 
 def test_sphere_max_on_degenerate_maps():
@@ -816,7 +879,7 @@ def test_sphere_max_on_degenerate_maps():
     x, y = rng.normal(size=(2, 3))
     x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
     orthogonal = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-    for route in (optimize._sphere_max, _plain_float_route):
+    for route in (_batched_route, _plain_float_route):
         # A = 0 (ad(1)): every output is the pole, f = 0
         a_mat, c_vec = bloch_map(ad(1.0))
         values, bs = route(a_mat, c_vec, a_vecs)
@@ -847,19 +910,39 @@ def test_sphere_max_on_degenerate_maps():
         assert values[0] == 0.0
 
 
+def _record_calls(monkeypatch, name):
+    """Record each call of the shared solve ``optimize.<name>``: its batch size, or None for one plain-float point."""
+    solve, sizes = getattr(optimize, name), []
+
+    def recording(xp, *args):
+        sizes.append(None if xp is optimize._Floats else np.shape(args[-1])[-1])
+        return solve(xp, *args)
+
+    monkeypatch.setattr(optimize, name, recording)
+    return sizes
+
+
 def test_all_pairs_solve_batches_only_the_grid(monkeypatch):
     # The grid is one batched _sphere_max call; every polish trial, axial or tangent-plane, is a plain-float solve.
-    batched, sizes = optimize._sphere_max, []
-
-    def counting(a_mat, c_vec, a_vecs):
-        sizes.append(len(a_vecs))
-        return batched(a_mat, c_vec, a_vecs)
-
-    monkeypatch.setattr(optimize, "_sphere_max", counting)
+    sizes = _record_calls(monkeypatch, "_sphere_max")
     cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
     for ch, grid in [(gad(0.3, 0.2), 24), (KrausChannel(random_kraus_ops(np.random.default_rng(4), 3), "random"), 576)]:
         sizes.clear()
-        assert maximize_mu(ch, cfg).evaluations > grid and sizes == [grid]
+        evaluations = maximize_mu(ch, cfg).evaluations
+        assert evaluations > grid and sizes == [grid] + [None] * (evaluations - grid)
+
+
+def test_probe_solve_batches_only_the_grid(monkeypatch):
+    # The x grid is one batched _probe_circle call; every polish trial is a plain-float solve.
+    sizes = _record_calls(monkeypatch, "_probe_circle")
+    random_map = KrausChannel(random_kraus_ops(np.random.default_rng(0), 3), "random")
+    for n in (24, 7):
+        sizes.clear()
+        evaluations = maximize_mu(random_map, OptimizerConfig(grid_points_per_angle=n)).evaluations
+        assert evaluations > n and sizes == [n] + [None] * (evaluations - n)
+    # the unital and axial solves take no circle solve
+    sizes.clear()
+    assert maximize_mu(rtn(0.3)).evaluations == maximize_mu(ad(0.25)).evaluations == 1 and sizes == []
 
 
 def test_all_pairs_solve_avoids_eigh(monkeypatch):
@@ -878,7 +961,7 @@ def _envelope(a_mat, c_vec, theta, phi, direction, h):
     """F at the point h along the great circle from (theta, phi) in the tangent direction (s_theta, s_phi)."""
     a, t_theta, t_phi = (np.array(v) for v in optimize._frame(theta, phi))
     t = direction[0] * t_theta + direction[1] * t_phi
-    return optimize._sphere_max(a_mat, c_vec, (np.cos(h) * a + np.sin(h) * t)[None])[0][0]
+    return _batched_route(a_mat, c_vec, (np.cos(h) * a + np.sin(h) * t)[None])[0][0]
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -886,7 +969,7 @@ def test_envelope_terms_match_differences(seed):
     rng = np.random.default_rng(seed)
     a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, 3), "random"))
     for theta, phi in rng.uniform((0.3, 0.0), (2.8, 2 * np.pi), size=(3, 2)):
-        b = optimize._sphere_max(a_mat, c_vec, bloch_vectors(theta, phi)[None])[1][0]
+        b = _batched_route(a_mat, c_vec, bloch_vectors(theta, phi)[None])[1][0]
         grad, (h_00, h_01, h_11) = optimize._envelope_terms(a_mat.tolist(), c_vec.tolist(), theta, phi, b.tolist())
         hess = np.array([[h_00, h_01], [h_01, h_11]])
         h = 1e-4
@@ -902,7 +985,7 @@ def test_all_pairs_polish_on_near_identity_maps(gamma):
     ch = ad(gamma)
     a_mat, c_vec = bloch_map(ch)
     theta = np.linspace(0.0, np.pi, 20001)
-    scan = optimize._sphere_max(a_mat, c_vec, bloch_vectors(theta, np.zeros_like(theta)))[0]
+    scan = _batched_route(a_mat, c_vec, bloch_vectors(theta, np.zeros_like(theta)))[0]
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.converged and res.mu >= np.max(scan) - 1e-15
 
@@ -923,6 +1006,18 @@ def test_brute_force_grid_is_bounded():
     for n in (1, cap + 1):
         with pytest.raises(ValueError, match=rf"^n must be between 2 and {cap}, got {n}$"):
             brute_force_mu(ad(0.25), n)
+
+
+def test_grid_sizes_must_be_integers():
+    # a float size used to pass the range check, then fail with a TypeError in np.linspace
+    for n in (24.5, 8.0):
+        with pytest.raises(ValueError, match=rf"^grid_points_per_angle must be an integer, got {n}$"):
+            OptimizerConfig(grid_points_per_angle=n)
+        with pytest.raises(ValueError, match=rf"^n must be an integer, got {n}$"):
+            brute_force_mu(gad(0.3, 0.6), n)
+    cfg = OptimizerConfig(grid_points_per_angle=np.int64(8))
+    assert maximize_mu(gad(0.3, 0.6), cfg) == maximize_mu(gad(0.3, 0.6), OptimizerConfig(grid_points_per_angle=8))
+    assert brute_force_mu(gad(0.3, 0.6), np.int64(8)) == brute_force_mu(gad(0.3, 0.6), 8)
 
 
 def test_probe_domain_reports_the_states_probe_pair():

@@ -1,7 +1,7 @@
-"""Kraus-operator channels with CPTP validation, plus pluggable memory kernels.
+"""Qubit Kraus-operator channels with CPTP validation, plus pluggable memory kernels.
 
-Each constructor returns a :class:`KrausChannel` whose operators satisfy the
-completeness relation sum_i K_i^dag K_i = I within 1e-10. The built-in
+Each constructor returns a :class:`KrausChannel` whose 2x2 operators satisfy
+the completeness relation sum_i K_i^dag K_i = I within 1e-10. The built-in
 channels:
 
     rtn    random telegraph noise dephasing, kernel value Lambda
@@ -47,34 +47,28 @@ _PAULI_PICK = 2 * np.nonzero(_PAULI_TENSOR)[1].reshape(16, 4) + (_COEF.real == 0
 _PAULI_SIGN = _COEF.real - _COEF.imag
 
 
-def _transfer_matrices(stacks: np.ndarray) -> Optional[np.ndarray]:
-    """The CPTP check of P Kraus sets stacked as (P, k, d, d); for qubits, their read-only (P, 4, 4) transfer matrices.
+def _transfer_matrices(stacks: np.ndarray) -> np.ndarray:
+    """The CPTP check of P qubit Kraus sets stacked as (P, k, 2, 2), and their read-only (P, 4, 4) transfer matrices.
 
     T[i, j] = Tr(s_i Phi(s_j))/2 over s = (I, X, Y, Z) comes from the Choi matrix C[(ab), (cd)] = sum_k K_ab
     conj(K_cd) by elementwise products and fixed-order sums, (t0 + t2) + (t1 + t3) over a row's four terms: a
     channel's bits do not depend on P, and terms that cancel in pairs (as in rtn(0)) give exact zeros. T's first
-    row is sum K^dag K in the Pauli basis, so it is the completeness check; other dimensions check sum K^dag K
-    directly and return None. Raises for the first failing channel.
+    row is sum K^dag K in the Pauli basis, so it is the completeness check. Raises for the first failing channel.
     """
-    n, k, dim = stacks.shape[:3]
+    n, k = stacks.shape[:2]
     peak = np.abs(stacks).max(axis=(1, 2, 3))
     bounded = peak <= 1.0 + COMPLETENESS_TOL  # |K_ab|^2 <= (sum K^dag K)_bb; so no contraction below overflows
     safe = stacks if bounded.all() else np.where(bounded[:, None, None, None], stacks, 0.0)
-    if dim == 2:
-        flat = safe.reshape(n, k, 4)
-        prod = flat[:, :, :, None] * flat.conj()[:, :, None, :]
-        choi = prod[:, 0]
-        for j in range(1, k):
-            choi = choi + prod[:, j]
-        terms = choi.reshape(n, 16).view(float)[:, _PAULI_PICK] * _PAULI_SIGN
-        pairs = terms[..., :2] + terms[..., 2:]
-        t = (0.5 * (pairs[..., 0] + pairs[..., 1])).reshape(n, 4, 4)
-        # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
-        dev = np.maximum(np.abs(t[:, 0, 0] - 1.0) + np.abs(t[:, 0, 3]), np.hypot(t[:, 0, 1], t[:, 0, 2]))
-    else:
-        # sum_i K_i^dag K_i = V^dag V with V the rows of every K_i stacked
-        rows = safe.reshape(n, k * dim, dim)
-        t, dev = None, np.abs(rows.conj().transpose(0, 2, 1) @ rows - np.eye(dim)).max(axis=(1, 2))
+    flat = safe.reshape(n, k, 4)
+    prod = flat[:, :, :, None] * flat.conj()[:, :, None, :]
+    choi = prod[:, 0]
+    for j in range(1, k):
+        choi = choi + prod[:, j]
+    terms = choi.reshape(n, 16).view(float)[:, _PAULI_PICK] * _PAULI_SIGN
+    pairs = terms[..., :2] + terms[..., 2:]
+    t = (0.5 * (pairs[..., 0] + pairs[..., 1])).reshape(n, 4, 4)
+    # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
+    dev = np.maximum(np.abs(t[:, 0, 0] - 1.0) + np.abs(t[:, 0, 3]), np.hypot(t[:, 0, 1], t[:, 0, 2]))
     passed = bounded & (dev <= COMPLETENESS_TOL)
     if not passed.all():
         i = int(np.argmin(passed))
@@ -83,8 +77,7 @@ def _transfer_matrices(stacks: np.ndarray) -> Optional[np.ndarray]:
         if not np.isfinite(stacks[i]).all():
             raise ValueError("matrix entries must be finite")
         raise ValueError(f"completeness violated: a Kraus entry has modulus {peak[i]:.3e}, above 1")
-    if t is not None:
-        t.setflags(write=False)
+    t.setflags(write=False)
     return t
 
 
@@ -93,20 +86,19 @@ def _adopt(channels: list, label: str, stacks: np.ndarray, params: list) -> list
     t = _transfer_matrices(stacks)
     stacks.setflags(write=False)
     k, ops = stacks.shape[1], list(stacks.reshape(-1, *stacks.shape[2:]))  # one view per operator
-    blochs = [None] * len(channels) if t is None else zip(t[:, 1:, 1:], t[:, 1:, 0])
-    for i, (ch, p, bloch) in enumerate(zip(channels, params, blochs)):
+    for i, (ch, p, bloch) in enumerate(zip(channels, params, zip(t[:, 1:, 1:], t[:, 1:, 0]))):
         vars(ch).update(label=label, ops=tuple(ops[i * k : (i + 1) * k]), params=p, _bloch=bloch)  # frozen: no setattr
     return channels
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A channel rho -> sum_i K_i rho K_i^dag with validated completeness.
+    """A qubit channel rho -> sum_i K_i rho K_i^dag with validated completeness.
 
-    ``ops`` are read-only complex128 views of one stacked copy of the given
-    operators, so later changes to the caller's arrays do not reach the
-    channel. A qubit channel builds its Pauli transfer matrix
-    T[i, j] = Tr(s_i Phi(s_j))/2 once, here, as the one-channel case of
+    Every operator must be 2x2. ``ops`` are read-only complex128 views of one
+    stacked copy of the given operators, so later changes to the caller's
+    arrays do not reach the channel. The channel builds its Pauli transfer
+    matrix T[i, j] = Tr(s_i Phi(s_j))/2 once, here, as the one-channel case of
     :func:`make_channels`' check and contraction: the first row of T is the
     completeness check, and the rest is the :func:`bloch_map`. ``params``
     records the constructor arguments under their stable names (gamma,
@@ -117,14 +109,14 @@ class KrausChannel:
     ops: tuple
     label: str
     params: Mapping[str, float] = field(default_factory=dict)
-    _bloch: Optional[tuple] = field(init=False, repr=False, default=None)
+    _bloch: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mats = [as_matrix(k) for k in self.ops]
         if not mats:
             raise ValueError("channel needs at least one Kraus operator")
-        if any(m.shape != mats[0].shape for m in mats):
-            raise ValueError("all Kraus operators must share one dimension")
+        if any(m.shape != (2, 2) for m in mats):
+            raise ValueError("Kraus operators must be 2x2: a channel acts on one qubit")
         _adopt([self], self.label, np.array(mats)[None], [dict(self.params)])
 
     @property
@@ -149,8 +141,6 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     the channel builds its transfer matrix at construction, and ``A`` and
     ``c`` are read-only views of it, the same objects on every call.
     """
-    if ch.dim != 2:
-        raise ValueError("Bloch representation is qubit-only")
     return ch._bloch
 
 

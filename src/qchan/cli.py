@@ -177,10 +177,10 @@ def run_validation(tolerance: float = 1e-4) -> ValidationReport:
     """
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
-    cfg, rows = OptimizerConfig(), []
+    rows = []
     for label, points in VALIDATION_POINTS:
         for params, channel in zip(points, make_channels(label, points)):
-            result = maximize_mu(channel, cfg)
+            result = maximize_mu(channel)
             passed = None if result.closed_form is None else result.abs_error <= tolerance
             rows.append(ValidationRow(label, dict(params), result.mu, result.closed_form, result.abs_error, passed))
     return ValidationReport(rows=tuple(rows), tolerance=tolerance)

@@ -20,11 +20,12 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     so this domain also dominates every mixed input pair. The closed forms do
     not apply here, so its results carry no closed-form fields.
 
-Each domain has one ``solve`` on the channel's affine Bloch map
-``r -> A r + c``; :func:`maximize_mu` is ``bloch_map``, that solve, then, in
-the probe domain, the closed-form fields. Grid values within ``TIE_TOL`` of
-the grid maximum tie, and ties go to the lexicographically smallest angle
-tuple, outer axes first. Both polishes never lower the value and stop after
+A domain's entry is its solve on the channel's affine Bloch map
+``r -> A r + c``, which returns the reported :class:`StatePairParams`;
+:func:`maximize_mu` is ``bloch_map``, that solve, then, in the probe domain,
+the closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum
+tie, and ties go to the lexicographically smallest angle tuple, outer axes
+first. Both polishes never lower the value and stop after
 ``REFINEMENT_ITERATIONS`` iterations or at ``REFINEMENT_TOLERANCE``; the
 all-pairs polish also stops once a step's first-order gain is below one ulp
 of the value. Both solves are deterministic.
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -97,10 +98,10 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _domain(name: str) -> Domain:
+def _domain(name: str) -> str:
     if name not in DOMAINS:
         raise ValueError(f"domain must be one of {tuple(DOMAINS)}, got {name!r}")
-    return DOMAINS[name]
+    return name
 
 
 def check_grid(n: int, source: str) -> int:
@@ -291,9 +292,9 @@ def _probe_circle(xp, cols, x):
 def _probe_solve(a_mat, c_vec, n: int):
     """Exact solve for a unital or axially symmetric channel, else an x grid and a Newton polish of the envelope.
 
-    Returns (angles, value, evaluations, converged). The unital solve is the top eigenpair of a 2x2 block and the
-    axial one a closed form, one evaluation each. Otherwise each evaluation is one :func:`_probe_circle`: n points x
-    in [0, pi/2] in one batch, then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and
+    Returns (probe_params(x, phi), value, evaluations, converged). The unital solve is the top eigenpair of a 2x2 block
+    and the axial one a closed form, one evaluation each. Otherwise each evaluation is one :func:`_probe_circle`: n
+    points x in [0, pi/2] in one batch, then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and
     ``F'' = f_xx - f_xphi^2 / f_phiphi`` (f_xx where f_phiphi >= 0) from :func:`_probe_terms`, or gradient steps where
     F'' >= 0. A step is clamped to [0, pi/2] and halved until the value does not drop; the polish stops once x moves
     by at most ``REFINEMENT_TOLERANCE``.
@@ -303,13 +304,13 @@ def _probe_solve(a_mat, c_vec, n: int):
         # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
         c0, c1 = _cofactor(a_cols)
         mu, (v_cos, v_sin) = _trust_region_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
-        return (0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
+        return probe_params(0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
         # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
         # mu = (p^2 + q^2)(|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
         (p, q, _), _, (_, _, t) = a_cols
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
-        return (x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
+        return probe_params(x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
     xs = np.linspace(0.0, HALF_PI, n)
     phis, values = _probe_circle(np, cols, xs)
@@ -324,14 +325,14 @@ def _probe_solve(a_mat, c_vec, n: int):
         while True:
             new_x = min(max(x + t * step, 0.0), HALF_PI)
             if abs(new_x - x) <= REFINEMENT_TOLERANCE:
-                return (x, phi), value, evaluations, True
+                return probe_params(x, phi), value, evaluations, True
             new_phi, new_value = _probe_circle(_Floats, cols, new_x)
             evaluations += 1
             if new_value >= value:
                 break
             t *= 0.5
         x, phi, value = new_x, new_phi, new_value
-    return (x, phi), value, evaluations, False
+    return probe_params(x, phi), value, evaluations, False
 
 
 def _is_axial(a_mat, c_vec) -> bool:
@@ -418,12 +419,12 @@ def _envelope_terms(rows, c, theta, phi, b):
 def _pairs_solve(a_mat, c_vec, n: int):
     """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
 
-    Returns (angles, value, evaluations, converged). Every grid point and
-    polish trial is one exact :func:`_sphere_max` over the second input: the
-    grid's as one batch, each trial's on one point, with b kept as a float
-    triple. The polish steps by :func:`_ascent_step` on the gradient and
-    Hessian of :func:`_envelope_terms`, halving a step until the value does
-    not drop.
+    Returns (StatePairParams, value, evaluations, converged). Every grid
+    point and polish trial is one exact :func:`_sphere_max` over the second
+    input: the grid's as one batch, each trial's on one point, with b kept as
+    a float triple. The polish steps by :func:`_ascent_step` on the gradient
+    and Hessian of :func:`_envelope_terms`, halving a step until the value
+    does not drop.
     An axially symmetric map (:func:`_is_axial`) leaves the envelope
     invariant under rotations about z, so phi_a = 0 is exact: its grid is n
     polar angles and its polish moves theta_a alone. Otherwise the grid is
@@ -431,7 +432,8 @@ def _pairs_solve(a_mat, c_vec, n: int):
     """
     if np.linalg.norm(c_vec) <= UNITAL_TOL:
         _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
-        return (*_bloch_angles(vt[0]), *_bloch_angles(vt[1])), float((sing[0] * sing[1]) ** 2), 1, True
+        pair = StatePairParams(*_bloch_angles(vt[0]), *_bloch_angles(vt[1]))
+        return pair, float((sing[0] * sing[1]) ** 2), 1, True
     axial = _is_axial(a_mat, c_vec)
     rows, c = a_mat.tolist(), c_vec.tolist()
     thetas, phis = _axes(np.pi, n)
@@ -448,7 +450,7 @@ def _pairs_solve(a_mat, c_vec, n: int):
         while True:
             # a step below the tolerance, or with a first-order gain below one ulp, which no trial value can show
             if t * max(map(abs, step)) <= REFINEMENT_TOLERANCE or t * gain <= math.ulp(value):
-                return (theta, phi, *_bloch_angles(b)), value, evaluations, True
+                return StatePairParams(theta, phi, *_bloch_angles(b)), value, evaluations, True
             if axial:  # theta_a folded back into [0, pi]: the envelope is even in theta_a
                 new_theta, new_phi = abs(math.remainder(theta + t * step[0], TWO_PI)), phi
             else:  # the tangent step, projected back onto the sphere (the angles ignore the norm)
@@ -460,33 +462,12 @@ def _pairs_solve(a_mat, c_vec, n: int):
                 break
             t *= 0.5
         theta, phi, value, b = new_theta, new_phi, new_value, new_b
-    return (theta, phi, *_bloch_angles(b)), value, evaluations, False
+    return StatePairParams(theta, phi, *_bloch_angles(b)), value, evaluations, False
 
 
-@dataclass(frozen=True)
-class Domain:
-    """One optimization domain; its angles alternate polar and azimuthal.
-
-    Polar angles lie in [0, polar_max] and azimuths in [0, 2 pi). ``solve``
-    takes the Bloch map ``(A, c)`` and the grid points per angle and returns
-    (angles, value, evaluations, converged); ``pair`` turns those angles into
-    the reported :class:`StatePairParams`.
-    """
-
-    polar_max: float
-    solve: Callable
-    pair: Callable[..., StatePairParams]
-
-
-DOMAINS = {
-    DOMAIN_PROBE: Domain(HALF_PI, _probe_solve, probe_params),
-    DOMAIN_ALL_PAIRS: Domain(np.pi, _pairs_solve, StatePairParams),
-}
-
-
-def _require_qubit(ch: KrausChannel):
-    if ch.dim != 2:
-        raise ValueError(f"unsupported dimension {ch.dim}: optimizer is qubit-only")
+# Each domain's solve: (A, c) and the grid points per angle in, (StatePairParams, value, evaluations, converged) out.
+DOMAINS = {DOMAIN_PROBE: _probe_solve, DOMAIN_ALL_PAIRS: _pairs_solve}
+DEFAULT_CONFIG = OptimizerConfig()
 
 
 def _closed_form_fields(ch: KrausChannel, mu: float):
@@ -505,13 +486,11 @@ def maximize_mu(ch: KrausChannel, config: Optional[OptimizerConfig] = None) -> Q
     lexicographically smallest angle tuple. The result is deterministic for a
     fixed configuration.
     """
-    cfg = config or OptimizerConfig()
-    _require_qubit(ch)
-    domain = DOMAINS[cfg.domain]
-    angles, mu, evaluations, converged = domain.solve(*bloch_map(ch), cfg.grid_points_per_angle)
+    cfg = config or DEFAULT_CONFIG
+    pair, mu, evaluations, converged = DOMAINS[cfg.domain](*bloch_map(ch), cfg.grid_points_per_angle)
     mu = min(mu, 1.0)  # |a' x b'|^2 <= 1; bloch_map rounding can land just above
     cf, err = _closed_form_fields(ch, mu) if cfg.domain == DOMAIN_PROBE else (None, None)  # probe-domain maxima
-    return QuantumnessResult(mu, domain.pair(*angles), cf, err, evaluations, converged)
+    return QuantumnessResult(mu, pair, cf, err, evaluations, converged)
 
 
 def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> float:
@@ -530,8 +509,7 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     symmetric in (rho, sigma) each block meets only the states from its own
     first row on. The bound is nondecreasing under nested grid refinement.
     """
-    _require_qubit(ch)
-    polars, phis = _axes(_domain(domain).polar_max, check_grid(n, "n"))
+    polars, phis = _axes(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"))
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)

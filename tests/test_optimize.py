@@ -148,7 +148,7 @@ def _complex_row_oracle(ch, n, domain):
     ``L(rho) . R(sigma)`` is the bracket ``Tr[rho^2 sigma^2] - Tr[(rho sigma)^2]``, summed over
     every index of both traces instead of through a basis of Hermitian matrices.
     """
-    polars, phis = optimize._axes(optimize._domain(domain).polar_max, n)
+    polars, phis = optimize._axes(np.pi / 2 if domain == DOMAIN_PROBE else np.pi, n)
     grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
@@ -302,14 +302,6 @@ def test_all_pairs_dominates_mixed_input_pairs():
         a_mat, c_vec = bloch_map(ch)
         mixed = np.max(np.sum(np.cross(a @ a_mat.T + c_vec, b @ a_mat.T + c_vec) ** 2, axis=-1))
         assert mixed <= maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS)).mu + 1e-9
-
-
-def test_optimizer_rejects_non_qubit_channels():
-    ch3 = KrausChannel((np.eye(3),), "identity3")
-    with pytest.raises(ValueError, match="unsupported dimension"):
-        maximize_mu(ch3)
-    with pytest.raises(ValueError, match="unsupported dimension"):
-        brute_force_mu(ch3, 8)
 
 
 def test_config_validation():
@@ -482,7 +474,7 @@ def test_unital_probe_solve_on_special_blocks():
     cof = np.array(optimize._cofactor(a_mat.T.tolist())).T
     block = cof.T @ cof
     assert block[0, 0] > block[1, 1] and 1e-21 < abs(block[0, 1]) < 1e-19
-    (x, phi), value, evaluations, converged = optimize._probe_solve(a_mat, np.zeros(3), 24)
+    (x, phi, _, _), value, evaluations, converged = optimize._probe_solve(a_mat, np.zeros(3), 24)
     mu, phi_eigh = _eigh_probe_solve(a_mat)
     assert abs(value - mu) <= 1e-15 and abs(np.sin(phi - phi_eigh)) <= 1e-12
     assert abs(phi - np.pi / 2) <= 1e-12 and (x, evaluations, converged) == (0.0, 1, True)
@@ -1021,11 +1013,27 @@ def test_grid_sizes_must_be_integers():
 
 
 def test_probe_domain_reports_the_states_probe_pair():
-    from qchan.states import probe_params
+    # Every branch of the probe solve (unital, axial, grid and polish) reports y = x + pi/2 and xi = phi.
+    chs = [gad(0.3, 0.6), rtn(0.3), IDENTITY] + [
+        KrausChannel(random_kraus_ops(np.random.default_rng(seed), 1 + seed % 4), "random") for seed in range(40)
+    ]
+    for ch in chs:
+        x, phi, y, xi = maximize_mu(ch).argmax_params
+        assert y == x + np.pi / 2 and xi == phi, ch.label
 
-    assert optimize.DOMAINS[DOMAIN_PROBE].pair is probe_params
-    res = maximize_mu(gad(0.3, 0.6))
-    assert res.argmax_params == probe_params(res.argmax_params.x, res.argmax_params.phi)
+
+def test_all_pairs_argmax_is_a_fixed_point_of_the_inner_solve():
+    # The objective is symmetric in (a, b), so neither returned input can be improved by solving exactly for the
+    # other. The inner value is clipped at 1 as mu is; it rounds above 1 on unitary (one-operator) maps.
+    cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
+    for seed in range(240):
+        ch = KrausChannel(random_kraus_ops(np.random.default_rng(seed), 1 + seed % 4), "random")
+        res = maximize_mu(ch, cfg)
+        rows, c = (v.tolist() for v in bloch_map(ch))
+        theta_a, phi_a, theta_b, phi_b = res.argmax_params
+        for theta, phi in ((theta_a, phi_a), (theta_b, phi_b)):
+            value, _ = optimize._sphere_max(optimize._Floats, rows, c, optimize._frame(theta, phi)[0])
+            assert min(value, 1.0) <= res.mu + 2e-15, seed
 
 
 def test_frame_matches_bloch_vectors():

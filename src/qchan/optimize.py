@@ -46,13 +46,24 @@ channels, and axially symmetric ones in the probe domain, have closed forms.
 Each exact solve (:func:`_trust_region_2x2`, :func:`_sphere_max`,
 :func:`_probe_circle`) is one routine, run on a grid batch of numpy arrays
 (``xp = numpy``) or on one polish trial's floats (``xp =`` :class:`_Floats`).
+
+Every grid of input states comes from one table, :func:`_grid`: the probe x
+grid, the all-pairs grid over the first input, and the oracle's input states.
+An entry holds each grid point's polar angle, azimuth and three Bloch
+components as read-only float64 arrays. It is keyed by the polar range, n and
+the number of azimuths, so the axial grid (one azimuth) and the full one are
+separate entries. The table fills on first use, not at import, and keeps the
+``GRID_CACHE_SIZE`` (4) most recently used entries. One entry holds 40 bytes
+per point: about 23 KB for an n = 24 all-pairs grid, about 42 MB at n = 1024,
+so the table retains at most about 168 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,6 +87,9 @@ TIE_TOL = 1e-14
 # Grid points per angle: the default, and the largest (all-pairs solves its n * n first inputs in one batch).
 DEFAULT_GRID = 24
 MAX_GRID_POINTS = 1024
+
+# Entries of the grid table (:func:`_grid`); one all-pairs entry at MAX_GRID_POINTS holds about 42 MB.
+GRID_CACHE_SIZE = 4
 
 # Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
 ORACLE_BLOCK = 128
@@ -165,9 +179,23 @@ def _bloch_angles(v):
     return math.atan2(math.hypot(v[0], v[1]), v[2]), _azimuth(_Floats, -v[1], v[0])
 
 
-def _axes(polar_max: float, n: int):
-    """Grid axes of a domain: n polar angles in [0, polar_max], n azimuths in [0, 2 pi)."""
-    return np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
+class _Grid(NamedTuple):
+    """A grid of input states, polar angle major: the angles and the Bloch components of each point, read-only."""
+
+    theta: np.ndarray
+    phi: np.ndarray
+    bloch: np.ndarray  # (3, points)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid(polar_max: float, n: int, azimuths: int) -> _Grid:
+    """The grid table's entry (module docstring): n polar angles in [0, polar_max] by ``azimuths`` in [0, 2 pi)."""
+    thetas, phis = np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, azimuths, endpoint=False)
+    theta, phi = (axis.ravel() for axis in np.meshgrid(thetas, phis, indexing="ij"))
+    grid = _Grid(theta, phi, np.ascontiguousarray(bloch_vectors(theta, phi).T))
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 def _grid_argmax(values) -> int:
@@ -252,13 +280,14 @@ def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
     for _ in range(100):
         r1, r2 = (lam > w1) / xp.maximum(lam - w1, 1e-300), (lam > w2) / xp.maximum(lam - w2, 1e-300)
         t1, t2 = g1 * r1, g2 * r2
-        s = t1 * t1 + t2 * t2
-        step = xp.where(s > 1.0, s * (xp.sqrt(s) - 1.0) / xp.maximum(t1 * t1 * r1 + t2 * t2 * r2, 1e-300), 0.0)
+        t1_sq, t2_sq = t1 * t1, t2 * t2
+        s = t1_sq + t2_sq
+        step = xp.where(s > 1.0, s * (xp.sqrt(s) - 1.0) / xp.maximum(t1_sq * r1 + t2_sq * r2, 1e-300), 0.0)
         if xp.all(step <= 1e-15 * (1.0 + lam)):
             break
         lam = lam + step
     # the coefficient of V's second column, beta_2 / root2, is delta2 r2 in both forms
-    top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2 * t2, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
+    top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2_sq, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
     return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2)
 
 
@@ -312,7 +341,7 @@ def _probe_solve(a_mat, c_vec, n: int):
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return probe_params(x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
-    xs = np.linspace(0.0, HALF_PI, n)
+    xs = _grid(HALF_PI, n, 1).theta
     phis, values = _probe_circle(np, cols, xs)
     k = _grid_argmax(values)
     x, phi, value = float(xs[k]), float(phis[k]), float(values[k])
@@ -352,28 +381,45 @@ def _sphere_max(xp, rows, c, a):
     With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
     the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
     the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
-    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
+    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy),
+    and then each of the three linear maps (A a + c, the two rows of Q, A b + c) is one matmul (:func:`_products`).
     """
-    u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
+    (u,) = _products(xp, rows, [a], c)
     norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
     nx, ny, nz = (s / norm for s in u)  # u = 0 gives the basis (e_x, e_y)
     sign = xp.copysign(1.0, nz)
     k = -1.0 / (sign + nz)
     xy = nx * ny * k
     e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
-    q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
+    q1, q2 = _products(xp, tuple(zip(*rows)), [e1, e2])
     block, d = (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
     _, (y1, y2) = _trust_region_2x2(xp, *block, d, row_space=True)
     b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
     b_norm = xp.sqrt(_dot(b, b))
     found, b_norm = b_norm > 0.0, xp.maximum(b_norm, 1e-300)
     b = tuple(xp.where(found, s / b_norm, e) for s, e in zip(b, e1))  # Q = 0: every b attains the maximum
-    w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
+    w = _cross(u, _products(xp, rows, [b], c)[0])
     return _dot(w, w), b
 
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _products(xp, rows, vectors, shift=None):
+    """``[M v + shift for v in vectors]`` as triples, for M the 3x3 matrix with these rows and shift a triple or None.
+
+    On floats (``xp`` = :class:`_Floats`) each is three dot products. On a batch (triples of arrays) all of them are
+    one matmul over contiguous copies, so the rounding depends on the values alone, not on the operands' layout.
+    """
+    if xp is _Floats and shift is None:
+        return [tuple(_dot(row, v) for row in rows) for v in vectors]
+    if xp is _Floats:
+        return [tuple(_dot(row, v) + s for row, s in zip(rows, shift)) for v in vectors]
+    out = np.array(rows) @ np.array(vectors)
+    if shift is not None:
+        out += np.array(shift)[:, None]
+    return [tuple(w) for w in out]
 
 
 def _frame(theta, phi):
@@ -436,11 +482,10 @@ def _pairs_solve(a_mat, c_vec, n: int):
         return pair, float((sing[0] * sing[1]) ** 2), 1, True
     axial = _is_axial(a_mat, c_vec)
     rows, c = a_mat.tolist(), c_vec.tolist()
-    thetas, phis = _axes(np.pi, n)
-    grid_t, grid_p = np.meshgrid(thetas, phis[:1] if axial else phis, indexing="ij")
-    values, bs = _sphere_max(np, rows, c, tuple(bloch_vectors(grid_t.ravel(), grid_p.ravel()).T))
+    grid = _grid(np.pi, n, 1 if axial else n)
+    values, bs = _sphere_max(np, rows, c, grid.bloch)
     k = _grid_argmax(values)
-    theta, phi, value, b = float(grid_t.flat[k]), float(grid_p.flat[k]), float(values[k]), tuple(float(s[k]) for s in bs)
+    theta, phi, value, b = float(grid.theta[k]), float(grid.phi[k]), float(values[k]), tuple(float(s[k]) for s in bs)
     evaluations = values.size
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = _envelope_terms(rows, c, theta, phi, b)
@@ -509,8 +554,7 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     symmetric in (rho, sigma) each block meets only the states from its own
     first row on. The bound is nondecreasing under nested grid refinement.
     """
-    polars, phis = _axes(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"))
-    grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
+    grid = _grid(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"), n)
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
     # h_p = Tr[E_p rho] = vec(rho) . vec(conj(E_p)) for the Hermitian E_p; 0.5 is the input states' factor.
@@ -522,9 +566,9 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
         h = (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1) @ to_coords).real
         return (h[:, :, None] * h[:, None, :]).reshape(-1, 16)
 
-    pairs = probe_params(grid_x.ravel(), grid_p.ravel())
-    q = rows(bloch_vectors(pairs.x, pairs.phi))
+    q = rows(grid.bloch.T)
     if domain == DOMAIN_PROBE:
+        pairs = probe_params(grid.theta, grid.phi)
         partners = rows(bloch_vectors(pairs.y, pairs.xi))
         return 4.0 * float(np.max(np.einsum("ni,ni->n", q, partners @ TRACE_FORM.T)))
 

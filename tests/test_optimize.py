@@ -148,8 +148,7 @@ def _complex_row_oracle(ch, n, domain):
     ``L(rho) . R(sigma)`` is the bracket ``Tr[rho^2 sigma^2] - Tr[(rho sigma)^2]``, summed over
     every index of both traces instead of through a basis of Hermitian matrices.
     """
-    polars, phis = optimize._axes(np.pi / 2 if domain == DOMAIN_PROBE else np.pi, n)
-    grid_x, grid_p = np.meshgrid(polars, phis, indexing="ij")
+    grid = optimize._grid(np.pi / 2 if domain == DOMAIN_PROBE else np.pi, n, n)
     kraus = np.stack(ch.ops)
     superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
 
@@ -169,9 +168,9 @@ def _complex_row_oracle(ch, n, domain):
         row = np.concatenate([sq.reshape(-1, 4), -np.einsum("njk,nli->nijkl", sigma, sigma).reshape(-1, 16)], axis=1)
         return np.conj(row).view(float)
 
-    rho = outputs(bloch_vectors(grid_x.ravel(), grid_p.ravel()))
+    rho = outputs(bloch_vectors(grid.theta, grid.phi))
     if domain == DOMAIN_PROBE:
-        partners = outputs(bloch_vectors(grid_x.ravel() + np.pi / 2, grid_p.ravel()))
+        partners = outputs(bloch_vectors(grid.theta + np.pi / 2, grid.phi))
         return 4.0 * float(np.max(np.einsum("ni,ni->n", left(rho), right(partners))))
     return 4.0 * float(np.max(left(rho) @ right(rho).T))
 
@@ -693,14 +692,59 @@ def test_all_pairs_solve_on_random_maps(seed, n_ops):
 
 
 def test_all_pairs_solve_ignores_memory_layout():
-    # numpy rounds products of strided operands differently; the solve must depend on the values of (A, c) only.
-    for seed in range(20):
-        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), 3), "random"))
+    # numpy rounds products of strided operands differently, and the grid batch's linear maps are matmuls;
+    # the solve must depend on the values of (A, c) only, on the axial branch and at the default grid too.
+    maps = [bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), 3), "random")) for seed in range(20)]
+    maps.append(bloch_map(gad(0.3, 0.2)))
+    assert optimize._is_axial(*maps[-1])
+    for a_mat, c_vec in maps:
         a_buf, c_buf = np.zeros((3, 6)), np.zeros(6)
         a_buf[:, ::2], c_buf[::2] = a_mat, c_vec
-        contiguous = optimize._pairs_solve(np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec), 8)
-        assert optimize._pairs_solve(a_buf[:, ::2], c_buf[::2], 8) == contiguous
-        assert optimize._pairs_solve(np.asfortranarray(a_mat), c_vec, 8) == contiguous
+        for n in (8, optimize.DEFAULT_GRID):
+            contiguous = optimize._pairs_solve(np.ascontiguousarray(a_mat), np.ascontiguousarray(c_vec), n)
+            assert optimize._pairs_solve(a_buf[:, ::2], c_buf[::2], n) == contiguous
+            assert optimize._pairs_solve(np.asfortranarray(a_mat), c_vec, n) == contiguous
+
+
+def test_grid_table_is_read_only_and_bounded():
+    for array in optimize._grid(np.pi, 7, 7):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    assert optimize._grid.cache_info().maxsize == optimize.GRID_CACHE_SIZE == 4
+    for n in range(2, 2 + 2 * optimize.GRID_CACHE_SIZE):
+        optimize._grid(np.pi, n, 1)
+    assert optimize._grid.cache_info().currsize == optimize.GRID_CACHE_SIZE
+
+
+def test_grid_table_entries_keep_polar_range_and_azimuths_apart():
+    optimize._grid.cache_clear()
+    full, axial, half = optimize._grid(np.pi, 7, 7), optimize._grid(np.pi, 7, 1), optimize._grid(np.pi / 2, 7, 7)
+    assert (full.theta.size, axial.theta.size, half.theta.size) == (49, 7, 49)
+    assert full.theta[-1] == axial.theta[-1] == np.pi and half.theta[-1] == np.pi / 2 and np.all(axial.phi == 0.0)
+    for grid in (full, axial, half):
+        assert np.array_equal(grid.bloch, bloch_vectors(grid.theta, grid.phi).T)
+
+
+def _grid_readers():
+    """Calls that read the grid table: both domains' solves at three sizes and both oracles at two, on two maps."""
+    for ch in (KrausChannel(random_kraus_ops(np.random.default_rng(3), 3), "random"), gad(0.3, 0.2)):
+        for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
+            for n in (2, 7, 24):
+                yield lambda ch=ch, cfg=OptimizerConfig(grid_points_per_angle=n, domain=domain): maximize_mu(ch, cfg)
+            for n in (7, 24):
+                yield lambda ch=ch, n=n, domain=domain: brute_force_mu(ch, n, domain)
+
+
+def test_results_do_not_depend_on_the_grid_table_state():
+    # Each result from a cold table, then all of them again from one warm table in both orders, so that each also
+    # follows calls at other sizes, in the other domain and on the other branch (axial or not) of the same size.
+    calls = list(_grid_readers())
+    cold = []
+    for call in calls:
+        optimize._grid.cache_clear()
+        cold.append(call())
+    assert [call() for call in calls] == cold
+    assert [call() for call in reversed(calls)] == cold[::-1]
 
 
 def test_all_pairs_converges_on_benchmark_random_maps():
@@ -823,8 +867,7 @@ def test_sphere_max_on_the_gad_grid_against_references():
     # An eigh of the 3x3 H divides a rounding-level top component of g by a rounding-level gap on this grid
     # and falls up to 2.5e-3 short of the maximum (grid index 340: 0.104816 against 0.107361).
     a_mat, c_vec = bloch_map(gad(0.3, 0.2))
-    grid_t, grid_p = np.meshgrid(*optimize._axes(np.pi, 24), indexing="ij")
-    a_vecs = bloch_vectors(grid_t.ravel(), grid_p.ravel())
+    a_vecs = optimize._grid(np.pi, 24, 24).bloch.T
     values, bs = _batched_route(a_mat, c_vec, a_vecs)
     _check_attained(a_mat, c_vec, a_vecs, values, bs)
     dense, eigh = _dense_sphere_max(a_mat, c_vec, a_vecs), _eigh_sphere_max(a_mat, c_vec, a_vecs)

@@ -47,15 +47,15 @@ Each exact solve (:func:`_trust_region_2x2`, :func:`_sphere_max`,
 :func:`_probe_circle`) is one routine, run on a grid batch of numpy arrays
 (``xp = numpy``) or on one polish trial's floats (``xp =`` :class:`_Floats`).
 
-Every grid of input states comes from one table, :func:`_grid`: the probe x
-grid, the all-pairs grid over the first input, and the oracle's input states.
-An entry holds each grid point's polar angle, azimuth and three Bloch
-components as read-only float64 arrays. It is keyed by the polar range, n and
-the number of azimuths, so the axial grid (one azimuth) and the full one are
-separate entries. The table fills on first use, not at import, and keeps the
-``GRID_CACHE_SIZE`` (4) most recently used entries. One entry holds 40 bytes
-per point: about 23 KB for an n = 24 all-pairs grid, about 42 MB at n = 1024,
-so the table retains at most about 168 MB.
+The all-pairs grid over the first input and the oracle's input states come
+from one table, :func:`_grid`. An entry holds each grid point's polar angle,
+azimuth and three Bloch components as read-only float64 arrays. It is keyed by
+the polar range, n and the number of azimuths, so the axial grid (one azimuth)
+and the full one are separate entries. The table fills on first use, not at
+import, and keeps the ``GRID_CACHE_SIZE`` (4) most recently used entries of at
+most ``GRID_CACHE_POINTS`` (65,536) points; a larger grid is built for its call
+alone. One entry holds 40 bytes per point: about 23 KB for an n = 24 all-pairs
+grid and at most 2.6 MB, so the table retains at most about 10.5 MB.
 """
 
 from __future__ import annotations
@@ -88,8 +88,9 @@ TIE_TOL = 1e-14
 DEFAULT_GRID = 24
 MAX_GRID_POINTS = 1024
 
-# Entries of the grid table (:func:`_grid`); one all-pairs entry at MAX_GRID_POINTS holds about 42 MB.
+# Entries of the grid table (:func:`_grid`), and the most points it keeps per entry (n = 256 all-pairs, 2.6 MB).
 GRID_CACHE_SIZE = 4
+GRID_CACHE_POINTS = 65_536
 
 # Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
 ORACLE_BLOCK = 128
@@ -187,15 +188,22 @@ class _Grid(NamedTuple):
     bloch: np.ndarray  # (3, points)
 
 
-@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
-def _grid(polar_max: float, n: int, azimuths: int) -> _Grid:
-    """The grid table's entry (module docstring): n polar angles in [0, polar_max] by ``azimuths`` in [0, 2 pi)."""
+def _build_grid(polar_max: float, n: int, azimuths: int) -> _Grid:
+    """n polar angles in [0, polar_max] by ``azimuths`` in [0, 2 pi), polar angle major."""
     thetas, phis = np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, azimuths, endpoint=False)
     theta, phi = (axis.ravel() for axis in np.meshgrid(thetas, phis, indexing="ij"))
     grid = _Grid(theta, phi, np.ascontiguousarray(bloch_vectors(theta, phi).T))
     for array in grid:
         array.flags.writeable = False
     return grid
+
+
+_grid_table = functools.lru_cache(maxsize=GRID_CACHE_SIZE)(_build_grid)
+
+
+def _grid(polar_max: float, n: int, azimuths: int) -> _Grid:
+    """The grid of a domain (module docstring): from the table up to ``GRID_CACHE_POINTS`` points, else built anew."""
+    return (_grid_table if n * azimuths <= GRID_CACHE_POINTS else _build_grid)(polar_max, n, azimuths)
 
 
 def _grid_argmax(values) -> int:
@@ -341,7 +349,7 @@ def _probe_solve(a_mat, c_vec, n: int):
         x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
         return probe_params(x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
-    xs = _grid(HALF_PI, n, 1).theta
+    xs = np.linspace(0.0, HALF_PI, n)
     phis, values = _probe_circle(np, cols, xs)
     k = _grid_argmax(values)
     x, phi, value = float(xs[k]), float(phis[k]), float(values[k])
@@ -381,45 +389,28 @@ def _sphere_max(xp, rows, c, a):
     With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
     the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
     the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
-    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy),
-    and then each of the three linear maps (A a + c, the two rows of Q, A b + c) is one matmul (:func:`_products`).
+    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
     """
-    (u,) = _products(xp, rows, [a], c)
+    u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
     norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
     nx, ny, nz = (s / norm for s in u)  # u = 0 gives the basis (e_x, e_y)
     sign = xp.copysign(1.0, nz)
     k = -1.0 / (sign + nz)
     xy = nx * ny * k
     e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
-    q1, q2 = _products(xp, tuple(zip(*rows)), [e1, e2])
+    q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
     block, d = (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
     _, (y1, y2) = _trust_region_2x2(xp, *block, d, row_space=True)
     b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
     b_norm = xp.sqrt(_dot(b, b))
     found, b_norm = b_norm > 0.0, xp.maximum(b_norm, 1e-300)
     b = tuple(xp.where(found, s / b_norm, e) for s, e in zip(b, e1))  # Q = 0: every b attains the maximum
-    w = _cross(u, _products(xp, rows, [b], c)[0])
+    w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
     return _dot(w, w), b
 
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _products(xp, rows, vectors, shift=None):
-    """``[M v + shift for v in vectors]`` as triples, for M the 3x3 matrix with these rows and shift a triple or None.
-
-    On floats (``xp`` = :class:`_Floats`) each is three dot products. On a batch (triples of arrays) all of them are
-    one matmul over contiguous copies, so the rounding depends on the values alone, not on the operands' layout.
-    """
-    if xp is _Floats and shift is None:
-        return [tuple(_dot(row, v) for row in rows) for v in vectors]
-    if xp is _Floats:
-        return [tuple(_dot(row, v) + s for row, s in zip(rows, shift)) for v in vectors]
-    out = np.array(rows) @ np.array(vectors)
-    if shift is not None:
-        out += np.array(shift)[:, None]
-    return [tuple(w) for w in out]
 
 
 def _frame(theta, phi):

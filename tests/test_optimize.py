@@ -692,8 +692,8 @@ def test_all_pairs_solve_on_random_maps(seed, n_ops):
 
 
 def test_all_pairs_solve_ignores_memory_layout():
-    # numpy rounds products of strided operands differently, and the grid batch's linear maps are matmuls;
-    # the solve must depend on the values of (A, c) only, on the axial branch and at the default grid too.
+    # numpy rounds products of strided operands differently; the solve must depend on the values of (A, c) only,
+    # on the axial branch and at the default grid too.
     maps = [bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), 3), "random")) for seed in range(20)]
     maps.append(bloch_map(gad(0.3, 0.2)))
     assert optimize._is_axial(*maps[-1])
@@ -710,14 +710,21 @@ def test_grid_table_is_read_only_and_bounded():
     for array in optimize._grid(np.pi, 7, 7):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
-    assert optimize._grid.cache_info().maxsize == optimize.GRID_CACHE_SIZE == 4
+    assert optimize._grid_table.cache_info().maxsize == optimize.GRID_CACHE_SIZE == 4
     for n in range(2, 2 + 2 * optimize.GRID_CACHE_SIZE):
         optimize._grid(np.pi, n, 1)
-    assert optimize._grid.cache_info().currsize == optimize.GRID_CACHE_SIZE
+    assert optimize._grid_table.cache_info().currsize == optimize.GRID_CACHE_SIZE
+    # a grid above GRID_CACHE_POINTS is built for its call and not kept; one at the limit is kept
+    optimize._grid_table.cache_clear()
+    big = optimize._grid(np.pi, 257, 256)
+    assert big.theta.size == 257 * 256 > optimize.GRID_CACHE_POINTS == 256 * 256
+    assert not big.bloch.flags.writeable and optimize._grid_table.cache_info().currsize == 0
+    assert optimize._grid(np.pi, 256, 256) is optimize._grid(np.pi, 256, 256)
+    assert optimize._grid_table.cache_info().currsize == 1
 
 
 def test_grid_table_entries_keep_polar_range_and_azimuths_apart():
-    optimize._grid.cache_clear()
+    optimize._grid_table.cache_clear()
     full, axial, half = optimize._grid(np.pi, 7, 7), optimize._grid(np.pi, 7, 1), optimize._grid(np.pi / 2, 7, 7)
     assert (full.theta.size, axial.theta.size, half.theta.size) == (49, 7, 49)
     assert full.theta[-1] == axial.theta[-1] == np.pi and half.theta[-1] == np.pi / 2 and np.all(axial.phi == 0.0)
@@ -726,7 +733,7 @@ def test_grid_table_entries_keep_polar_range_and_azimuths_apart():
 
 
 def _grid_readers():
-    """Calls that read the grid table: both domains' solves at three sizes and both oracles at two, on two maps."""
+    """Calls that read the grid table (all-pairs solves and both oracles) and probe solves, on two maps."""
     for ch in (KrausChannel(random_kraus_ops(np.random.default_rng(3), 3), "random"), gad(0.3, 0.2)):
         for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
             for n in (2, 7, 24):
@@ -741,7 +748,7 @@ def test_results_do_not_depend_on_the_grid_table_state():
     calls = list(_grid_readers())
     cold = []
     for call in calls:
-        optimize._grid.cache_clear()
+        optimize._grid_table.cache_clear()
         cold.append(call())
     assert [call() for call in calls] == cold
     assert [call() for call in reversed(calls)] == cold[::-1]

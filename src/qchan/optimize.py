@@ -41,11 +41,14 @@ circle, a trust-region subproblem (Moré & Sorensen 1983) that
 polishes the envelope ``max_phi``. The all-pairs solve (:func:`_pairs_solve`)
 is exact in the second input b: for each first input a the maximum over b is
 a trust-region subproblem in the plane normal to A a + c
-(:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a. Unital
-channels, and axially symmetric ones in the probe domain, have closed forms.
-Each exact solve (:func:`_trust_region_2x2`, :func:`_sphere_max`,
-:func:`_probe_circle`) is one routine, run on a grid batch of numpy arrays
-(``xp = numpy``) or on one polish trial's floats (``xp =`` :class:`_Floats`).
+(:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a; its
+grid stage (:func:`_grid_max`) bounds every grid point and solves exactly only
+those that can reach the maximum (k points tied within ``TIE_TOL`` cost k
+solves, about 17 us each). Unital channels, and axially symmetric ones in the
+probe domain, have closed forms. Each exact solve (:func:`_trust_region_2x2`,
+:func:`_sphere_max`, :func:`_probe_circle`) is one routine, run on numpy
+arrays (``xp = numpy``: the probe x grid, the all-pairs bound's 2x2 step) or
+on one point's floats (``xp =`` :class:`_Floats`: polish trials, contenders).
 
 The all-pairs grid over the first input and the oracle's input states come
 from one table, :func:`_grid`. An entry holds each grid point's polar angle,
@@ -84,7 +87,7 @@ REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
 TIE_TOL = 1e-14
 
-# Grid points per angle: the default, and the largest (all-pairs solves its n * n first inputs in one batch).
+# Grid points per angle: the default, and the largest (all-pairs bounds its n * n first inputs in one array pass).
 DEFAULT_GRID = 24
 MAX_GRID_POINTS = 1024
 
@@ -150,7 +153,8 @@ class QuantumnessResult:
     solve: 1 for a closed form (unital, or axial in the probe domain), else n
     (probe) or n*n (all-pairs; n if axial) grid points plus one per polish
     trial, each an exact solve over phi (probe) or over the second input
-    (all-pairs). ``converged`` is False only when the polish hit
+    (all-pairs; a grid point by its upper bound, and exactly only where that
+    can reach the grid maximum). ``converged`` is False only when the polish hit
     ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
     """
 
@@ -259,16 +263,18 @@ def _ascent_step(grad, hess, axial=False):
     return g_0, g_1
 
 
-def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
-    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0`` and a two-term trust-region maximizer.
+def _trust_region_2x2(xp, p, q, r, d=None, row_space=False, steps=100):
+    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0``, a two-term trust-region maximizer and its dual value.
 
-    Returns (w1, y). Without d, y is the top eigenvector (h + half, q) or (q, h - half), the one without cancellation,
-    and (1, 0) for a multiple of the identity; v1 is y normalized. With d, y comes from the unit beta that maximizes
-    ``sum_j w_j beta_j^2 + 2 g_j beta_j``, delta = V^T d, V = [v1, v1 turned by +90 degrees]. Circle form,
-    ``max |G n + w|^2`` with block G^T G and d = G^T w: g = delta, y = V beta = n. ``row_space`` form,
+    Returns (w1, y, D). Without d, y is the top eigenvector (h + half, q) or (q, h - half), the one without
+    cancellation, and (1, 0) for a multiple of the identity; v1 is y normalized, and D = w1. With d, y comes from the
+    unit beta that maximizes ``sum_j w_j beta_j^2 + 2 g_j beta_j``, delta = V^T d, V = [v1, v1 turned by +90 degrees].
+    Circle form, ``max |G n + w|^2`` with block G^T G and d = G^T w: g = delta, y = V beta = n. ``row_space`` form,
     ``max |Q b + d|^2`` with block Q Q^T: ``g_j = sqrt(w_j) delta_j``, ``y = V diag(w)^(-1/2) beta``, b along Q^T y.
-    Newton on the concave, increasing ``1/|beta(lam)|`` from below finds the secular root ``lam >= w1``;
-    ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0).
+    Newton on the concave, increasing ``1/|beta(lam)|`` from below takes up to ``steps`` steps to the secular root
+    ``lam >= w1``; ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0).
+    The dual value ``D = lam + sum_j g_j^2 / (lam - w_j)`` at the last lam is at least the maximum (weak duality, for
+    any lam > w1, and at lam = w1 in the hard case), and equal to it at the root.
     The entries are floats (``xp`` = :class:`_Floats`) or arrays of blocks (``xp`` = numpy).
     """
     half = 0.5 * (p - r)
@@ -277,7 +283,7 @@ def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
     turn = half >= 0.0
     vx, vy = xp.where(turn, xp.maximum(h + half, 1e-300), q), xp.where(turn, q, h - half)
     if d is None:
-        return w1, (vx, vy)
+        return w1, (vx, vy), w1
     vn = xp.hypot(vx, vy)
     vx, vy = vx / vn, vy / vn
     delta1, delta2 = vx * d[0] + vy * d[1], vx * d[1] - vy * d[0]
@@ -285,10 +291,12 @@ def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
     g1, g2 = root1 * abs(delta1), root2 * delta2
     # |beta(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
     lam = xp.maximum(w1 + g1, w2 + abs(g2))
-    for _ in range(100):
+    for i in range(steps + 1):  # each exit leaves the terms t_j and r_2 at the last lam
         r1, r2 = (lam > w1) / xp.maximum(lam - w1, 1e-300), (lam > w2) / xp.maximum(lam - w2, 1e-300)
         t1, t2 = g1 * r1, g2 * r2
         t1_sq, t2_sq = t1 * t1, t2 * t2
+        if i == steps:
+            break
         s = t1_sq + t2_sq
         step = xp.where(s > 1.0, s * (xp.sqrt(s) - 1.0) / xp.maximum(t1_sq * r1 + t2_sq * r2, 1e-300), 0.0)
         if xp.all(step <= 1e-15 * (1.0 + lam)):
@@ -296,7 +304,7 @@ def _trust_region_2x2(xp, p, q, r, d=None, row_space=False):
         lam = lam + step
     # the coefficient of V's second column, beta_2 / root2, is delta2 r2 in both forms
     top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2_sq, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
-    return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2)
+    return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2), lam + g1 * t1 + g2 * t2
 
 
 def _probe_circle(xp, cols, x):
@@ -319,7 +327,7 @@ def _probe_circle(xp, cols, x):
     h = xp.hypot(half, q)
     scale = h + xp.hypot(d1, d2)
     scale = xp.where(scale > 0.0, scale, 1.0)
-    _, (n_cos, n_sin) = _trust_region_2x2(xp, (h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
+    _, (n_cos, n_sin), _ = _trust_region_2x2(xp, (h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
     phi = _azimuth(xp, n_sin, n_cos)
     sp, cp = xp.sin(phi), xp.cos(phi)
     g = [sp * a + cp * b + c for a, b, c in zip(g_sin, g_cos, w)]
@@ -340,7 +348,7 @@ def _probe_solve(a_mat, c_vec, n: int):
     if math.hypot(*c) <= UNITAL_TOL:
         # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
         c0, c1 = _cofactor(a_cols)
-        mu, (v_cos, v_sin) = _trust_region_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
+        mu, (v_cos, v_sin), _ = _trust_region_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return probe_params(0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
         # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
@@ -383,14 +391,8 @@ def _is_axial(a_mat, c_vec) -> bool:
     return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
 
 
-def _sphere_max(xp, rows, c, a):
-    """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for the first input a; A given by its rows.
-
-    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
-    the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
-    the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
-    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
-    """
+def _sphere_block(xp, rows, c, a):
+    """u = A a + c, e1, Q's rows (q1, q2), the block Q Q^T and d of :func:`_sphere_max` at the first input a."""
     u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
     norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
     nx, ny, nz = (s / norm for s in u)  # u = 0 gives the basis (e_x, e_y)
@@ -399,8 +401,29 @@ def _sphere_max(xp, rows, c, a):
     xy = nx * ny * k
     e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
     q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
-    block, d = (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
-    _, (y1, y2) = _trust_region_2x2(xp, *block, d, row_space=True)
+    return u, e1, (q1, q2), (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
+
+
+def _sphere_bound(rows, c, a):
+    """Upper bound ``|u|^2 (D + |d|^2)`` on :func:`_sphere_max` at each first input of the arrays a.
+
+    D is the dual value of :func:`_trust_region_2x2` one Newton step from its start.
+    """
+    u, _, _, block, d = _sphere_block(np, rows, c, a)
+    _, _, dual = _trust_region_2x2(np, *block, d, row_space=True, steps=1)
+    return _dot(u, u) * (dual + d[0] * d[0] + d[1] * d[1])
+
+
+def _sphere_max(xp, rows, c, a):
+    """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for the first input a; A given by its rows.
+
+    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
+    the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
+    the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
+    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
+    """
+    u, e1, (q1, q2), block, d = _sphere_block(xp, rows, c, a)
+    _, (y1, y2), _ = _trust_region_2x2(xp, *block, d, row_space=True)
     b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
     b_norm = xp.sqrt(_dot(b, b))
     found, b_norm = b_norm > 0.0, xp.maximum(b_norm, 1e-300)
@@ -453,13 +476,31 @@ def _envelope_terms(rows, c, theta, phi, b):
     return (_dot(x[0], grad_u), _dot(x[1], grad_u)), (h_aa[0][0], h_aa[0][1], h_aa[1][1])
 
 
+def _grid_max(rows, c, grid: _Grid, n: int):
+    """Flat index, value and b of the first grid point whose :func:`_sphere_max` is within ``TIE_TOL`` of the maximum.
+
+    Every point of the grid (n polar angles in [0, pi] by its azimuths) is bounded in one pass, then solved in plain
+    floats in descending bound until no bound left can reach the tie window: k tied points cost k solves.
+    """
+    bounds = _sphere_bound(rows, c, grid.bloch)
+    bounds.reshape(n, -1)[:: n - 1, 1:] = -math.inf  # each pole once: its copies at phi > 0 are the point at phi = 0
+    best, solved = -math.inf, {}
+    for k in np.argsort(-bounds):
+        if bounds[k] < best - 2.0 * TIE_TOL:  # TIE_TOL of ties, and TIE_TOL (45 ulp of 1) for bound and solve rounding
+            break
+        solved[k] = _sphere_max(_Floats, rows, c, grid.bloch[:, k].tolist())
+        best = max(best, solved[k][0])
+    k = min(k for k, (value, _) in solved.items() if value >= best - TIE_TOL)
+    return int(k), *solved[k]
+
+
 def _pairs_solve(a_mat, c_vec, n: int):
     """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
 
-    Returns (StatePairParams, value, evaluations, converged). Every grid
-    point and polish trial is one exact :func:`_sphere_max` over the second
-    input: the grid's as one batch, each trial's on one point, with b kept as
-    a float triple. The polish steps by :func:`_ascent_step` on the gradient
+    Returns (StatePairParams, value, evaluations, converged). The polish
+    starts from :func:`_grid_max`'s point; each of its trials, as each grid
+    contender, is one plain-float :func:`_sphere_max` over the second input,
+    with b kept as a float triple. It steps by :func:`_ascent_step` on the gradient
     and Hessian of :func:`_envelope_terms`, halving a step until the value
     does not drop.
     An axially symmetric map (:func:`_is_axial`) leaves the envelope
@@ -474,10 +515,8 @@ def _pairs_solve(a_mat, c_vec, n: int):
     axial = _is_axial(a_mat, c_vec)
     rows, c = a_mat.tolist(), c_vec.tolist()
     grid = _grid(np.pi, n, 1 if axial else n)
-    values, bs = _sphere_max(np, rows, c, grid.bloch)
-    k = _grid_argmax(values)
-    theta, phi, value, b = float(grid.theta[k]), float(grid.phi[k]), float(values[k]), tuple(float(s[k]) for s in bs)
-    evaluations = values.size
+    k, value, b = _grid_max(rows, c, grid, n)
+    theta, phi, evaluations = float(grid.theta[k]), float(grid.phi[k]), grid.theta.size
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = _envelope_terms(rows, c, theta, phi, b)
         step = _ascent_step(grad, hess, axial)

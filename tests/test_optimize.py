@@ -594,12 +594,12 @@ def _trust_region_cases():
 def test_trust_region_2x2_on_floats_and_arrays_agree(row_space):
     cases = list(_trust_region_cases())
     p, q, r, d1, d2 = (np.array(v) for v in zip(*[(p, q, r, *d) for p, q, r, d in cases]))
-    w1, (y1, y2) = optimize._trust_region_2x2(np, p, q, r, (d1, d2), row_space)
-    top, (v1, v2) = optimize._trust_region_2x2(np, p, q, r)
+    w1, (y1, y2), _ = optimize._trust_region_2x2(np, p, q, r, (d1, d2), row_space)
+    top, (v1, v2), _ = optimize._trust_region_2x2(np, p, q, r)
     for i, (p, q, r, d) in enumerate(cases):
-        w, y = optimize._trust_region_2x2(optimize._Floats, p, q, r, d, row_space)
+        w, y, _ = optimize._trust_region_2x2(optimize._Floats, p, q, r, d, row_space)
         assert abs(w - w1[i]) <= 1e-15 and max(abs(y[0] - y1[i]), abs(y[1] - y2[i])) <= 1e-15, i
-        w, v = optimize._trust_region_2x2(optimize._Floats, p, q, r)
+        w, v, _ = optimize._trust_region_2x2(optimize._Floats, p, q, r)
         assert abs(w - top[i]) <= 1e-15 and max(abs(v[0] - v1[i]), abs(v[1] - v2[i])) <= 1e-15, i
 
 
@@ -953,7 +953,10 @@ def test_sphere_max_on_degenerate_maps():
 
 
 def _record_calls(monkeypatch, name):
-    """Record each call of the shared solve ``optimize.<name>``: its batch size, or None for one plain-float point."""
+    """Record each call of ``optimize.<name>``: its batch size, or None for one plain-float point.
+
+    The shared solves take ``xp`` first; ``_sphere_bound``, which takes none, always records its batch size.
+    """
     solve, sizes = getattr(optimize, name), []
 
     def recording(xp, *args):
@@ -964,14 +967,86 @@ def _record_calls(monkeypatch, name):
     return sizes
 
 
-def test_all_pairs_solve_batches_only_the_grid(monkeypatch):
-    # The grid is one batched _sphere_max call; every polish trial, axial or tangent-plane, is a plain-float solve.
-    sizes = _record_calls(monkeypatch, "_sphere_max")
+def test_all_pairs_solve_bounds_the_grid_and_solves_few_points(monkeypatch):
+    # The grid is one array _sphere_bound pass; every exact inner solve, of a grid contender or of a polish trial, is
+    # a plain-float _sphere_max. The grid's own solves are few: on the benchmark's maps, at most 3 of 576 (or of 24).
+    bounds, solves = _record_calls(monkeypatch, "_sphere_bound"), _record_calls(monkeypatch, "_sphere_max")
     cfg = OptimizerConfig(domain=DOMAIN_ALL_PAIRS)
-    for ch, grid in [(gad(0.3, 0.2), 24), (KrausChannel(random_kraus_ops(np.random.default_rng(4), 3), "random"), 576)]:
-        sizes.clear()
+    maps = [ad(0.25), gad(1.0, 0.6), unruh(np.pi / 6), gad(0.3, 0.2)]
+    maps += [ch for seed in (1, 2, 3, 4) for ch in _benchmark_random_maps(seed)]
+    for ch in maps:
+        bounds.clear()
+        solves.clear()
         evaluations = maximize_mu(ch, cfg).evaluations
-        assert evaluations > grid and sizes == [grid] + [None] * (evaluations - grid)
+        grid = 24 if optimize._is_axial(*bloch_map(ch)) else 576
+        assert evaluations > grid and bounds == [grid] and set(solves) == {None}, ch.label
+        assert 1 <= len(solves) - (evaluations - grid) <= 3, ch.label
+
+
+def _pole_channel(pole):
+    """A random map turned on its input so that its all-pairs maximum has the first input at a pole (0 north, 1 south)."""
+    ops = random_kraus_ops(np.random.default_rng(7), 3)
+    pair = maximize_mu(KrausChannel(ops, "random"), OptimizerConfig(domain=DOMAIN_ALL_PAIRS)).argmax_params
+    psi = np.array([np.cos(pair.x / 2), np.exp(-1j * pair.phi) * np.sin(pair.x / 2)])  # the state of Bloch vector a
+    turn = np.column_stack([psi, [-np.conj(psi[1]), np.conj(psi[0])]])  # |0> to psi, |1> to its orthogonal state
+    return KrausChannel(tuple(k @ (turn if pole == 0 else turn[:, ::-1]) for k in ops), "random")
+
+
+@pytest.mark.parametrize("pole", [0, 1])
+def test_all_pairs_grid_solves_a_pole_once(monkeypatch, pole):
+    # The grid rows at theta = 0 and theta = pi hold n copies of one point with equal bounds; the pole is solved once.
+    ch = _pole_channel(pole)
+    solves = _record_calls(monkeypatch, "_sphere_max")
+    res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
+    assert res.argmax_params.x == pole * np.pi and res.argmax_params.phi == 0.0
+    assert len(solves) - (res.evaluations - 576) == 1
+
+
+def _check_bounds(a_mat, c_vec, a_vecs):
+    """Each first input's bound is finite and at least its plain-float exact value (within 4.5 ulp of 1)."""
+    exact, _ = _plain_float_route(a_mat, c_vec, a_vecs)
+    bounds = optimize._sphere_bound(a_mat.tolist(), c_vec.tolist(), a_vecs.T)
+    assert np.all(np.isfinite(bounds)) and np.all(bounds >= exact - 1e-15)
+    return exact, bounds
+
+
+def _check_grid_stage(a_mat, c_vec, grid, n):
+    """The bounds hold on the grid, and the grid stage picks the point of _grid_argmax over a full plain-float scan."""
+    exact, _ = _check_bounds(a_mat, c_vec, grid.bloch.T)
+    assert optimize._grid_max(a_mat.tolist(), c_vec.tolist(), grid, n)[0] == optimize._grid_argmax(exact)
+
+
+@pytest.mark.parametrize("first_seed", range(0, 200, 50))
+def test_sphere_bound_on_random_maps(first_seed):
+    grid = optimize._grid(np.pi, 12, 12)
+    for seed in range(first_seed, first_seed + 50):
+        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(np.random.default_rng(seed), 2 + seed % 3), "random"))
+        _check_grid_stage(a_mat, c_vec, grid, 12)
+
+
+def test_sphere_bound_on_degenerate_maps():
+    rng = np.random.default_rng(5)
+    a_vecs = sample_ball(rng, 50)
+    a_vecs /= np.linalg.norm(a_vecs, axis=1, keepdims=True)
+    a_vecs = np.vstack([a_vecs, [[0.0, 0.0, -1.0], [0.0, 0.6, -0.8]]])
+    orthogonal = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+    grid = optimize._grid(np.pi, 12, 12)
+    # Q = 0 (ad(1)); u = 0 at a = (0, 0, -1); w1 = w2 with g = 0 (orthogonal A, c = 0) and with g != 0 (A = I / 2)
+    for a_mat, c_vec in [
+        bloch_map(ad(1.0)),
+        (0.5 * np.eye(3), np.array([0.0, 0.0, 0.5])),
+        (orthogonal, np.zeros(3)),
+        (0.5 * np.eye(3), np.array([0.1, -0.2, 0.3])),
+    ]:
+        _check_bounds(a_mat, c_vec, a_vecs)
+        _check_grid_stage(a_mat, c_vec, grid, 12)
+    # the hard case g1 = 0: u lies along z, so Q's rows are A's first two rows, the block is diag(w1, w2) and
+    # d = (0, c_y) is orthogonal to the top eigenvector (1, 0); the bound is the dual value at lam = w1, and tight
+    a_mat, c_vec, a = np.diag([0.75, 0.25, 0.5]), np.array([0.0, 0.0625, 0.125]), [0.0, -0.25, math.sqrt(0.9375)]
+    _, _, _, block, d = optimize._sphere_block(optimize._Floats, a_mat.tolist(), c_vec.tolist(), a)
+    assert block == (0.5625, 0.0, 0.0625) and d == (0.0, 0.0625)
+    exact, bounds = _check_bounds(a_mat, c_vec, np.array([a]))
+    assert bounds[0] <= exact[0] + 1e-15
 
 
 def test_probe_solve_batches_only_the_grid(monkeypatch):

@@ -95,16 +95,23 @@ MAX_GRID_POINTS = 1024
 GRID_CACHE_SIZE = 4
 GRID_CACHE_POINTS = 65_536
 
-# Rows of first inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states.
-ORACLE_BLOCK = 128
+# First inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states. 64 beat 128 by 7-11% at
+# n = 96 and tie with it in the all-pairs benchmark (n = 24).
+ORACLE_BLOCK = 64
 
-# The oracle's orthonormal Hermitian basis E_p (Tr[E_p E_q] = delta_pq): |0><0|, |1><1|, X/sqrt 2, Y/sqrt 2.
-HERMITIAN_BASIS = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
-HERMITIAN_BASIS[2:] /= math.sqrt(2.0)
-# B[(p, q), (r, s)] = Re(Tr[E_p E_q E_r E_s] - Tr[E_p E_r E_q E_s]), from the traces of all products of four E's:
-# for rho = sum h_p E_p and sigma = sum g_r E_r, Tr[rho^2 sigma^2] - Tr[(rho sigma)^2] = (h (x) h) . B (g (x) g).
-_WORD_TRACES = np.einsum("pab,qbc,rcd,sda->pqrs", *[HERMITIAN_BASIS] * 4)
-TRACE_FORM = (_WORD_TRACES - _WORD_TRACES.transpose(0, 2, 1, 3)).real.reshape(16, 16)
+# The Pauli matrices S = (I, X, Y, Z), and the oracle's orthonormal traceless basis E_p = (X, Y, Z) / sqrt 2.
+PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+TRACELESS_BASIS = PAULI[1:] / math.sqrt(2.0)
+# The bracket Tr[rho^2 sigma^2] - Tr[(rho sigma)^2] = -Tr[[rho, sigma]^2] / 2 ignores rho -> rho + t I, so with
+# h_p = Tr[E_p rho] and g_r = Tr[E_r sigma] it is (h (x) h) . B9 (g (x) g), B9[(p, q), (r, s)] the real part of
+# Tr[E_p E_q E_r E_s] - Tr[E_p E_r E_q E_s]. TRACE_FORM = F^T B9 F acts on the 6 products h_p h_q, p <= q
+# (TRACE_PAIRS): F maps both (p, q) and (q, p) to the column of h_p h_q.
+TRACE_PAIRS = np.triu_indices(3)
+_FOLD = np.zeros((3, 3, 6))
+_FOLD[(*TRACE_PAIRS, range(6))] = _FOLD[(*TRACE_PAIRS[::-1], range(6))] = 1.0
+_WORD_TRACES = np.einsum("pab,qbc,rcd,sda->pqrs", *[TRACELESS_BASIS] * 4)
+_B9 = (_WORD_TRACES - _WORD_TRACES.transpose(0, 2, 1, 3)).real
+TRACE_FORM = np.einsum("pqx,pqrs,rsy->xy", _FOLD, _B9, _FOLD)
 
 
 def __getattr__(name):
@@ -574,36 +581,39 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     Deliberately evaluated through Kraus application and the trace form
     ``4 (Tr[rho^2 sigma^2] - Tr[(rho sigma)^2])``, not the affine Bloch route
     used by :func:`maximize_mu`, so the two act as independent cross-checks.
-    The input states go through the Kraus superoperator ``sum_k K (x) conj(K)``
-    in one product, which also takes each output state's 4 real coordinates h
-    in the orthonormal Hermitian basis :data:`HERMITIAN_BASIS`. The bracket is
-    the real quadratic form ``q(rho) . B q(sigma)`` on the 16-wide rows
-    ``q = h (x) h``, with B = :data:`TRACE_FORM`. Probe pairs take one row-wise
-    product. All-pairs takes row-by-column products ``ORACLE_BLOCK`` rows at a
-    time, in O(block m) memory for m grid states, and since the bracket is
-    symmetric in (rho, sigma) each block meets only the states from its own
-    first row on. The bound is nondecreasing under nested grid refinement.
+    The bracket ignores the outputs' traces, so each output state enters by
+    its 3 real coordinates ``h_p = Tr[E_p rho]`` in the traceless basis
+    :data:`TRACELESS_BASIS`. They are ``[1, x, y, z] @ R`` for an input of
+    Bloch vector (x, y, z), where the 4x3 map R is one contraction of the Kraus
+    operators with the Pauli matrices. The bracket is the real quadratic form
+    ``q(rho) . B q(sigma)`` on each state's 6 products
+    ``q = (h_p h_q)_{p <= q}``, with B = :data:`TRACE_FORM`; the states' q are
+    the columns of one (6, m) array. Probe pairs take one column-wise product.
+    All-pairs takes each pole once (a pole's n grid copies are one state) and
+    products of ``ORACLE_BLOCK`` states against the rest at a time, in
+    O(block m) memory for m grid states; since the bracket is symmetric in
+    (rho, sigma) each block meets only the states from its own first one on.
+    The bound is nondecreasing under nested grid refinement.
     """
     grid = _grid(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"), n)
     kraus = np.stack(ch.ops)
-    superop = np.einsum("kab,kdc->bcad", kraus, kraus.conj()).reshape(4, 4)
-    # h_p = Tr[E_p rho] = vec(rho) . vec(conj(E_p)) for the Hermitian E_p; 0.5 is the input states' factor.
-    to_coords = 0.5 * superop @ HERMITIAN_BASIS.reshape(4, 4).conj().T
+    # R[i, p] = Tr[E_p sum_k K S_i K^dag] / 2: the input state (S_0 + x S_1 + y S_2 + z S_3) / 2 in, h_p out
+    to_coords = 0.5 * np.einsum("pab,kbc,icd,kad->ip", TRACELESS_BASIS, kraus, PAULI, kraus.conj()).real
 
     def rows(bloch):
-        # q = h (x) h of the channel outputs sum_k K rho K^dag of the input states, as an (m, 16) array.
-        x, y, z = bloch[..., 0], bloch[..., 1], bloch[..., 2]
-        h = (np.stack([1.0 + z, x - 1j * y, x + 1j * y, 1.0 - z], axis=-1) @ to_coords).real
-        return (h[:, :, None] * h[:, None, :]).reshape(-1, 16)
+        # q = (h_p h_q)_{p <= q} of the channel outputs of the input states (columns of bloch), as a (6, m) array
+        h = to_coords[1:].T @ bloch + to_coords[0][:, None]
+        return h[TRACE_PAIRS[0]] * h[TRACE_PAIRS[1]]
 
-    q = rows(grid.bloch.T)
     if domain == DOMAIN_PROBE:
         pairs = probe_params(grid.theta, grid.phi)
-        partners = rows(bloch_vectors(pairs.y, pairs.xi))
-        return 4.0 * float(np.max(np.einsum("ni,ni->n", q, partners @ TRACE_FORM.T)))
+        q, partners = rows(grid.bloch), rows(bloch_vectors(pairs.y, pairs.xi).T)
+        return 4.0 * float(np.max(np.einsum("in,in->n", q, TRACE_FORM @ partners)))
 
-    qb = q @ TRACE_FORM.T
+    # each pole once: the north pole's last copy (every copy is (0, 0, 1)) to the south pole's copy at phi = 0
+    q = rows(grid.bloch[:, n - 1 : n * n - n + 1])
+    qb = TRACE_FORM @ q
     best = 0.0
-    for start in range(0, len(q), ORACLE_BLOCK):
-        best = max(best, float(np.max(q[start : start + ORACLE_BLOCK] @ qb[start:].T)))
+    for start in range(0, q.shape[1], ORACLE_BLOCK):
+        best = max(best, float(np.max(q[:, start : start + ORACLE_BLOCK].T @ qb[:, start:])))
     return 4.0 * best  # exact: a power of two

@@ -134,8 +134,9 @@ _ORACLE_CHANNELS = [ad(0.25), gad(1.0, 0.6), unruh(np.pi / 6), IDENTITY, ad(1.0)
 @pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
 @pytest.mark.parametrize("ch", _ORACLE_CHANNELS, ids=lambda ch: ch.label)
 def test_brute_force_matches_explicit_pairs(ch, domain, monkeypatch):
-    # n = 13 gives 169 states: the default block size covers them in two blocks, the second one partial.
-    for n in (6, 13):
+    # n = 2 and 3: every state, or six of nine, is a copy of a pole. n = 13 gives 169 probe pairs and, each pole once, 145
+    # all-pairs states: the default block size covers them in three blocks, the last one partial.
+    for n in (2, 3, 6, 13):
         reference = _explicit_oracle(ch, n, domain)
         for block in (1, 7, optimize.ORACLE_BLOCK):
             monkeypatch.setattr(optimize, "ORACLE_BLOCK", block)
@@ -184,7 +185,7 @@ def _benchmark_random_maps(seed):
 @pytest.mark.parametrize("n", [24, 48])
 @pytest.mark.parametrize("domain", [DOMAIN_PROBE, DOMAIN_ALL_PAIRS])
 def test_brute_force_matches_complex_row_oracle(domain, n):
-    # The 16-wide real quadratic form and the 40-wide complex rows differ by rounding only.
+    # The 6-wide real quadratic form and the 40-wide complex rows differ by rounding only.
     for ch in _ORACLE_CHANNELS + _benchmark_random_maps(1):
         assert abs(brute_force_mu(ch, n, domain) - _complex_row_oracle(ch, n, domain)) <= 1e-14, ch.label
 
@@ -193,10 +194,43 @@ def test_brute_force_never_uses_the_bloch_map(monkeypatch):
     def forbidden(ch):
         raise AssertionError("brute_force_mu must not use the affine Bloch route")
 
+    ch = ad(0.25)
+    expected = {domain: brute_force_mu(ch, 8, domain) for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS)}
     monkeypatch.setattr(optimize, "bloch_map", forbidden)
     monkeypatch.setattr(channels, "bloch_map", forbidden)
-    for domain in (DOMAIN_PROBE, DOMAIN_ALL_PAIRS):
-        assert brute_force_mu(ad(0.25), 8, domain) > 0.5
+    # The oracle's map R from the input's Pauli coordinates to the output's is the cached transfer matrix up to a
+    # transpose and a factor, so a shortcut through the cache would pass unseen without this: a wrong A and c
+    # change nothing.
+    object.__setattr__(ch, "_bloch", (np.diag([0.5, -0.25, 0.1]), np.array([0.3, -0.2, 0.4])))
+    for domain, value in expected.items():
+        assert brute_force_mu(ch, 8, domain) == value > 0.5
+
+
+def test_traceless_trace_form_is_the_bracket():
+    # The 6-wide fold on the traceless coordinates against the bracket itself and against the 16-wide form on the
+    # basis |0><0|, |1><1|, X/sqrt 2, Y/sqrt 2, for Hermitian matrices of any trace, negative ones included.
+    rng = np.random.default_rng(24)
+    old_basis = np.array([[[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
+    old_basis[2:] /= math.sqrt(2.0)
+    words = np.einsum("pab,qbc,rcd,sda->pqrs", *[old_basis] * 4)
+    old_form = (words - words.transpose(0, 2, 1, 3)).real.reshape(16, 16)
+
+    def old_row(m):
+        h = np.einsum("pab,ba->p", old_basis, m).real
+        return np.kron(h, h)
+
+    def row(m):
+        h = np.einsum("pab,ba->p", optimize.TRACELESS_BASIS, m).real
+        return h[optimize.TRACE_PAIRS[0]] * h[optimize.TRACE_PAIRS[1]]
+
+    for i in range(200):
+        rho, sigma = (a + a.conj().T for a in rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+        rho, sigma = rho + (i % 5 - 2) * np.eye(2), sigma * (1 + i % 3)  # traces shifted and scaled
+        direct = np.trace(rho @ rho @ sigma @ sigma) - np.trace(rho @ sigma @ rho @ sigma)
+        folded = row(rho) @ optimize.TRACE_FORM @ row(sigma)
+        scale = np.sum(np.abs(rho) ** 2) * np.sum(np.abs(sigma) ** 2)  # the size of the terms that cancel
+        assert abs(direct.imag) <= 1e-14 * scale and abs(folded - direct.real) <= 1e-14 * scale, i
+        assert abs(folded - old_row(rho) @ old_form @ old_row(sigma)) <= 1e-14 * scale, i
 
 
 def test_all_pairs_oracle_memory_is_row_blocked():
@@ -1000,6 +1034,15 @@ def test_all_pairs_grid_solves_a_pole_once(monkeypatch, pole):
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.argmax_params.x == pole * np.pi and res.argmax_params.phi == 0.0
     assert len(solves) - (res.evaluations - 576) == 1
+
+
+@pytest.mark.parametrize("pole", [0, 1])
+def test_all_pairs_oracle_takes_a_pole_once(pole):
+    # The oracle keeps one copy of each pole and drops the rest; on a map whose maximum has its first input at a pole,
+    # the value stays that of every pair of the full grid.
+    ch = _pole_channel(pole)
+    for n in (2, 3, 12):
+        assert abs(brute_force_mu(ch, n, DOMAIN_ALL_PAIRS) - _explicit_oracle(ch, n, DOMAIN_ALL_PAIRS)) <= 1e-13, n
 
 
 def _check_bounds(a_mat, c_vec, a_vecs):

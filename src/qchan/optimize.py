@@ -47,8 +47,10 @@ those that can reach the maximum (k points tied within ``TIE_TOL`` cost k
 solves, about 17 us each). Unital channels, and axially symmetric ones in the
 probe domain, have closed forms. Each exact solve (:func:`_trust_region_2x2`,
 :func:`_sphere_max`, :func:`_probe_circle`) is one routine, run on numpy
-arrays (``xp = numpy``: the probe x grid, the all-pairs bound's 2x2 step) or
-on one point's floats (``xp =`` :class:`_Floats`: polish trials, contenders).
+arrays (``xp = numpy``: the probe x grid) or on one point's floats
+(``xp =`` :class:`_Floats`: polish trials, contenders). The all-pairs bound
+runs the 2x2 step's secular stage (:func:`_secular`) alone on arrays, without
+building the maximizer, and its largest bound is solved first.
 
 The all-pairs grid over the first input and the oracle's input states come
 from one table, :func:`_grid`. An entry holds each grid point's polar angle,
@@ -270,48 +272,70 @@ def _ascent_step(grad, hess, axial=False):
     return g_0, g_1
 
 
-def _trust_region_2x2(xp, p, q, r, d=None, row_space=False, steps=100):
-    """Top eigenpair of the block ``[[p, q], [q, r]] >= 0``, a two-term trust-region maximizer and its dual value.
+def _eigen_2x2(xp, p, q, r):
+    """Eigenvalues w1 >= w2 (w2 clipped at 0) of the block ``[[p, q], [q, r]] >= 0`` and a top eigenvector.
 
-    Returns (w1, y, D). Without d, y is the top eigenvector (h + half, q) or (q, h - half), the one without
-    cancellation, and (1, 0) for a multiple of the identity; v1 is y normalized, and D = w1. With d, y comes from the
-    unit beta that maximizes ``sum_j w_j beta_j^2 + 2 g_j beta_j``, delta = V^T d, V = [v1, v1 turned by +90 degrees].
-    Circle form, ``max |G n + w|^2`` with block G^T G and d = G^T w: g = delta, y = V beta = n. ``row_space`` form,
-    ``max |Q b + d|^2`` with block Q Q^T: ``g_j = sqrt(w_j) delta_j``, ``y = V diag(w)^(-1/2) beta``, b along Q^T y.
-    Newton on the concave, increasing ``1/|beta(lam)|`` from below takes up to ``steps`` steps to the secular root
-    ``lam >= w1``; ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0).
-    The dual value ``D = lam + sum_j g_j^2 / (lam - w_j)`` at the last lam is at least the maximum (weak duality, for
-    any lam > w1, and at lam = w1 in the hard case), and equal to it at the root.
-    The entries are floats (``xp`` = :class:`_Floats`) or arrays of blocks (``xp`` = numpy).
+    The vector is (h + half, q) or (q, h - half), the one without cancellation, (1, 0) for a multiple of the identity.
     """
     half = 0.5 * (p - r)
     h = xp.hypot(half, q)
-    w1, w2 = 0.5 * (p + r) + h, xp.maximum(0.5 * (p + r) - h, 0.0)
     turn = half >= 0.0
-    vx, vy = xp.where(turn, xp.maximum(h + half, 1e-300), q), xp.where(turn, q, h - half)
-    if d is None:
-        return w1, (vx, vy), w1
+    v = xp.where(turn, xp.maximum(h + half, 1e-300), q), xp.where(turn, q, h - half)
+    return 0.5 * (p + r) + h, xp.maximum(0.5 * (p + r) - h, 0.0), v
+
+
+def _secular_terms(xp, p, q, r, d, row_space):
+    """(w1, w2, g1, g2) of :func:`_trust_region_2x2`, the input of :func:`_secular`, and (v1, delta, root1) for y."""
+    w1, w2, (vx, vy) = _eigen_2x2(xp, p, q, r)
     vn = xp.hypot(vx, vy)
     vx, vy = vx / vn, vy / vn
     delta1, delta2 = vx * d[0] + vy * d[1], vx * d[1] - vy * d[0]
     root1, root2 = (xp.sqrt(w1), xp.sqrt(w2)) if row_space else (1.0, 1.0)
-    g1, g2 = root1 * abs(delta1), root2 * delta2
+    return (w1, w2, root1 * abs(delta1), root2 * delta2), ((vx, vy), (delta1, delta2), root1)
+
+
+def _secular(xp, w1, w2, g1, g2, steps):
+    """The secular stage of :func:`_trust_region_2x2`, from its eigenvalues and g terms: the last lam and D there.
+
+    Newton on the concave, increasing ``1/|beta(lam)|``, ``beta_j = g_j / (lam - w_j)``, takes up to ``steps`` steps
+    from below to the root ``lam >= w1`` of ``|beta| = 1`` and stops once a step is below ``1e-15 (1 + lam)``; a single
+    step (the all-pairs bound) skips that test. ``D = lam + sum_j g_j^2 / (lam - w_j)`` is at least the maximum of
+    ``sum_j w_j beta_j^2 + 2 g_j beta_j`` over unit beta at any lam > w1, and at lam = w1 in the hard case (weak
+    duality), and equal to it at the root.
+    """
     # |beta(lam)| >= |g_j| / (lam - w_j) for each j, so this start is at or below the root.
     lam = xp.maximum(w1 + g1, w2 + abs(g2))
-    for i in range(steps + 1):  # each exit leaves the terms t_j and r_2 at the last lam
+    for i in range(steps + 1):  # each exit leaves the terms t_j at the last lam
         r1, r2 = (lam > w1) / xp.maximum(lam - w1, 1e-300), (lam > w2) / xp.maximum(lam - w2, 1e-300)
         t1, t2 = g1 * r1, g2 * r2
-        t1_sq, t2_sq = t1 * t1, t2 * t2
         if i == steps:
             break
+        t1_sq, t2_sq = t1 * t1, t2 * t2
         s = t1_sq + t2_sq
         step = xp.where(s > 1.0, s * (xp.sqrt(s) - 1.0) / xp.maximum(t1_sq * r1 + t2_sq * r2, 1e-300), 0.0)
-        if xp.all(step <= 1e-15 * (1.0 + lam)):
+        if steps > 1 and xp.all(step <= 1e-15 * (1.0 + lam)):
             break
         lam = lam + step
+    return lam, lam + g1 * t1 + g2 * t2
+
+
+def _trust_region_2x2(xp, p, q, r, d, row_space=False, steps=100):
+    """Top eigenvalue w1 of the block ``[[p, q], [q, r]] >= 0``, a two-term trust-region maximizer y for d, and D.
+
+    y comes from the unit beta that maximizes ``sum_j w_j beta_j^2 + 2 g_j beta_j``, delta = V^T d for
+    V = [v1, v1 turned by +90 degrees], v1 the unit top eigenvector. Circle form, ``max |G n + w|^2`` with block G^T G
+    and d = G^T w: g = delta, y = V beta = n. ``row_space`` form, ``max |Q b + d|^2`` with block Q Q^T:
+    ``g_j = sqrt(w_j) delta_j``, ``y = V diag(w)^(-1/2) beta``, b along Q^T y. After :func:`_secular`,
+    ``beta_2 = g_2 / (lam - w_2)`` and ``|beta| = 1`` give beta_1, also in the hard case (g_1 = 0). The entries are
+    floats (``xp`` = :class:`_Floats`) or arrays of blocks (``xp`` = numpy).
+    """
+    (w1, w2, g1, g2), ((vx, vy), (delta1, delta2), root1) = _secular_terms(xp, p, q, r, d, row_space)
+    lam, dual = _secular(xp, w1, w2, g1, g2, steps)
+    r2 = (lam > w2) / xp.maximum(lam - w2, 1e-300)  # as in _secular, at its last lam
+    t2 = g2 * r2
     # the coefficient of V's second column, beta_2 / root2, is delta2 r2 in both forms
-    top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2_sq, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
-    return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2), lam + g1 * t1 + g2 * t2
+    top = xp.copysign(xp.sqrt(xp.maximum(1.0 - t2 * t2, 0.0)), delta1) / xp.where(root1 > 0.0, root1, math.inf)
+    return w1, (vx * top - vy * delta2 * r2, vy * top + vx * delta2 * r2), dual
 
 
 def _probe_circle(xp, cols, x):
@@ -355,7 +379,7 @@ def _probe_solve(a_mat, c_vec, n: int):
     if math.hypot(*c) <= UNITAL_TOL:
         # |cof(A) n(phi)|^2: the block in (cos phi, sin phi) order as in _probe_circle, so q = 0, p = r gives phi = 0
         c0, c1 = _cofactor(a_cols)
-        mu, (v_cos, v_sin), _ = _trust_region_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
+        mu, _, (v_cos, v_sin) = _eigen_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return probe_params(0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
         # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
@@ -414,10 +438,11 @@ def _sphere_block(xp, rows, c, a):
 def _sphere_bound(rows, c, a):
     """Upper bound ``|u|^2 (D + |d|^2)`` on :func:`_sphere_max` at each first input of the arrays a.
 
-    D is the dual value of :func:`_trust_region_2x2` one Newton step from its start.
+    D is the dual value of :func:`_sphere_max`'s trust-region step one Newton step from its start: the secular stage
+    alone (:func:`_secular`), without the maximizer.
     """
     u, _, _, block, d = _sphere_block(np, rows, c, a)
-    _, _, dual = _trust_region_2x2(np, *block, d, row_space=True, steps=1)
+    _, dual = _secular(np, *_secular_terms(np, *block, d, row_space=True)[0], steps=1)
     return _dot(u, u) * (dual + d[0] * d[0] + d[1] * d[1])
 
 
@@ -487,18 +512,26 @@ def _grid_max(rows, c, grid: _Grid, n: int):
     """Flat index, value and b of the first grid point whose :func:`_sphere_max` is within ``TIE_TOL`` of the maximum.
 
     Every point of the grid (n polar angles in [0, pi] by its azimuths) is bounded in one pass, then solved in plain
-    floats in descending bound until no bound left can reach the tie window: k tied points cost k solves.
+    floats in descending bound (ties in grid order) until no bound left can reach the tie window: k tied points cost k
+    solves. The largest bound is solved first, and only the bounds within the window of its value are sorted.
     """
     bounds = _sphere_bound(rows, c, grid.bloch)
     bounds.reshape(n, -1)[:: n - 1, 1:] = -math.inf  # each pole once: its copies at phi > 0 are the point at phi = 0
-    best, solved = -math.inf, {}
-    for k in np.argsort(-bounds):
-        if bounds[k] < best - 2.0 * TIE_TOL:  # TIE_TOL of ties, and TIE_TOL (45 ulp of 1) for bound and solve rounding
-            break
+    solved = {}
+
+    def solve(k):
         solved[k] = _sphere_max(_Floats, rows, c, grid.bloch[:, k].tolist())
-        best = max(best, solved[k][0])
+        return solved[k][0]
+
+    best = solve(int(bounds.argmax()))
+    # TIE_TOL of ties, and TIE_TOL (45 ulp of 1) for bound and solve rounding
+    for k in sorted(np.flatnonzero(bounds >= best - 2.0 * TIE_TOL).tolist(), key=bounds.item, reverse=True):
+        if bounds[k] < best - 2.0 * TIE_TOL:
+            break
+        if k not in solved:
+            best = max(best, solve(k))
     k = min(k for k, (value, _) in solved.items() if value >= best - TIE_TOL)
-    return int(k), *solved[k]
+    return k, *solved[k]
 
 
 def _pairs_solve(a_mat, c_vec, n: int):
@@ -515,12 +548,12 @@ def _pairs_solve(a_mat, c_vec, n: int):
     polar angles and its polish moves theta_a alone. Otherwise the grid is
     n x n and the polish steps in the tangent plane of the first input.
     """
-    if np.linalg.norm(c_vec) <= UNITAL_TOL:
+    rows, c = a_mat.tolist(), c_vec.tolist()
+    if math.hypot(*c) <= UNITAL_TOL:  # the probe solve's unital test
         _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
         pair = StatePairParams(*_bloch_angles(vt[0]), *_bloch_angles(vt[1]))
         return pair, float((sing[0] * sing[1]) ** 2), 1, True
     axial = _is_axial(a_mat, c_vec)
-    rows, c = a_mat.tolist(), c_vec.tolist()
     grid = _grid(np.pi, n, 1 if axial else n)
     k, value, b = _grid_max(rows, c, grid, n)
     theta, phi, evaluations = float(grid.theta[k]), float(grid.phi[k]), grid.theta.size

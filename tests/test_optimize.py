@@ -629,12 +629,27 @@ def test_trust_region_2x2_on_floats_and_arrays_agree(row_space):
     cases = list(_trust_region_cases())
     p, q, r, d1, d2 = (np.array(v) for v in zip(*[(p, q, r, *d) for p, q, r, d in cases]))
     w1, (y1, y2), _ = optimize._trust_region_2x2(np, p, q, r, (d1, d2), row_space)
-    top, (v1, v2), _ = optimize._trust_region_2x2(np, p, q, r)
+    top, _, (v1, v2) = optimize._eigen_2x2(np, p, q, r)
     for i, (p, q, r, d) in enumerate(cases):
         w, y, _ = optimize._trust_region_2x2(optimize._Floats, p, q, r, d, row_space)
         assert abs(w - w1[i]) <= 1e-15 and max(abs(y[0] - y1[i]), abs(y[1] - y2[i])) <= 1e-15, i
-        w, v, _ = optimize._trust_region_2x2(optimize._Floats, p, q, r)
+        w, _, v = optimize._eigen_2x2(optimize._Floats, p, q, r)
         assert abs(w - top[i]) <= 1e-15 and max(abs(v[0] - v1[i]), abs(v[1] - v2[i])) <= 1e-15, i
+
+
+@pytest.mark.parametrize("row_space", [False, True])
+def test_secular_stage_is_the_one_copy_of_the_step(row_space):
+    # The all-pairs bound runs the secular stage alone; its dual value is the full solve's, bit for bit.
+    cases = list(_trust_region_cases())
+    p, q, r, d1, d2 = (np.array(v) for v in zip(*[(p, q, r, *d) for p, q, r, d in cases]))
+    for steps in (1, 100):
+        terms, _ = optimize._secular_terms(np, p, q, r, (d1, d2), row_space)
+        _, dual = optimize._secular(np, *terms, steps)
+        assert np.array_equal(dual, optimize._trust_region_2x2(np, p, q, r, (d1, d2), row_space, steps)[2])
+        for p_i, q_i, r_i, d in cases:
+            terms, _ = optimize._secular_terms(optimize._Floats, p_i, q_i, r_i, d, row_space)
+            _, dual = optimize._secular(optimize._Floats, *terms, steps)
+            assert dual == optimize._trust_region_2x2(optimize._Floats, p_i, q_i, r_i, d, row_space, steps)[2]
 
 
 def test_probe_circle_on_floats_and_arrays_agree():
@@ -1034,6 +1049,22 @@ def test_all_pairs_grid_solves_a_pole_once(monkeypatch, pole):
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.argmax_params.x == pole * np.pi and res.argmax_params.phi == 0.0
     assert len(solves) - (res.evaluations - 576) == 1
+    _check_grid_stage(*bloch_map(ch), optimize._grid(np.pi, 24, 24), 24)
+
+
+def test_all_pairs_grid_solves_on_a_flat_grid(monkeypatch):
+    # ad(gamma) between two random unitaries lies within about gamma of a unitary channel, so its grid is flat within
+    # the tie window and each tied point costs one exact solve. The counts are pinned at those of this bound, so that
+    # a looser one fails here before it shows as time.
+    rng = np.random.default_rng(3)
+    u, v = random_unitary(rng), random_unitary(rng)
+    grid, solves = optimize._grid(np.pi, 24, 24), _record_calls(monkeypatch, "_sphere_max")
+    for gamma, most in ((1e-13, 116), (1e-11, 13), (1e-9, 1)):
+        a_mat, c_vec = bloch_map(KrausChannel(tuple(u @ k @ v for k in ad(gamma).ops), "random"))
+        assert not optimize._is_axial(a_mat, c_vec)
+        solves.clear()
+        optimize._grid_max(a_mat.tolist(), c_vec.tolist(), grid, 24)
+        assert 1 <= len(solves) <= most, gamma
 
 
 @pytest.mark.parametrize("pole", [0, 1])
@@ -1054,9 +1085,28 @@ def _check_bounds(a_mat, c_vec, a_vecs):
 
 
 def _check_grid_stage(a_mat, c_vec, grid, n):
-    """The bounds hold on the grid, and the grid stage picks the point of _grid_argmax over a full plain-float scan."""
-    exact, _ = _check_bounds(a_mat, c_vec, grid.bloch.T)
-    assert optimize._grid_max(a_mat.tolist(), c_vec.tolist(), grid, n)[0] == optimize._grid_argmax(exact)
+    """The bounds hold on the grid, and the grid stage picks the point of _grid_argmax over a full plain-float scan.
+
+    Its exact solves are those of a descending scan of all bounds (ties in grid order, each pole once), in that order.
+    """
+    exact, bounds = _check_bounds(a_mat, c_vec, grid.bloch.T)
+    bounds.reshape(n, -1)[:: n - 1, 1:] = -np.inf
+    scan, best = [], -np.inf
+    for k in np.argsort(-bounds, kind="stable"):
+        if bounds[k] < best - 2.0 * optimize.TIE_TOL:
+            break
+        scan.append(grid.bloch[:, k].tolist())
+        best = max(best, exact[k])
+    solve, solved = optimize._sphere_max, []
+
+    def recording(xp, rows, c, a):
+        solved.append(a)
+        return solve(xp, rows, c, a)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "_sphere_max", recording)
+        k = optimize._grid_max(a_mat.tolist(), c_vec.tolist(), grid, n)[0]
+    assert k == optimize._grid_argmax(exact) and solved == scan
 
 
 @pytest.mark.parametrize("first_seed", range(0, 200, 50))

@@ -295,15 +295,18 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
         raise ValueError(f"t must be finite and nonnegative, got {tv}")
     g, bv = _rates(gamma, b)
     disc = 4.0 * bv * bv - g * g
-    if disc > 0.0:
-        w = np.sqrt(disc)
-        val = np.exp(-g * tv) * (np.cos(w * tv) + (g / w) * np.sin(w * tv))
-    elif disc < 0.0:
-        wh = np.sqrt(-disc)
+    decay = np.exp(-g * tv)  # float products: a rate times a large t overflows to inf without a warning
+    if disc < 0.0:
+        wh = math.sqrt(-disc)
         slow = 4.0 * bv * bv / (wh + g)  # g - wh without its cancellation; 1 - g / wh = -slow / wh
         val = 0.5 * ((1.0 + g / wh) * np.exp(-slow * tv) - (slow / wh) * np.exp(-(wh + g) * tv))
+    elif decay == 0.0:  # the limit 0; cos(w t) or 1 + gamma t may have overflowed, and 0 times either is NaN
+        val = 0.0
+    elif disc > 0.0:
+        w = math.sqrt(disc)
+        val = decay * (np.cos(w * tv) + (g / w) * np.sin(w * tv))
     else:
-        val = (1.0 + g * tv) * np.exp(-g * tv)
+        val = (1.0 + g * tv) * decay
     return _check_kernel_value(val, "Lambda(t)")
 
 

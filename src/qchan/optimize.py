@@ -25,10 +25,7 @@ A domain's entry is its solve on the channel's affine Bloch map
 :func:`maximize_mu` is ``bloch_map``, that solve, then, in the probe domain,
 the closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum
 tie, and ties go to the lexicographically smallest angle tuple, outer axes
-first. Both polishes never lower the value and stop after
-``REFINEMENT_ITERATIONS`` iterations or at ``REFINEMENT_TOLERANCE``; the
-all-pairs polish also stops once a step's first-order gain is below one ulp
-of the value. Both solves are deterministic.
+first. Both solves end in :func:`_polish` and are deterministic.
 
 The probe solve uses that every probe pair has
 ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
@@ -83,7 +80,7 @@ DOMAIN_ALL_PAIRS = "all-pairs"
 # 2 sqrt(2) |c| for a CPTP map, is under 3e-14.
 UNITAL_TOL = 1e-14
 
-# Bounds of both polishes: an iteration cap and a step tolerance in radians.
+# Bounds of the polish (:func:`_polish`): an iteration cap and a step tolerance in radians.
 # Grid values within TIE_TOL of the grid maximum tie (a few ulp of values <= 1).
 REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
@@ -163,8 +160,10 @@ class QuantumnessResult:
     (probe) or n*n (all-pairs; n if axial) grid points plus one per polish
     trial, each an exact solve over phi (probe) or over the second input
     (all-pairs; a grid point by its upper bound, and exactly only where that
-    can reach the grid maximum). ``converged`` is False only when the polish hit
-    ``REFINEMENT_ITERATIONS``; the best value seen is still returned.
+    can reach the grid maximum). Both domains end in one polish, which stops
+    once a step moves at most ``REFINEMENT_TOLERANCE`` or gains at most one
+    ulp of the value; ``converged`` is False only when it stopped at
+    ``REFINEMENT_ITERATIONS`` instead. The best value seen is returned.
     """
 
     mu: float
@@ -238,11 +237,11 @@ def _cofactor(cols):
 
 
 def _probe_terms(cols, x: float, phi: float):
-    """(f_x, f_xx, f_xphi, f_phiphi) of the probe objective f = |cof(A) n + K d|^2, in plain floats.
+    """Gradient (f_x, 0) and Hessian (F'', 0, 0), as in :func:`_envelope_terms`, of the probe envelope F = max_phi f.
 
-    ``cols`` carries the first two columns of cof(A) and the three of K as
-    float triples. With m = dn/dphi = (cos phi, -sin phi, 0) the difference of
-    the pair's Bloch vectors is d = (sin x - cos x) m + (sin x + cos x) e_z.
+    At the maximizer phi, ``F'' = f_xx - f_xphi^2 / f_phiphi`` (f_xx where f_phiphi >= 0). f = |cof(A) n + K d|^2 with
+    ``cols`` the first two columns of cof(A) and the three of K as float triples; with m = dn/dphi =
+    (cos phi, -sin phi, 0), the pair's Bloch vectors differ by d = (sin x - cos x) m + (sin x + cos x) e_z.
     """
     c0, c1, k0, k1, k2 = cols
     sp, cp = math.sin(phi), math.cos(phi)
@@ -257,14 +256,14 @@ def _probe_terms(cols, x: float, phi: float):
         f_xx += g_x * g_x - g * (s_minus * km + s_plus * k2[i])
         f_pp += g_p * g_p - g * (cn + s_minus * km)
         f_xp += g_x * g_p - g * s_plus * kn
-    return 2.0 * f_x, 2.0 * f_xx, 2.0 * f_xp, 2.0 * f_pp
+    return (2.0 * f_x, 0.0), (2.0 * (f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx), 0.0, 0.0)
 
 
-def _ascent_step(grad, hess, axial=False):
-    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient; axial: angle 0 only."""
+def _ascent_step(grad, hess, line):
+    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient; line: axis 0 only."""
     g_0, g_1 = grad
     h_00, h_01, h_11 = hess
-    if axial:
+    if line:
         return (-g_0 / h_00 if h_00 < 0.0 else g_0), 0.0
     det = h_00 * h_11 - h_01 * h_01
     if h_00 < 0.0 and det > 0.0:
@@ -365,15 +364,40 @@ def _probe_circle(xp, cols, x):
     return phi, _dot(g, g)
 
 
+def _polish(point, inner, value, terms, trial, move, line):
+    """The envelope polish of both domains: ascent on F(point) = max_inner f from a grid point and its inner argmax.
+
+    Each iteration takes the :func:`_ascent_step` of ``terms(point, inner)``, F's gradient and Hessian (axis 0 alone if
+    ``line``), and halves it until the value does not drop; ``move(point, t, step)`` gives the point t step away and
+    the distance moved, ``trial(point)`` one exact inner solve as (value, inner). It stops, converged, once a step moves
+    at most ``REFINEMENT_TOLERANCE`` or gains at most one ulp of the value to first order, which no trial can show;
+    else after ``REFINEMENT_ITERATIONS`` iterations. Returns (point, inner, value, trials, converged), the best seen.
+    """
+    trials = 0
+    for _ in range(REFINEMENT_ITERATIONS):
+        grad, hess = terms(point, inner)
+        step = _ascent_step(grad, hess, line)
+        gain = grad[0] * step[0] + grad[1] * step[1]  # first-order gain of the full step
+        t = 1.0
+        while True:
+            new_point, moved = move(point, t, step)
+            if moved <= REFINEMENT_TOLERANCE or t * gain <= math.ulp(value):
+                return point, inner, value, trials, True
+            new_value, new_inner = trial(new_point)
+            trials += 1
+            if new_value >= value:
+                break
+            t *= 0.5
+        point, inner, value = new_point, new_inner, new_value
+    return point, inner, value, trials, False
+
+
 def _probe_solve(a_mat, c_vec, n: int):
-    """Exact solve for a unital or axially symmetric channel, else an x grid and a Newton polish of the envelope.
+    """Exact solve for a unital or axially symmetric channel, else an x grid and a polish of the envelope.
 
     Returns (probe_params(x, phi), value, evaluations, converged). The unital solve is the top eigenpair of a 2x2 block
     and the axial one a closed form, one evaluation each. Otherwise each evaluation is one :func:`_probe_circle`: n
-    points x in [0, pi/2] in one batch, then Newton steps on ``F(x) = max_phi f`` with ``F' = f_x`` and
-    ``F'' = f_xx - f_xphi^2 / f_phiphi`` (f_xx where f_phiphi >= 0) from :func:`_probe_terms`, or gradient steps where
-    F'' >= 0. A step is clamped to [0, pi/2] and halved until the value does not drop; the polish stops once x moves
-    by at most ``REFINEMENT_TOLERANCE``.
+    points x in [0, pi/2] in one batch, then :func:`_polish` of ``F(x) = max_phi f`` by :func:`_probe_terms`.
     """
     a_cols, c = a_mat.T.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:
@@ -391,24 +415,16 @@ def _probe_solve(a_mat, c_vec, n: int):
     xs = np.linspace(0.0, HALF_PI, n)
     phis, values = _probe_circle(np, cols, xs)
     k = _grid_argmax(values)
-    x, phi, value = float(xs[k]), float(phis[k]), float(values[k])
-    evaluations = n
-    for _ in range(REFINEMENT_ITERATIONS):
-        f_x, f_xx, f_xp, f_pp = _probe_terms(cols, x, phi)
-        curvature = f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx
-        step = -f_x / curvature if curvature < 0.0 else f_x
-        t = 1.0
-        while True:
-            new_x = min(max(x + t * step, 0.0), HALF_PI)
-            if abs(new_x - x) <= REFINEMENT_TOLERANCE:
-                return probe_params(x, phi), value, evaluations, True
-            new_phi, new_value = _probe_circle(_Floats, cols, new_x)
-            evaluations += 1
-            if new_value >= value:
-                break
-            t *= 0.5
-        x, phi, value = new_x, new_phi, new_value
-    return probe_params(x, phi), value, evaluations, False
+
+    def move(x, t, step):  # clamped to the window, with the distance actually moved
+        new_x = min(max(x + t * step[0], 0.0), HALF_PI)
+        return new_x, abs(new_x - x)
+
+    x, phi, value, trials, converged = _polish(
+        float(xs[k]), float(phis[k]), float(values[k]), functools.partial(_probe_terms, cols),
+        lambda x: _probe_circle(_Floats, cols, x)[::-1], move, line=True,
+    )
+    return probe_params(x, phi), value, n + trials, converged
 
 
 def _is_axial(a_mat, c_vec) -> bool:
@@ -422,15 +438,24 @@ def _is_axial(a_mat, c_vec) -> bool:
     return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
 
 
+def _tangents(xp, n):
+    """Duff et al. 2017's branchless orthonormal basis (e1, e2) of the plane normal to the unit n, with e1 x e2 = n.
+
+    It holds at both poles, and n = 0 gives (e_x, e_y). n is a triple of floats (``xp`` = :class:`_Floats`) or of
+    arrays (``xp`` = numpy), with bit-identical results.
+    """
+    nx, ny, nz = n
+    sign = xp.copysign(1.0, nz)
+    k = -1.0 / (sign + nz)
+    xy = nx * ny * k
+    return (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
+
+
 def _sphere_block(xp, rows, c, a):
     """u = A a + c, e1, Q's rows (q1, q2), the block Q Q^T and d of :func:`_sphere_max` at the first input a."""
     u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
     norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
-    nx, ny, nz = (s / norm for s in u)  # u = 0 gives the basis (e_x, e_y)
-    sign = xp.copysign(1.0, nz)
-    k = -1.0 / (sign + nz)
-    xy = nx * ny * k
-    e1, e2 = (1.0 + sign * nx * nx * k, sign * xy, -sign * nx), (xy, sign + ny * ny * k, -ny)
+    e1, e2 = _tangents(xp, tuple(s / norm for s in u))
     q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
     return u, e1, (q1, q2), (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
 
@@ -449,10 +474,10 @@ def _sphere_bound(rows, c, a):
 def _sphere_max(xp, rows, c, a):
     """Maximum over unit b of |(A a + c) x (A b + c)|^2, and its b, for the first input a; A given by its rows.
 
-    With u = A a + c and (e1, e2) an orthonormal basis of the plane normal to u (Duff et al. 2017's branchless one),
-    the objective is ``|u|^2 |Q b + d|^2`` for the 2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c):
-    the row-space form of :func:`_trust_region_2x2`. The rows of A and c are float triples; a, and the b returned,
-    are triples of floats (``xp`` = :class:`_Floats`) or of arrays with one entry per first input (``xp`` = numpy).
+    With u = A a + c and (e1, e2) the :func:`_tangents` of u / |u|, the objective is ``|u|^2 |Q b + d|^2`` for the
+    2x3 matrix Q with rows ``A^T e1``, ``A^T e2`` and d = (e1.c, e2.c): the row-space form of :func:`_trust_region_2x2`.
+    The rows of A and c are float triples; a, and the b returned, are triples of floats (``xp`` = :class:`_Floats`) or
+    of arrays with one entry per first input (``xp`` = numpy).
     """
     u, e1, (q1, q2), block, d = _sphere_block(xp, rows, c, a)
     _, (y1, y2), _ = _trust_region_2x2(xp, *block, d, row_space=True)
@@ -468,28 +493,18 @@ def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _frame(theta, phi):
-    """The point (theta, phi) of the sphere and its unit tangents along theta and along phi, as float triples."""
-    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    return (st * cp, -st * sp, ct), (ct * cp, -ct * sp, -st), (-sp, -cp, 0.0)
+def _envelope_terms(rows, c, a, b):
+    """Gradient and Hessian (h_00, h_01, h_11) of F(a) = max_b f(a, b) in the basis :func:`_tangents` of the unit a.
 
-
-def _envelope_terms(rows, c, theta, phi, b):
-    """Gradient and Hessian (h_00, h_01, h_11) of F(a) = max_b f(a, b) in the tangents of a = (theta, phi).
-
-    f = |u|^2 |v|^2 - (u.v)^2 with u = A a + c and v = A b + c, for the rows
-    of A and c as float triples and b the maximizer. By the envelope theorem
-    the gradient is that of f in a alone. The Hessian is the Schur complement
-    ``H_aa - H_ab H_bb^{-1} H_ba`` of f's Riemannian Hessian on the two
-    spheres (the term ``-(x . grad_x f) I`` on each sphere's block), or
-    ``H_aa`` alone where ``H_bb`` is not negative definite and b is not
-    locally unique (the hard case).
+    f = |u|^2 |v|^2 - (u.v)^2 with u = A a + c and v = A b + c, for the rows of A and c as float triples and b the
+    maximizer, a unit triple. By the envelope theorem the gradient is that of f in a alone. The Hessian is the Schur
+    complement ``H_aa - H_ab H_bb^{-1} H_ba`` of f's Riemannian Hessian on the two spheres (the term
+    ``-(x . grad_x f) I`` on each sphere's block), or ``H_aa`` alone where ``H_bb`` is not negative definite and b is
+    not locally unique (the hard case).
     """
-    a, *a_tangents = _frame(theta, phi)
-    _, *b_tangents = _frame(*_bloch_angles(b))
     aa, ab = [tuple(_dot(row, t) for row in rows) for t in (a, b)]  # A a and A b
-    x = [tuple(_dot(row, t) for row in rows) for t in a_tangents]  # A t for the tangents t of a
-    y = [tuple(_dot(row, t) for row in rows) for t in b_tangents]  # and of b
+    x = [tuple(_dot(row, t) for row in rows) for t in _tangents(_Floats, a)]  # A t for the tangents t of a
+    y = [tuple(_dot(row, t) for row in rows) for t in _tangents(_Floats, b)]  # and of b
     u, v = tuple(s + t for s, t in zip(aa, c)), tuple(s + t for s, t in zip(ab, c))
     uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
     grad_u = tuple(2.0 * (vv * s - uv * t) for s, t in zip(u, v))
@@ -535,18 +550,13 @@ def _grid_max(rows, c, grid: _Grid, n: int):
 
 
 def _pairs_solve(a_mat, c_vec, n: int):
-    """Closed form for a unital channel, else a grid over the first input and a Newton polish of its envelope.
+    """Closed form for a unital channel, else :func:`_grid_max` over the first input and a polish of its envelope.
 
-    Returns (StatePairParams, value, evaluations, converged). The polish
-    starts from :func:`_grid_max`'s point; each of its trials, as each grid
-    contender, is one plain-float :func:`_sphere_max` over the second input,
-    with b kept as a float triple. It steps by :func:`_ascent_step` on the gradient
-    and Hessian of :func:`_envelope_terms`, halving a step until the value
-    does not drop.
-    An axially symmetric map (:func:`_is_axial`) leaves the envelope
-    invariant under rotations about z, so phi_a = 0 is exact: its grid is n
-    polar angles and its polish moves theta_a alone. Otherwise the grid is
-    n x n and the polish steps in the tangent plane of the first input.
+    Returns (StatePairParams, value, evaluations, converged). :func:`_polish` takes :func:`_envelope_terms`, trials of
+    :func:`_sphere_max` on floats, and moves of the unit first input a to ``a + t (s0 e1 + s1 e2)``, renormalized, for
+    its :func:`_tangents` (e1, e2); angles are formed only for the result. The grid is n x n, or n polar angles on an
+    axially symmetric map (:func:`_is_axial`), whose envelope is invariant under rotations about z: there phi_a = 0 is
+    exact, and the polish steps along e1 alone, in the xz plane, then folds a_x to |a_x| (a half turn about z).
     """
     rows, c = a_mat.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:  # the probe solve's unital test
@@ -556,28 +566,18 @@ def _pairs_solve(a_mat, c_vec, n: int):
     axial = _is_axial(a_mat, c_vec)
     grid = _grid(np.pi, n, 1 if axial else n)
     k, value, b = _grid_max(rows, c, grid, n)
-    theta, phi, evaluations = float(grid.theta[k]), float(grid.phi[k]), grid.theta.size
-    for _ in range(REFINEMENT_ITERATIONS):
-        grad, hess = _envelope_terms(rows, c, theta, phi, b)
-        step = _ascent_step(grad, hess, axial)
-        gain = grad[0] * step[0] + grad[1] * step[1]  # first-order gain of the full step
-        t = 1.0
-        while True:
-            # a step below the tolerance, or with a first-order gain below one ulp, which no trial value can show
-            if t * max(map(abs, step)) <= REFINEMENT_TOLERANCE or t * gain <= math.ulp(value):
-                return StatePairParams(theta, phi, *_bloch_angles(b)), value, evaluations, True
-            if axial:  # theta_a folded back into [0, pi]: the envelope is even in theta_a
-                new_theta, new_phi = abs(math.remainder(theta + t * step[0], TWO_PI)), phi
-            else:  # the tangent step, projected back onto the sphere (the angles ignore the norm)
-                a, t_theta, t_phi = _frame(theta, phi)
-                new_theta, new_phi = _bloch_angles([s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, t_theta, t_phi)])
-            new_value, new_b = _sphere_max(_Floats, rows, c, _frame(new_theta, new_phi)[0])
-            evaluations += 1
-            if new_value >= value:
-                break
-            t *= 0.5
-        theta, phi, value, b = new_theta, new_phi, new_value, new_b
-    return StatePairParams(theta, phi, *_bloch_angles(b)), value, evaluations, False
+
+    def move(a, t, step):  # renormalized; the distance is t times the step's largest tangent component
+        moved = [s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, *_tangents(_Floats, a))]
+        moved[0] = abs(moved[0]) if axial else moved[0]
+        norm = math.sqrt(_dot(moved, moved))
+        return [s / norm for s in moved], t * max(map(abs, step))
+
+    a, b, value, trials, converged = _polish(
+        grid.bloch[:, k].tolist(), b, value, functools.partial(_envelope_terms, rows, c),
+        functools.partial(_sphere_max, _Floats, rows, c), move, line=axial,
+    )
+    return StatePairParams(*_bloch_angles(a), *_bloch_angles(b)), value, grid.theta.size + trials, converged
 
 
 # Each domain's solve: (A, c) and the grid points per angle in, (StatePairParams, value, evaluations, converged) out.

@@ -55,5 +55,8 @@ def probe_params(x, phi) -> StatePairParams:
 
 
 def max_noncommuting_pair(x: float, phi: float) -> tuple[DensityMatrix, DensityMatrix]:
-    """The states of :func:`probe_params`; their incompatibility is 1 for every (x, phi)."""
-    return state_pair(probe_params(x, phi))
+    """The states of :func:`probe_params`; their incompatibility is 1 for every (x, phi).
+
+    x is reduced modulo 2 pi first, an exact step on [0, 2 pi): at |x| near 1e16, x + pi/2 rounds to x.
+    """
+    return state_pair(probe_params(float(x) % TWO_PI, phi))

@@ -1,5 +1,6 @@
 import decimal
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -464,6 +465,14 @@ def test_rtn_kernel_critical_form():
     b = g / 2.0
     for t in (0.0, 0.3, 1.7):
         assert rtn_kernel(t, g, b) == pytest.approx((1 + g * t) * np.exp(-g * t), abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma, b", [(1.0, 2.0), (10.0, 1.0), (10.0, 5.0)])  # oscillatory, damped, critical
+def test_rtn_kernel_reaches_its_limit_at_large_t(gamma, b):
+    # gamma t and w t overflow at t = 1e308, where cos(inf) and inf * 0 were NaN; the kernel is its limit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rtn_kernel(1e308, gamma, b) == 0.0
 
 
 def _rtn_damped_reference(t, gamma, b):

@@ -61,6 +61,13 @@ def test_max_noncommuting_incompatibility_is_one_on_grid(n):
     assert worst < 1e-10
 
 
+@pytest.mark.parametrize("x", [1e12, 1e16, 1e17, -1e17])
+def test_max_noncommuting_pair_keeps_the_quarter_turn_at_large_x(x):
+    # x + pi/2 rounded to x at 1e17 (incompatibility 0), and lost part of the quarter turn at 1e12 to 1e16
+    for phi in (0.0, 0.9):
+        assert abs(incompatibility(*max_noncommuting_pair(x, phi)) - 1.0) <= 1e-12
+
+
 def test_angles_reduced_modulo_two_pi():
     base = state_pair(StatePairParams(0.4, 1.2, 2.0, 5.9))
     shifted = state_pair(StatePairParams(0.4 + 2 * np.pi, 1.2 - 2 * np.pi, 2.0, 5.9 + 4 * np.pi))

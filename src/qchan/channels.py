@@ -304,7 +304,10 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
         val = 0.0
     elif disc > 0.0:
         w = math.sqrt(disc)
-        val = decay * (np.cos(w * tv) + (g / w) * np.sin(w * tv))
+        phase = w * tv
+        if phase == math.inf:  # e^{-gamma t} > 0 but w t overflows, so cos and sin have no argument
+            raise ValueError(f"Lambda(t) has no float value: w t overflows at t={tv}, gamma={g}, b={bv}")
+        val = decay * (np.cos(phase) + (g / w) * np.sin(phase))
     else:
         val = (1.0 + g * tv) * decay
     return _check_kernel_value(val, "Lambda(t)")

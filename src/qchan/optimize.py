@@ -41,7 +41,7 @@ a trust-region subproblem in the plane normal to A a + c
 (:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a; its
 grid stage (:func:`_grid_max`) bounds every grid point and solves exactly only
 those that can reach the maximum (k points tied within ``TIE_TOL`` cost k
-solves, about 17 us each). Unital channels, and axially symmetric ones in the
+solves, about 12-16 us each). Unital channels, and axially symmetric ones in the
 probe domain, have closed forms. Each exact solve (:func:`_trust_region_2x2`,
 :func:`_sphere_max`, :func:`_probe_circle`) is one routine, run on numpy
 arrays (``xp = numpy``: the probe x grid) or on one point's floats
@@ -347,9 +347,9 @@ def _probe_circle(xp, cols, x):
     c0, c1, k0, k1, k2 = cols
     sin_x, cos_x = xp.sin(x), xp.cos(x)
     s_minus, s_plus = sin_x - cos_x, sin_x + cos_x
-    g_sin = [a - s_minus * b for a, b in zip(c0, k1)]
-    g_cos = [a + s_minus * b for a, b in zip(c1, k0)]
-    w = [s_plus * b for b in k2]
+    g_sin = (c0[0] - s_minus * k1[0], c0[1] - s_minus * k1[1], c0[2] - s_minus * k1[2])
+    g_cos = (c1[0] + s_minus * k0[0], c1[1] + s_minus * k0[1], c1[2] + s_minus * k0[2])
+    w = (s_plus * k2[0], s_plus * k2[1], s_plus * k2[2])
     p, q, r, d1, d2 = _dot(g_cos, g_cos), _dot(g_sin, g_cos), _dot(g_sin, g_sin), _dot(g_cos, w), _dot(g_sin, w)
     # The block's smaller eigenvalue adds a constant on the circle. Dropped, and the rest scaled to order one, the
     # secular step neither cancels against it nor stops at its absolute tolerance (rounding-level c, near-unitary A).
@@ -360,7 +360,8 @@ def _probe_circle(xp, cols, x):
     _, (n_cos, n_sin), _ = _trust_region_2x2(xp, (h + half) / scale, q / scale, (h - half) / scale, (d1 / scale, d2 / scale))
     phi = _azimuth(xp, n_sin, n_cos)
     sp, cp = xp.sin(phi), xp.cos(phi)
-    g = [sp * a + cp * b + c for a, b, c in zip(g_sin, g_cos, w)]
+    g = (sp * g_sin[0] + cp * g_cos[0] + w[0], sp * g_sin[1] + cp * g_cos[1] + w[1],
+         sp * g_sin[2] + cp * g_cos[2] + w[2])
     return phi, _dot(g, g)
 
 
@@ -453,10 +454,13 @@ def _tangents(xp, n):
 
 def _sphere_block(xp, rows, c, a):
     """u = A a + c, e1, Q's rows (q1, q2), the block Q Q^T and d of :func:`_sphere_max` at the first input a."""
-    u = tuple(_dot(row, a) + s for row, s in zip(rows, c))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    u = (_dot(rows[0], a) + c[0], _dot(rows[1], a) + c[1], _dot(rows[2], a) + c[2])
     norm = xp.maximum(xp.sqrt(_dot(u, u)), 1e-300)
-    e1, e2 = _tangents(xp, tuple(s / norm for s in u))
-    q1, q2 = (tuple(_dot(col, e) for col in zip(*rows)) for e in (e1, e2))
+    e1, e2 = _tangents(xp, (u[0] / norm, u[1] / norm, u[2] / norm))
+    (x1, y1, z1), (x2, y2, z2) = e1, e2
+    q1 = (a00 * x1 + a10 * y1 + a20 * z1, a01 * x1 + a11 * y1 + a21 * z1, a02 * x1 + a12 * y1 + a22 * z1)  # A^T e1
+    q2 = (a00 * x2 + a10 * y2 + a20 * z2, a01 * x2 + a11 * y2 + a21 * z2, a02 * x2 + a12 * y2 + a22 * z2)  # A^T e2
     return u, e1, (q1, q2), (_dot(q1, q1), _dot(q1, q2), _dot(q2, q2)), (_dot(c, e1), _dot(c, e2))
 
 
@@ -481,16 +485,22 @@ def _sphere_max(xp, rows, c, a):
     """
     u, e1, (q1, q2), block, d = _sphere_block(xp, rows, c, a)
     _, (y1, y2), _ = _trust_region_2x2(xp, *block, d, row_space=True)
-    b = tuple(s * y1 + t * y2 for s, t in zip(q1, q2))
+    b = (q1[0] * y1 + q2[0] * y2, q1[1] * y1 + q2[1] * y2, q1[2] * y1 + q2[2] * y2)
     b_norm = xp.sqrt(_dot(b, b))
     found, b_norm = b_norm > 0.0, xp.maximum(b_norm, 1e-300)
-    b = tuple(xp.where(found, s / b_norm, e) for s, e in zip(b, e1))  # Q = 0: every b attains the maximum
-    w = _cross(u, tuple(_dot(row, b) + s for row, s in zip(rows, c)))
+    b = (xp.where(found, b[0] / b_norm, e1[0]), xp.where(found, b[1] / b_norm, e1[1]),
+         xp.where(found, b[2] / b_norm, e1[2]))  # Q = 0: every b attains the maximum
+    w = _cross(u, (_dot(rows[0], b) + c[0], _dot(rows[1], b) + c[1], _dot(rows[2], b) + c[2]))
     return _dot(w, w), b
 
 
 def _dot(u, v):
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _apply(rows, v):
+    """A v for the rows of A, as three :func:`_dot`."""
+    return _dot(rows[0], v), _dot(rows[1], v), _dot(rows[2], v)
 
 
 def _envelope_terms(rows, c, a, b):
@@ -502,25 +512,36 @@ def _envelope_terms(rows, c, a, b):
     ``-(x . grad_x f) I`` on each sphere's block), or ``H_aa`` alone where ``H_bb`` is not negative definite and b is
     not locally unique (the hard case).
     """
-    aa, ab = [tuple(_dot(row, t) for row in rows) for t in (a, b)]  # A a and A b
-    x = [tuple(_dot(row, t) for row in rows) for t in _tangents(_Floats, a)]  # A t for the tangents t of a
-    y = [tuple(_dot(row, t) for row in rows) for t in _tangents(_Floats, b)]  # and of b
-    u, v = tuple(s + t for s, t in zip(aa, c)), tuple(s + t for s, t in zip(ab, c))
+    aa, ab = _apply(rows, a), _apply(rows, b)  # A a and A b
+    e1, e2 = _tangents(_Floats, a)
+    x0, x1 = _apply(rows, e1), _apply(rows, e2)  # A t for the tangents t of a
+    e1, e2 = _tangents(_Floats, b)
+    y0, y1 = _apply(rows, e1), _apply(rows, e2)  # and of b
+    u, v = (aa[0] + c[0], aa[1] + c[1], aa[2] + c[2]), (ab[0] + c[0], ab[1] + c[1], ab[2] + c[2])
     uu, vv, uv = _dot(u, u), _dot(v, v), _dot(u, v)
-    grad_u = tuple(2.0 * (vv * s - uv * t) for s, t in zip(u, v))
-    grad_v = tuple(2.0 * (uu * s - uv * t) for s, t in zip(v, u))
-    xu, xv, yu, yv = [_dot(s, u) for s in x], [_dot(s, v) for s in x], [_dot(s, u) for s in y], [_dot(s, v) for s in y]
+    grad_u = (2.0 * (vv * u[0] - uv * v[0]), 2.0 * (vv * u[1] - uv * v[1]), 2.0 * (vv * u[2] - uv * v[2]))
+    grad_v = (2.0 * (uu * v[0] - uv * u[0]), 2.0 * (uu * v[1] - uv * u[1]), 2.0 * (uu * v[2] - uv * u[2]))
+    x0u, x1u, x0v, x1v = _dot(x0, u), _dot(x1, u), _dot(x0, v), _dot(x1, v)
+    y0u, y1u, y0v, y1v = _dot(y0, u), _dot(y1, u), _dot(y0, v), _dot(y1, v)
     radial_a, radial_b = _dot(aa, grad_u), _dot(ab, grad_v)
-    h_aa = [[2.0 * (vv * _dot(x[i], x[j]) - xv[i] * xv[j]) - (i == j) * radial_a for j in (0, 1)] for i in (0, 1)]
-    h_bb = [[2.0 * (uu * _dot(y[i], y[j]) - yu[i] * yu[j]) - (i == j) * radial_b for j in (0, 1)] for i in (0, 1)]
-    h_ab = [[4.0 * xu[i] * yv[j] - 2.0 * (xv[i] * yu[j] + uv * _dot(x[i], y[j])) for j in (0, 1)] for i in (0, 1)]
-    det = h_bb[0][0] * h_bb[1][1] - h_bb[0][1] * h_bb[1][0]
-    if h_bb[0][0] < 0.0 and det > 0.0:
-        inv = ((h_bb[1][1] / det, -h_bb[0][1] / det), (-h_bb[1][0] / det, h_bb[0][0] / det))
-        for i in (0, 1):
-            for j in (0, 1):
-                h_aa[i][j] -= sum(h_ab[i][k] * inv[k][m] * h_ab[j][m] for k in (0, 1) for m in (0, 1))
-    return (_dot(x[0], grad_u), _dot(x[1], grad_u)), (h_aa[0][0], h_aa[0][1], h_aa[1][1])
+    h_00 = 2.0 * (vv * _dot(x0, x0) - x0v * x0v) - radial_a
+    h_01 = 2.0 * (vv * _dot(x0, x1) - x0v * x1v)
+    h_11 = 2.0 * (vv * _dot(x1, x1) - x1v * x1v) - radial_a
+    b_00 = 2.0 * (uu * _dot(y0, y0) - y0u * y0u) - radial_b
+    b_01 = 2.0 * (uu * _dot(y0, y1) - y0u * y1u)
+    b_11 = 2.0 * (uu * _dot(y1, y1) - y1u * y1u) - radial_b
+    det = b_00 * b_11 - b_01 * b_01
+    if b_00 < 0.0 and det > 0.0:
+        # H_ab's entries m_ij, and H_bb^{-1} = (i_00, i_01; i_01, i_11); each term is m_ik i_kl m_jl
+        m_00 = 4.0 * x0u * y0v - 2.0 * (x0v * y0u + uv * _dot(x0, y0))
+        m_01 = 4.0 * x0u * y1v - 2.0 * (x0v * y1u + uv * _dot(x0, y1))
+        m_10 = 4.0 * x1u * y0v - 2.0 * (x1v * y0u + uv * _dot(x1, y0))
+        m_11 = 4.0 * x1u * y1v - 2.0 * (x1v * y1u + uv * _dot(x1, y1))
+        i_00, i_01, i_11 = b_11 / det, -b_01 / det, b_00 / det
+        h_00 -= m_00 * i_00 * m_00 + m_00 * i_01 * m_01 + m_01 * i_01 * m_00 + m_01 * i_11 * m_01
+        h_01 -= m_00 * i_00 * m_10 + m_00 * i_01 * m_11 + m_01 * i_01 * m_10 + m_01 * i_11 * m_11
+        h_11 -= m_10 * i_00 * m_10 + m_10 * i_01 * m_11 + m_11 * i_01 * m_10 + m_11 * i_11 * m_11
+    return (_dot(x0, grad_u), _dot(x1, grad_u)), (h_00, h_01, h_11)
 
 
 def _grid_max(rows, c, grid: _Grid, n: int):

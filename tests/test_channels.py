@@ -475,6 +475,15 @@ def test_rtn_kernel_reaches_its_limit_at_large_t(gamma, b):
         assert rtn_kernel(1e308, gamma, b) == 0.0
 
 
+def test_rtn_kernel_rejects_an_overflowing_phase():
+    # e^{-gamma t} is about 0.99 here but w t = 2e308 overflows, where cos(inf) was NaN after a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"w t overflows at t=1e\+308, gamma=1e-310, b=1\.0"):
+            rtn_kernel(1e308, 1e-310, 1.0)
+        assert -1.0 <= rtn_kernel(1e300, 1e-300, 1.0) <= 1.0  # w t = 2e300 is finite
+
+
 def _rtn_damped_reference(t, gamma, b):
     """The damped-regime kernel in 40-digit decimal arithmetic, where w_h - gamma does not lose digits."""
     with decimal.localcontext() as ctx:

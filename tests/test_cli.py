@@ -342,6 +342,14 @@ def test_sweep_with_a_bad_point_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_sweep_with_an_overflowing_rtn_phase_exits_2_and_writes_nothing(tmp_path, capsys):
+    out_path = tmp_path / "rtn.csv"
+    argv = ("sweep", "--channel", "rtn", "--sweep", "t=0:1e308:1e308", "--set", "gamma=1e-310,b=1", "--out", str(out_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and "t=1e+308, gamma=1e-310, b=1.0" in err
+    assert not out_path.exists()
+
+
 def test_sweep_csv_writer_matches_csv_module():
     # gad has no closed form: its mu_closed_form, abs_error and kernel_value cells are None.
     spec = SweepSpec("gad", {"alpha": 0.5}, "xi", 0.0, 1.0, 0.125)

@@ -1217,6 +1217,59 @@ def test_envelope_terms_match_differences(seed):
             assert abs((f[2] - 2 * f[1] + f[0]) / h**2 - np.dot(direction, hess @ direction)) <= 1e-5
 
 
+def _envelope_reference(a_mat, c_vec, a, b):
+    """The terms of :func:`optimize._envelope_terms` by 3x3 and 2x2 matrices, and whether H_bb is negative definite.
+
+    f = |u|^2 |v|^2 - (u.v)^2 for u = A a + c and v = A b + c: its Euclidean derivatives in u and v, carried to the
+    tangent bases T_a and T_b through A, minus (x . grad_x f) I on each sphere's block; H_bb^{-1} H_ba by np.linalg.solve.
+    """
+    a, b = np.array(a), np.array(b)
+    t_a, t_b = (np.array(optimize._tangents(optimize._Floats, x.tolist())).T for x in (a, b))  # 3x2
+    u, v = a_mat @ a + c_vec, a_mat @ b + c_vec
+    grad_u, grad_v = 2.0 * ((v @ v) * u - (u @ v) * v), 2.0 * ((u @ u) * v - (u @ v) * u)
+    d_uu = 2.0 * ((v @ v) * np.eye(3) - np.outer(v, v))
+    d_vv = 2.0 * ((u @ u) * np.eye(3) - np.outer(u, u))
+    d_uv = 2.0 * (2.0 * np.outer(u, v) - np.outer(v, u) - (u @ v) * np.eye(3))
+    m_a, m_b = a_mat @ t_a, a_mat @ t_b
+    h_aa = m_a.T @ d_uu @ m_a - ((a_mat @ a) @ grad_u) * np.eye(2)
+    h_bb = m_b.T @ d_vv @ m_b - ((a_mat @ b) @ grad_v) * np.eye(2)
+    h_ab = m_a.T @ d_uv @ m_b
+    definite = bool(np.all(np.linalg.eigvalsh(h_bb) < 0.0))
+    hess = h_aa - h_ab @ np.linalg.solve(h_bb, h_ab.T) if definite else h_aa
+    return m_a.T @ grad_u, hess, definite
+
+
+def _envelope_cases():
+    """(A, c, a, b, whether H_bb is negative definite, None if either): random maps at random points and both poles."""
+    rng = np.random.default_rng(31)
+    for n_ops in (2, 3, 4, 2, 3, 4):  # not 1: a unitary map's H_bb is singular at the maximizer, its branch a rounding
+        a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, n_ops), "random"))
+        thetas = [*rng.uniform(0.1, 3.0, size=4), 0.0, np.pi]
+        for a in bloch_vectors(np.array(thetas), rng.uniform(0.0, 2 * np.pi, size=len(thetas))).tolist():
+            b = optimize._sphere_max(optimize._Floats, a_mat.tolist(), c_vec.tolist(), a)[1]
+            yield a_mat, c_vec, a, list(b), True  # a strict local maximum over b
+            b = rng.normal(size=3)
+            yield a_mat, c_vec, a, (b / np.linalg.norm(b)).tolist(), None
+        yield a_mat, c_vec, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], None
+    # hard cases: a constant map (A = 0, f = 0 everywhere) and the identity, where |a x b|^2 stays 1 as b turns about a
+    for a, b in (([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]), ([0.0, 0.0, -1.0], [0.0, 1.0, 0.0]), ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])):
+        yield np.zeros((3, 3)), np.array([0.3, -0.2, 0.5]), a, b, False
+        yield np.eye(3), np.zeros(3), a, b, False
+
+
+def test_envelope_terms_match_a_matrix_reference():
+    branches = []
+    for a_mat, c_vec, a, b, definite in _envelope_cases():
+        grad, (h_00, h_01, h_11) = optimize._envelope_terms(a_mat.tolist(), c_vec.tolist(), a, b)
+        ref_grad, ref_hess, ref_definite = _envelope_reference(a_mat, c_vec, a, b)
+        assert definite in (None, ref_definite)
+        branches.append(ref_definite)
+        scale = 1.0 + np.max(np.abs(ref_hess))
+        assert np.max(np.abs(np.array(grad) - ref_grad)) <= 1e-14
+        assert np.max(np.abs(np.array([[h_00, h_01], [h_01, h_11]]) - ref_hess)) <= 1e-13 * scale, (a, b)
+    assert 0 < branches.count(False) < branches.count(True)  # both branches, the Schur complement on most points
+
+
 @pytest.mark.parametrize("gamma", [1e-7, 1e-9])
 def test_all_pairs_polish_on_near_identity_maps(gamma):
     # The envelope's curvature is of order gamma here; the polish still reaches the top of a dense polar scan.

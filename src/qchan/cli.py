@@ -1,10 +1,8 @@
 """Command-line front end: measure, sweep, validate, visibility.
 
 Exit codes: 0 success (validate: all rows pass), 1 validation failure,
-2 usage error, 3 runtime or I/O failure.
-
-Environment: QCHAN_DEFAULT_GRID overrides the default grid size
-(:data:`qchan.optimize.DEFAULT_GRID`); the ``--grid`` flag wins over it.
+2 usage error, 3 runtime or I/O failure. ``--grid`` is the one source of the grid size
+(default :data:`qchan.optimize.DEFAULT_GRID`).
 """
 
 from __future__ import annotations
@@ -13,9 +11,8 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional
 
 from .channels import CHANNELS, KERNELS, apply, builtin_kernel, make_channel, make_channels
@@ -23,7 +20,6 @@ from .measures import visibilities
 from .optimize import DEFAULT_GRID, DOMAIN_PROBE, DOMAINS, OptimizerConfig, check_grid, maximize_mu
 from .states import max_noncommuting_pair
 
-GRID_ENV_VAR = "QCHAN_DEFAULT_GRID"
 # Largest sweep; SweepSpec rejects a longer one before building its points.
 MAX_SWEEP_POINTS = 10**6
 # Sweep points per make_channels batch: batched intermediates take O(SWEEP_BLOCK) memory.
@@ -134,13 +130,14 @@ class ValidationReport:
 
     rows: tuple
     tolerance: float
-    asserted: int = field(init=False)
-    overall_pass: bool = field(init=False)
 
-    def __post_init__(self):
-        verdicts = [r.passed for r in self.rows if r.passed is not None]
-        object.__setattr__(self, "asserted", len(verdicts))
-        object.__setattr__(self, "overall_pass", bool(verdicts) and all(verdicts))
+    @property
+    def asserted(self) -> int:
+        return sum(r.passed is not None for r in self.rows)
+
+    @property
+    def overall_pass(self) -> bool:
+        return self.asserted > 0 and all(r.passed for r in self.rows if r.passed is not None)
 
 
 def _family(label: str, *points: tuple) -> tuple[str, tuple]:
@@ -219,21 +216,8 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
     return name, start, stop, step
 
 
-def _resolve_grid(flag_value: Optional[int]) -> int:
-    value, source = flag_value, "--grid"
-    if value is None:
-        env = os.environ.get(GRID_ENV_VAR)
-        if env is None:
-            return DEFAULT_GRID
-        try:
-            value, source = int(env), GRID_ENV_VAR
-        except ValueError:
-            raise ValueError(f"{GRID_ENV_VAR} must be an integer, got {env!r}") from None
-    return check_grid(value, source)
-
-
 def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(_resolve_grid(args.grid), args.domain)
+    return OptimizerConfig(check_grid(args.grid, "--grid"), args.domain)
 
 
 def _write_json(document: dict, path: Optional[str] = None) -> None:
@@ -292,7 +276,6 @@ def _params_text(params: Mapping[str, float]) -> str:
 
 
 def _cmd_validate(args) -> int:
-    _resolve_grid(args.grid)  # range-checked as for measure and sweep, though no validate point reads it
     report = run_validation(tolerance=args.tol)
     header = f"{'channel':<8} {'params':<40} {'mu_numeric':<22} {'closed_form':<22} {'abs_error':<12} status"
     print(header)
@@ -347,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", required=True, help=f"channel label ({', '.join(CHANNELS)})")
         p.add_argument("--set", default="", metavar="k=v[,k=v...]", help="channel/kernel parameters")
         if domain:
-            p.add_argument("--grid", type=int, default=None, help=f"grid points per angle (default {DEFAULT_GRID}, env {GRID_ENV_VAR})")
-            p.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
+            p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=f"grid points per angle (default {DEFAULT_GRID})")
             p.add_argument(
                 "--domain",
                 choices=tuple(DOMAINS),
@@ -367,14 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--kernel", default=None, help=f"kernel for rtn/nmd time sweeps ({', '.join(KERNELS)})")
     p_sweep.add_argument("--out", required=True, help="output file path")
     p_sweep.add_argument("--format", choices=("csv", "structured"), default="csv")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; no effect (batched build, serial solves)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="compare numerical maxima against closed forms")
     p_validate.add_argument("--tol", type=float, default=1e-4)
-    grid_help = "range-checked as for measure; no effect, every validate point is solved exactly"
-    p_validate.add_argument("--grid", type=int, default=None, help=grid_help)
-    p_validate.add_argument("--seed", type=int, default=0, help="accepted for compatibility; no effect")
     p_validate.add_argument("--out", default=None, help="optional JSON report path")
     p_validate.set_defaults(func=_cmd_validate)
 

@@ -43,7 +43,7 @@ def state_pair(params: StatePairParams) -> tuple[DensityMatrix, DensityMatrix]:
     """Build the pure pair (rho_a, rho_b) for the given angles.
 
     Angles outside the canonical ranges are reduced modulo 2 pi rather than
-    rejected, so optimizer refinement steps may wander freely.
+    rejected.
     """
     x, phi, y, xi = (float(v) % TWO_PI for v in params)
     return from_bloch(bloch_vectors(x, phi)), from_bloch(bloch_vectors(y, xi))

@@ -1,6 +1,9 @@
+import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,8 @@ from qchan.cli import (
 )
 from qchan import cli
 from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig, maximize_mu
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -75,11 +80,10 @@ def test_measure_gad_has_no_closed_form(capsys):
         (["validate", "--tol", "inf"], "positive and finite"),
         (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:1e-12"], "too many points"),
         (["measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs", "--grid", "100000"], "between 2 and"),
-        (["validate", "--grid", str(MAX_GRID_POINTS + 1)], "between 2 and"),
     ],
     ids=[
         "lambda-nan", "gamma-nan", "b-overflow", "stop-inf", "start-nan", "step-underflow", "tol-nan", "tol-inf",
-        "sweep-points", "grid-flag", "validate-grid",
+        "sweep-points", "grid-flag",
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
@@ -170,8 +174,6 @@ def test_sweep_identical_runs_are_byte_identical(tmp_path, capsys):
             "ad",
             "--sweep",
             "gamma=0:1:0.2",
-            "--seed",
-            "7",
             "--out",
             str(p),
         )
@@ -183,35 +185,24 @@ def test_sweep_identical_runs_are_byte_identical(tmp_path, capsys):
     assert mus[-1] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_sweep_jobs_do_not_change_output(tmp_path, capsys):
-    serial = tmp_path / "serial.csv"
-    threaded = tmp_path / "threaded.csv"
-    args = ["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"]
-    assert run_cli(capsys, *args, "--out", str(serial))[0] == 0
-    assert run_cli(capsys, *args, "--out", str(threaded), "--jobs", "4")[0] == 0
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 @pytest.mark.parametrize(
-    "argv, flags",
+    "argv, flag",
     [
-        (["measure", "--channel", "pd", "--set", "gamma=0.25"], ["--seed", "5"]),
-        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], ["--seed", "5"]),
-        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], ["--jobs", "4"]),
-        (["validate"], ["--seed", "5"]),
+        (["measure", "--channel", "pd", "--set", "gamma=0.25"], "--seed"),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], "--seed"),
+        (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], "--jobs"),
+        (["validate"], "--seed"),
+        (["validate"], "--grid"),
     ],
-    ids=["measure-seed", "sweep-seed", "sweep-jobs", "validate-seed"],
+    ids=["measure-seed", "sweep-seed", "sweep-jobs", "validate-seed", "validate-grid"],
 )
-def test_compatibility_flags_change_no_output(tmp_path, capsys, argv, flags):
-    # --seed and --jobs are accepted and have no effect on stdout, files or exit code.
-    outputs = []
-    for extra in ([], flags):
-        out_path = tmp_path / f"out{len(outputs)}"
-        out_args = ["--out", str(out_path)] if argv[0] != "measure" else []
-        code, out, err = run_cli(capsys, *argv, *extra, *out_args)
-        assert code == 0, err
-        outputs.append((out.encode(), out_path.read_bytes() if out_args else None))
-    assert outputs[0] == outputs[1]
+def test_removed_settings_are_usage_errors(tmp_path, capsys, argv, flag):
+    # Nothing in qchan is random or parallel, and validate solves every point exactly: these flags set nothing.
+    out_path = tmp_path / "out"
+    out_args = [] if argv[0] == "measure" else ["--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv, flag, "5", *out_args)
+    assert code == 2 and out == "" and f"unrecognized arguments: {flag} 5" in err
+    assert not out_path.exists()
 
 
 def test_sweep_rtn_time_with_default_kernel(tmp_path, capsys):
@@ -320,6 +311,20 @@ def test_kernel_help_lists_the_kernel_table(capsys, monkeypatch):
     assert code == 0 and "kernel for rtn/nmd time sweeps (rtn-damped, nmd-linear)" in out
 
 
+def test_readme_flags_are_the_parser_options():
+    # The CLI reference's "Flags:" sentence names each long option of every subcommand once, and no other.
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    sentence = README.read_text().split("\nFlags: ", 1)[1].split(".\n", 1)[0]
+    assert sorted(re.findall(r"`(--[a-z-]+)", sentence)) == sorted(options)
+
+
 def test_sweep_blocks_do_not_change_the_csv(tmp_path, capsys, monkeypatch):
     # 101 points in blocks of 7 (the last one holds 3) give the bytes of one block.
     args = ["sweep", "--channel", "rtn", "--sweep", "t=0:5:0.05", "--set", "gamma=1,b=2"]
@@ -403,7 +408,7 @@ def test_validate_bad_tolerance(capsys):
 
 def test_validate_failure_exit_code(capsys):
     # an absurd tolerance cannot be met by floating point agreement
-    code, out, _ = run_cli(capsys, "validate", "--tol", "1e-20", "--grid", "10")
+    code, out, _ = run_cli(capsys, "validate", "--tol", "1e-20")
     assert code == 1
     assert "overall: FAIL" in out
 
@@ -436,39 +441,25 @@ def test_visibility_identity_like_channel(capsys):
     assert doc["measure"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grid_env_var(tmp_path, capsys, monkeypatch):
+def test_grid_env_var(capsys, monkeypatch):
     # Every named channel takes a one-evaluation probe solve; ad's all-pairs solve scans
-    # n polar angles (it is axially symmetric) and polishes the best one.
-    monkeypatch.setenv("QCHAN_DEFAULT_GRID", "8")
-    code, out, _ = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs")
-    assert code == 0
-    doc = json.loads(out)
-    assert 8 < doc["evaluations"] < 24  # 8-point grid plus refinement
-
-    # explicit flag wins over the environment
-    code, out, _ = run_cli(
-        capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs", "--grid", "30"
-    )
-    assert json.loads(out)["evaluations"] > 30
-
+    # n polar angles (it is axially symmetric) and polishes the best one. --grid alone sets n:
+    # QCHAN_DEFAULT_GRID is not read, whatever it holds.
+    argv = ["measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs"]
+    plain = run_cli(capsys, *argv)
     monkeypatch.setenv("QCHAN_DEFAULT_GRID", "banana")
-    assert run_cli(capsys, "measure", "--channel", "pd", "--set", "gamma=0.5")[0] == 2
-
-    # above the cap: exit 2 before the n * n first inputs are allocated
-    monkeypatch.setenv("QCHAN_DEFAULT_GRID", "100000")
-    code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs")
-    assert code == 2 and out == "" and "between 2 and" in err
+    assert run_cli(capsys, *argv) == plain and plain[0] == 0
+    assert json.loads(plain[1])["evaluations"] > 24
+    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
+    assert code == 0 and 8 < json.loads(out)["evaluations"] < 24  # 8-point grid plus refinement
+    code, out, _ = run_cli(capsys, *argv, "--grid", "30")
+    assert code == 0 and json.loads(out)["evaluations"] > 30
 
 
 @pytest.mark.parametrize("value, ok", [("1", False), ("2", True), (str(MAX_GRID_POINTS), True), (str(MAX_GRID_POINTS + 1), False)])
-@pytest.mark.parametrize("source", ["--grid", "QCHAN_DEFAULT_GRID"])
-def test_grid_bounds_name_their_source(capsys, monkeypatch, source, value, ok):
-    argv = ["measure", "--channel", "ad", "--set", "gamma=0.5"]
-    if source == "--grid":
-        argv += ["--grid", value]
-    else:
-        monkeypatch.setenv(source, value)
-    code, out, err = run_cli(capsys, *argv)
+@pytest.mark.parametrize("source", ["--grid"])
+def test_grid_bounds_name_their_source(capsys, source, value, ok):
+    code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", source, value)
     if ok:
         assert code == 0 and err == ""
     else:
@@ -526,14 +517,12 @@ def test_validation_weights_are_sorted():
         assert abs(sum(weights) - 1.0) < 1e-12
 
 
-def test_validation_rows_do_not_depend_on_the_grid(tmp_path, capsys):
+def test_validation_rows_do_not_depend_on_the_grid():
     # Every validate point is unital or axial, so each probe solve is exact in one evaluation.
-    outputs = []
-    for grid in ([], ["--grid", "2"]):
-        out_path = tmp_path / f"validate{len(grid)}.json"
-        code, out, _ = run_cli(capsys, "validate", *grid, "--out", str(out_path))
-        outputs.append((code, out, out_path.read_bytes()))
-    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+    for label, points in VALIDATION_POINTS:
+        for params in points:
+            channel = make_channel(label, params)
+            assert maximize_mu(channel, OptimizerConfig(2)) == maximize_mu(channel)
     report = run_validation()
     assert report.asserted == 34 and len(report.rows) == 40
 

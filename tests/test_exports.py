@@ -43,7 +43,7 @@ def test_closed_forms_live_with_the_registry():
 
 def test_grid_contract_is_defined_once():
     assert cli.DEFAULT_GRID is optimize.DEFAULT_GRID == optimize.OptimizerConfig().grid_points_per_angle
-    for source in ("--grid", "QCHAN_DEFAULT_GRID", "grid_points_per_angle", "n"):
+    for source in ("--grid", "grid_points_per_angle", "n"):
         with pytest.raises(ValueError, match=rf"^{source} must be between 2 and {optimize.MAX_GRID_POINTS}, got 1$"):
             optimize.check_grid(1, source)
 

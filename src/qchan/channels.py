@@ -14,15 +14,16 @@ channels:
 
 Memory kernels are injected as values: ``rtn``/``nmd`` take the scalar kernel
 value, while :func:`rtn_kernel` / :func:`nmd_kernel` produce those values from
-physical parameters. The kernel functional forms are documented defaults taken
-from the standard open-systems literature, not channel-intrinsic content, and
-can be swapped for any other map into [-1, 1].
+physical parameters, for one float or for a 1-D array of sweep values. The
+kernel functional forms are documented defaults taken from the standard
+open-systems literature, not channel-intrinsic content, and can be swapped for
+any other map into [-1, 1].
 
 :data:`CHANNELS` is the one table of per-label facts: constructor, Kraus
 builder, parameter names, closed forms and sweep kernel. Everything that
 dispatches on a channel label reads it. Every constructor is the one-point
 case of :func:`make_channels`, which builds a batch of one family's points
-with one contraction and one CPTP check.
+from arrays of their parameters, with one contraction and one CPTP check.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ def _transfer_matrices(stacks: np.ndarray) -> np.ndarray:
     row is sum K^dag K in the Pauli basis, so it is the completeness check. Raises for the first failing channel.
     """
     n, k = stacks.shape[:2]
-    peak = np.abs(stacks).max(axis=(1, 2, 3))
+    peak = np.maximum.reduce(np.abs(stacks).reshape(n, -1), axis=1)
     bounded = peak <= 1.0 + COMPLETENESS_TOL  # |K_ab|^2 <= (sum K^dag K)_bb; so no contraction below overflows
-    safe = stacks if bounded.all() else np.where(bounded[:, None, None, None], stacks, 0.0)
+    # argmin is the first False, if any: one call in place of all() and argmin()
+    safe = stacks if bounded[bounded.argmin()] else np.where(bounded[:, None, None, None], stacks, 0.0)
     flat = safe.reshape(n, k, 4)
     prod = flat[:, :, :, None] * flat.conj()[:, :, None, :]
     choi = prod[:, 0]
@@ -70,8 +72,8 @@ def _transfer_matrices(stacks: np.ndarray) -> np.ndarray:
     # sum K^dag K = T00 I + T01 X + T02 Y + T03 Z: max |T00 - 1 +- T03| = |T00 - 1| + |T03|
     dev = np.maximum(np.abs(t[:, 0, 0] - 1.0) + np.abs(t[:, 0, 3]), np.hypot(t[:, 0, 1], t[:, 0, 2]))
     passed = bounded & (dev <= COMPLETENESS_TOL)
-    if not passed.all():
-        i = int(np.argmin(passed))
+    i = int(passed.argmin())
+    if not passed[i]:
         if bounded[i]:
             raise ValueError(f"completeness violated: max |sum K^dag K - I| = {dev[i]:.3e}")
         if not np.isfinite(stacks[i]).all():
@@ -144,24 +146,49 @@ def bloch_map(ch: KrausChannel) -> tuple[np.ndarray, np.ndarray]:
     return ch._bloch
 
 
-def _check_kernel_value(value: float, name: str) -> float:
-    v = float(value)
-    if not abs(v) <= 1.0 + KERNEL_TOL:  # NaN fails this test too
-        raise ValueError(f"invalid kernel value: {name} = {v:.6f} is outside [-1, 1]")
-    return min(1.0, max(-1.0, v))
+def _raise_first(*checks) -> None:
+    """Raise what one-point calls in point order would raise first, if any point fails.
+
+    Each check is (ok, message): ok marks the points that pass it and message(i) is its text for point i. The checks
+    come in the order one point runs them, so the first failing point raises the message of its first failing check.
+    """
+    passed = checks[0][0]
+    for ok, _ in checks[1:]:
+        passed = passed & ok
+    if passed.size:
+        i = int(passed.argmin())  # the first failing point, if any fails
+        if not passed[i]:
+            raise ValueError(next(message(i) for ok, message in checks if not ok[i]))
+
+
+def _kernel_values(values: np.ndarray, name: str, *checks) -> np.ndarray:
+    """``values`` clamped to [-1, 1], after ``checks`` and the check that each is within ``KERNEL_TOL`` of it."""
+    in_range = np.abs(values) <= 1.0 + KERNEL_TOL  # NaN fails this test too
+    _raise_first(*checks, (in_range, lambda i: f"invalid kernel value: {name} = {values[i]:.6f} is outside [-1, 1]"))
+    return np.minimum(np.maximum(values, -1.0), 1.0)
 
 
 def _unit(value: float, name: str) -> float:
-    v = float(value)
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {v}")
-    return v
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
 
 
-def _dephasing_kraus(name: str, value: float):
-    v = _check_kernel_value(value, name)
-    k_plus, k_minus = math.sqrt((1.0 + v) / 2.0), math.sqrt((1.0 - v) / 2.0)
-    return (k_plus, 0.0, 0.0, k_plus, k_minus, 0.0, 0.0, -k_minus), {name: v}
+def _entries(*entries) -> np.ndarray:
+    """The (P, k, 2, 2) complex stack of P points' k operators from their row-major entries, (P,) arrays or floats."""
+    size = next(len(entry) for entry in entries if isinstance(entry, np.ndarray))
+    stack = np.zeros((size, len(entries)), dtype=complex)
+    real = stack.real
+    for j, entry in enumerate(entries):
+        if isinstance(entry, np.ndarray) or entry:  # a constant 0.0 is there already
+            real[:, j] = entry
+    return stack.reshape(len(stack), -1, 2, 2)
+
+
+def _dephasing_kraus(name: str, values: np.ndarray):
+    v = _kernel_values(values, name)
+    k_plus, k_minus = np.sqrt((1.0 + v) / 2.0), np.sqrt((1.0 - v) / 2.0)
+    return _entries(k_plus, 0.0, 0.0, k_plus, k_minus, 0.0, 0.0, -k_minus), [{name: x} for x in v.tolist()]
 
 
 def rtn(lambda_: float) -> KrausChannel:
@@ -178,9 +205,9 @@ def nmd(omega: float) -> KrausChannel:
     return make_channel("nmd", {"omega": omega})
 
 
-def _pd_kraus(gamma: float):
-    g = _unit(gamma, "gamma")
-    return (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, 0.0, 0.0, math.sqrt(g)), {"gamma": g}
+def _pd_kraus(gamma: np.ndarray):
+    records = [{"gamma": _unit(g, "gamma")} for g in gamma.tolist()]
+    return _entries(1.0, 0.0, 0.0, np.sqrt(1.0 - gamma), 0.0, 0.0, 0.0, np.sqrt(gamma)), records
 
 
 def pd(gamma: float) -> KrausChannel:
@@ -193,9 +220,9 @@ def pd(gamma: float) -> KrausChannel:
     return make_channel("pd", {"gamma": gamma})
 
 
-def _ad_kraus(gamma: float):
-    g = _unit(gamma, "gamma")
-    return (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, math.sqrt(g), 0.0, 0.0), {"gamma": g}
+def _ad_kraus(gamma: np.ndarray):
+    records = [{"gamma": _unit(g, "gamma")} for g in gamma.tolist()]
+    return _entries(1.0, 0.0, 0.0, np.sqrt(1.0 - gamma), 0.0, np.sqrt(gamma), 0.0, 0.0), records
 
 
 def ad(gamma: float) -> KrausChannel:
@@ -203,11 +230,11 @@ def ad(gamma: float) -> KrausChannel:
     return make_channel("ad", {"gamma": gamma})
 
 
-def _gad_kraus(alpha: float, xi: float):
-    a, x = _unit(alpha, "alpha"), _unit(xi, "xi")
-    sa, sb, sx, sp = math.sqrt(a), math.sqrt(1.0 - a), math.sqrt(x), math.sqrt(1.0 - x)
-    ops = (sa, 0.0, 0.0, sa * sx, 0.0, sa * sp, 0.0, 0.0, sb * sx, 0.0, 0.0, sb, 0.0, 0.0, sb * sp, 0.0)
-    return ops, {"alpha": a, "xi": x}
+def _gad_kraus(alpha: np.ndarray, xi: np.ndarray):
+    records = [{"alpha": _unit(a, "alpha"), "xi": _unit(x, "xi")} for a, x in zip(alpha.tolist(), xi.tolist())]
+    sa, sb, sx, sp = np.sqrt(alpha), np.sqrt(1.0 - alpha), np.sqrt(xi), np.sqrt(1.0 - xi)
+    ops = _entries(sa, 0.0, 0.0, sa * sx, 0.0, sa * sp, 0.0, 0.0, sb * sx, 0.0, 0.0, sb, 0.0, 0.0, sb * sp, 0.0)
+    return ops, records
 
 
 def gad(alpha: float, xi: float) -> KrausChannel:
@@ -222,11 +249,15 @@ def gad(alpha: float, xi: float) -> KrausChannel:
     return make_channel("gad", {"alpha": alpha, "xi": xi})
 
 
-def _unruh_kraus(r: float):
-    rv = float(r)
-    if not 0.0 <= rv <= np.pi / 4.0 + 1e-15:
-        raise ValueError(f"r must be in [0, pi/4], got {rv}")
-    return (np.cos(rv), 0.0, 0.0, 1.0, 0.0, 0.0, np.sin(rv), 0.0), {"r": rv}
+def _unruh_r(r: float) -> float:
+    if not 0.0 <= r <= np.pi / 4.0 + 1e-15:
+        raise ValueError(f"r must be in [0, pi/4], got {r}")
+    return r
+
+
+def _unruh_kraus(r: np.ndarray):
+    records = [{"r": _unruh_r(x)} for x in r.tolist()]
+    return _entries(np.cos(r), 0.0, 0.0, 1.0, 0.0, 0.0, np.sin(r), 0.0), records
 
 
 def unruh(r: float) -> KrausChannel:
@@ -250,15 +281,21 @@ def unruh_r_from_acceleration(exponent: float) -> float:
     return float(np.arccos(1.0 / np.sqrt(1.0 + np.exp(-x))))
 
 
-def _gdc_kraus(*weights: float):
+def _gdc_weights(*weights: float) -> dict:
     if any(w < 0.0 for w in weights):
         raise ValueError(f"negative weight in {list(weights)}")
     total = sum(weights)
     if not abs(total - 1.0) <= 1e-12:
         raise ValueError(f"weights must sum to 1, got {total!r}")
-    s0, s1, s2, s3 = map(math.sqrt, weights)
-    ops = (s0, 0.0, 0.0, s0, 0.0, s1, s1, 0.0, 0.0, complex(0.0, -s2), complex(0.0, s2), 0.0, s3, 0.0, 0.0, -s3)
-    return ops, {f"p{i}": w for i, w in enumerate(weights)}
+    return {f"p{i}": w for i, w in enumerate(weights)}
+
+
+def _gdc_kraus(*weights: np.ndarray):
+    records = [_gdc_weights(*point) for point in zip(*(w.tolist() for w in weights))]
+    s0, s1, s2, s3 = map(np.sqrt, weights)
+    ops = _entries(s0, 0.0, 0.0, s0, 0.0, s1, s1, 0.0, 0.0, 0.0, 0.0, 0.0, s3, 0.0, 0.0, -s3)
+    ops.imag[:, 2, 0, 1], ops.imag[:, 2, 1, 0] = -s2, s2  # sqrt(p2) Y
+    return ops, records
 
 
 def gdc(p0: float, p1: float, p2: float, p3: float) -> KrausChannel:
@@ -278,7 +315,7 @@ def _rates(gamma: float, b: float) -> tuple[float, float]:
     return g, bv
 
 
-def rtn_kernel(t: float, gamma: float, b: float) -> float:
+def rtn_kernel(t, gamma: float, b: float):
     """Damped random-telegraph kernel Lambda(t) for decay rate gamma and coupling b.
 
     Oscillatory regime (4 b^2 > gamma^2):
@@ -288,44 +325,52 @@ def rtn_kernel(t: float, gamma: float, b: float) -> float:
     with w_h - gamma = -4 b^2 / (w_h + gamma) so that b << gamma does not cancel.
     Critical case (4 b^2 = gamma^2): (1 + gamma t) e^{-gamma t}.
 
-    The value stays in [-1, 1] for all t >= 0 and Lambda(0) = 1.
+    The value stays in [-1, 1] for all t >= 0 and Lambda(0) = 1. ``t`` is a float, giving a float, or a 1-D array of
+    them, giving an array: the float is the one-point case, bit for bit, and a block raises the one-point message of
+    its first failing t.
     """
-    tv = float(t)
-    if not 0.0 <= tv < np.inf:
-        raise ValueError(f"t must be finite and nonnegative, got {tv}")
+    ts = np.array(t, dtype=float, ndmin=1)
+    t_check = (0.0 <= ts) & (ts < np.inf), lambda i: f"t must be finite and nonnegative, got {ts.item(i)}"
+    _raise_first((t_check[0][:1], t_check[1]))  # the first point checks its t before the rates
     g, bv = _rates(gamma, b)
-    disc = 4.0 * bv * bv - g * g
-    decay = np.exp(-g * tv)  # float products: a rate times a large t overflows to inf without a warning
-    if disc < 0.0:
-        wh = math.sqrt(-disc)
-        slow = 4.0 * bv * bv / (wh + g)  # g - wh without its cancellation; 1 - g / wh = -slow / wh
-        val = 0.5 * ((1.0 + g / wh) * np.exp(-slow * tv) - (slow / wh) * np.exp(-(wh + g) * tv))
-    elif decay == 0.0:  # the limit 0; cos(w t) or 1 + gamma t may have overflowed, and 0 times either is NaN
-        val = 0.0
-    elif disc > 0.0:
-        w = math.sqrt(disc)
-        phase = w * tv
-        if phase == math.inf:  # e^{-gamma t} > 0 but w t overflows, so cos and sin have no argument
-            raise ValueError(f"Lambda(t) has no float value: w t overflows at t={tv}, gamma={g}, b={bv}")
-        val = decay * (np.cos(phase) + (g / w) * np.sin(phase))
-    else:
-        val = (1.0 + g * tv) * decay
-    return _check_kernel_value(val, "Lambda(t)")
+    _raise_first(t_check)
+    disc, checks = 4.0 * bv * bv - g * g, ()
+    with np.errstate(over="ignore", invalid="ignore"):  # a rate times a large t overflows to inf, as in float products
+        if disc < 0.0:
+            wh = math.sqrt(-disc)
+            slow = 4.0 * bv * bv / (wh + g)  # g - wh without its cancellation; 1 - g / wh = -slow / wh
+            val = 0.5 * ((1.0 + g / wh) * np.exp(-slow * ts) - (slow / wh) * np.exp(-(wh + g) * ts))
+        else:
+            decay = np.exp(-g * ts)
+            if disc > 0.0:
+                w = math.sqrt(disc)
+                phase = w * ts
+                # e^{-gamma t} > 0 but w t overflows, so cos and sin have no argument
+                no_phase = "Lambda(t) has no float value: w t overflows at t={}, gamma={}, b={}"
+                checks = (((decay == 0.0) | (phase < np.inf), lambda i: no_phase.format(ts.item(i), g, bv)),)
+                val = decay * (np.cos(phase) + (g / w) * np.sin(phase))
+            else:
+                val = (1.0 + g * ts) * decay
+            # the limit 0 where e^{-gamma t} is 0: cos(w t) or 1 + gamma t may have overflowed, and 0 times either
+            # is NaN
+            val = np.where(decay == 0.0, 0.0, val)
+    values = _kernel_values(val, "Lambda(t)", *checks)
+    return values if np.ndim(t) else float(values[0])
 
 
-def nmd_kernel(p: float) -> float:
-    """Default dephasing kernel Omega(p) = 1 - 2p for p in [0, 1]."""
-    pv = float(p)
-    if not 0.0 <= pv <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {pv}")
-    return 1.0 - 2.0 * pv
+def nmd_kernel(p):
+    """Default dephasing kernel Omega(p) = 1 - 2p for p in [0, 1]; p is a float or a 1-D array, as in rtn_kernel."""
+    ps = np.array(p, dtype=float, ndmin=1)
+    _raise_first(((0.0 <= ps) & (ps <= 1.0), lambda i: f"p must be in [0, 1], got {ps.item(i)}"))
+    values = 1.0 - 2.0 * ps
+    return values if np.ndim(p) else float(values[0])
 
 
 @dataclass(frozen=True)
 class MemoryKernel:
-    """A scalar kernel s -> value in [-1, 1] driving rtn/nmd decoherence."""
+    """A kernel s -> value in [-1, 1] driving rtn/nmd decoherence: on a float, or on a 1-D array of sweep values."""
 
-    evaluate: Callable[[float], float]
+    evaluate: Callable
     label: str
 
 
@@ -374,14 +419,15 @@ def builtin_kernel(name: str, params: Mapping[str, float]) -> MemoryKernel:
 class ChannelSpec:
     """The facts about one channel family, keyed by its label in :data:`CHANNELS`.
 
-    Every callable takes the parameters positionally, in ``params`` order. ``kraus`` checks one point's parameters
-    and returns its 2x2 operators' entries, each row-major, in one tuple, with its ``params`` record;
-    :func:`make_channels` stacks them. ``closed_form`` is the exact probe-domain maximum for every parameter value,
-    or None when the family has none (gad). Sweeping ``kernel_param`` drives the first parameter through a memory
-    kernel of :data:`KERNELS`, ``default_kernel`` unless another is chosen.
+    Every callable takes the parameters positionally, in ``params`` order. ``kraus`` takes one float array per
+    parameter, P points long, checks every point as a one-point call would, and returns the points' (P, k, 2, 2)
+    operator stack with one ``params`` record per point; :func:`make_channels` checks and contracts the stack.
+    ``closed_form`` takes floats and is the exact probe-domain maximum for every parameter value, or None when the
+    family has none (gad). Sweeping ``kernel_param`` drives the first parameter through a memory kernel of
+    :data:`KERNELS`, ``default_kernel`` unless another is chosen.
     """
 
-    kraus: Callable[..., tuple]
+    kraus: Callable[..., tuple[np.ndarray, list]]
     params: tuple
     closed_form: Optional[Callable[..., float]] = None
     kernel_param: Optional[str] = None
@@ -427,17 +473,29 @@ def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
 def make_channels(label: str, points: Sequence[Mapping[str, float]]) -> list[KrausChannel]:
     """One channel per mapping in ``points``, each from exactly its named parameters.
 
-    Each point's operators come from its family's scalar arithmetic and checks. Then all points, stacked as
-    (P, k, 2, 2), go through one contraction and one CPTP check; channel i is bitwise the channel built alone.
+    The points' values go to the family's builder as one array per parameter, and its operators, stacked as
+    (P, k, 2, 2), through one contraction and one CPTP check; channel i is bitwise the channel built alone, and a
+    block raises the one-point message of its first failing point.
     """
-    built = []
+    args = []
     for params in points:
-        spec, args = channel_args(label, params)
-        built.append(spec.kraus(*args))
-    if not built:
+        try:
+            spec, values = channel_args(label, params)
+        except ValueError:
+            if args:  # an earlier point's value checks come first
+                spec.kraus(*_columns(args))
+            raise
+        args.append(values)
+    if not args:
         return []
-    stacks = np.array([entries for entries, _ in built], dtype=complex).reshape(len(built), -1, 2, 2)
-    return _adopt([object.__new__(KrausChannel) for _ in built], label, stacks, [params for _, params in built])
+    stacks, records = spec.kraus(*_columns(args))
+    return _adopt([object.__new__(KrausChannel) for _ in records], label, stacks, records)
+
+
+def _columns(args: list) -> np.ndarray:
+    """One contiguous float array per parameter from the points' value lists: each ufunc then runs the loop it runs
+    on one point."""
+    return np.array(list(zip(*args)), dtype=float)
 
 
 def make_channel(label: str, params: Mapping[str, float]) -> KrausChannel:

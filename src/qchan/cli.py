@@ -75,7 +75,9 @@ class SweepRow(NamedTuple):
 def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     """Evaluate every sweep point; rows follow ascending sweep values.
 
-    Channels are built ``SWEEP_BLOCK`` points at a time by :func:`make_channels`; each gets one :func:`maximize_mu`.
+    The points go in blocks of ``SWEEP_BLOCK``: a kernel sweep evaluates each block's kernel values in one kernel call,
+    and :func:`make_channels` builds each block's channels from arrays of their parameters. Each channel then gets one
+    :func:`maximize_mu`.
     """
     entry = CHANNELS.get(spec.channel_label)
     if entry is None or spec.sweep_param not in entry.params + (entry.kernel_param,):
@@ -94,7 +96,7 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
             kernel_values = [None] * len(block)
             points = [{**spec.fixed_params, spec.sweep_param: value} for value in block]
         else:
-            kernel_values = [kernel.evaluate(value) for value in block]
+            kernel_values = kernel.evaluate(block).tolist()
             points = [{entry.params[0]: kernel_value} for kernel_value in kernel_values]
         channels = make_channels(spec.channel_label, points)
         for value, kernel_value, channel in zip(block, kernel_values, channels):
@@ -103,10 +105,19 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     return rows
 
 
+# A sweep row with no empty cell, in one format.
+_ROW_FORMAT = ",".join(["%.17g"] * len(SweepRow._fields))
+
+
 def write_sweep_csv(spec: SweepSpec, rows: list[SweepRow], stream) -> None:
-    """The sweep CSV in one write: the header, then one line of 17-digit floats per row, empty cells for None."""
+    """The sweep CSV in one write: the header, then one %-format per row of 17-digit floats, empty cells for None."""
     lines = [",".join((spec.sweep_param,) + SweepRow._fields[1:])]
-    lines += [",".join(["" if v is None else "%.17g" % v for v in row]) for row in rows]
+    for row in rows:
+        fmt = _ROW_FORMAT
+        if None in row:  # this row's format, with its empty cells, on its other values
+            fmt = ",".join(["" if v is None else "%.17g" for v in row])
+            row = tuple([v for v in row if v is not None])
+        lines.append(fmt % row)
     stream.write("\n".join(lines) + "\n")
 
 

@@ -85,6 +85,10 @@ UNITAL_TOL = 1e-14
 REFINEMENT_ITERATIONS = 200
 REFINEMENT_TOLERANCE = 1e-10
 TIE_TOL = 1e-14
+# The polish's H_bb is negative definite when its larger eigenvalue is below -DEFINITE_TOL times its largest entry. The
+# entries' rounding is about 1e-15 of that scale, so a singular H_bb (a unitary map) takes the hard case whatever it
+# rounds to. The ratio is -0.34 or below on the benchmark maps and about -2e-10 on ad(1e-9).
+DEFINITE_TOL = 1e-12
 
 # Grid points per angle: the default, and the largest (all-pairs bounds its n * n first inputs in one array pass).
 DEFAULT_GRID = 24
@@ -94,9 +98,11 @@ MAX_GRID_POINTS = 1024
 GRID_CACHE_SIZE = 4
 GRID_CACHE_POINTS = 65_536
 
-# First inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states. 64 beat 128 by 7-11% at
-# n = 96 and tie with it in the all-pairs benchmark (n = 24).
+# First inputs per all-pairs oracle product: memory O(ORACLE_BLOCK m) for m grid states. Before the oracle pruned its
+# columns, 64 beat 128 by 7-11% at n = 96 and tied with it in the all-pairs benchmark (n = 24).
 ORACLE_BLOCK = 64
+# Relative widening of the oracle's pruning bound |h_i|^2 |h_j|^2; the products' rounding is below 1e-13 of it.
+ORACLE_MARGIN = 1e-9
 
 # The Pauli matrices S = (I, X, Y, Z), and the oracle's orthonormal traceless basis E_p = (X, Y, Z) / sqrt 2.
 PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -509,8 +515,8 @@ def _envelope_terms(rows, c, a, b):
     f = |u|^2 |v|^2 - (u.v)^2 with u = A a + c and v = A b + c, for the rows of A and c as float triples and b the
     maximizer, a unit triple. By the envelope theorem the gradient is that of f in a alone. The Hessian is the Schur
     complement ``H_aa - H_ab H_bb^{-1} H_ba`` of f's Riemannian Hessian on the two spheres (the term
-    ``-(x . grad_x f) I`` on each sphere's block), or ``H_aa`` alone where ``H_bb`` is not negative definite and b is
-    not locally unique (the hard case).
+    ``-(x . grad_x f) I`` on each sphere's block), or ``H_aa`` alone where ``H_bb`` is not negative definite by the
+    margin ``DEFINITE_TOL`` and b is not locally unique (the hard case).
     """
     aa, ab = _apply(rows, a), _apply(rows, b)  # A a and A b
     e1, e2 = _tangents(_Floats, a)
@@ -530,8 +536,9 @@ def _envelope_terms(rows, c, a, b):
     b_00 = 2.0 * (uu * _dot(y0, y0) - y0u * y0u) - radial_b
     b_01 = 2.0 * (uu * _dot(y0, y1) - y0u * y1u)
     b_11 = 2.0 * (uu * _dot(y1, y1) - y1u * y1u) - radial_b
-    det = b_00 * b_11 - b_01 * b_01
-    if b_00 < 0.0 and det > 0.0:
+    top = 0.5 * (b_00 + b_11) + math.hypot(0.5 * (b_00 - b_11), b_01)  # H_bb's larger eigenvalue
+    if top < -DEFINITE_TOL * max(abs(b_00), abs(b_01), abs(b_11)):
+        det = b_00 * b_11 - b_01 * b_01
         # H_ab's entries m_ij, and H_bb^{-1} = (i_00, i_01; i_01, i_11); each term is m_ik i_kl m_jl
         m_00 = 4.0 * x0u * y0v - 2.0 * (x0v * y0u + uv * _dot(x0, y0))
         m_01 = 4.0 * x0u * y1v - 2.0 * (x0v * y1u + uv * _dot(x0, y1))
@@ -647,7 +654,11 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     products of ``ORACLE_BLOCK`` states against the rest at a time, in
     O(block m) memory for m grid states; since the bracket is symmetric in
     (rho, sigma) each block meets only the states from its own first one on.
-    The bound is nondecreasing under nested grid refinement.
+    The bracket is ``|h_i x h_j|^2 <= |h_i|^2 |h_j|^2``, so the states go in
+    descending ``|h|^2`` (``q[0] + q[3] + q[5]``), each block meets only the
+    states whose bound with its first one, widened by ``ORACLE_MARGIN``, can
+    pass the running maximum, and the loop stops at the first block where
+    none can. The bound is nondecreasing under nested grid refinement.
     """
     grid = _grid(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"), n)
     kraus = np.stack(ch.ops)
@@ -666,8 +677,17 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
 
     # each pole once: the north pole's last copy (every copy is (0, 0, 1)) to the south pole's copy at phi = 0
     q = rows(grid.bloch[:, n - 1 : n * n - n + 1])
-    qb = TRACE_FORM @ q
+    norms = q[0] + q[3] + q[5]  # |h|^2, from each state's own products
+    order = np.argsort(-norms, kind="stable")
+    q, norms = q[:, order], norms[order]
+    qb, falling = TRACE_FORM @ q, -norms  # falling ascends
     best = 0.0
     for start in range(0, q.shape[1], ORACLE_BLOCK):
-        best = max(best, float(np.max(q[:, start : start + ORACLE_BLOCK].T @ qb[:, start:])))
+        # The bracket |h_i x h_j|^2 is at most |h_i|^2 |h_j|^2 (Lagrange's identity), and the block's first state has
+        # the largest |h_i|^2: only columns whose product with it, widened far beyond rounding, passes best can win.
+        top = norms[start] * (1.0 + ORACLE_MARGIN)
+        if top * norms[start] <= best:
+            break
+        stop = int(np.searchsorted(falling, -best / top, side="right"))  # at least start + 1
+        best = max(best, float(np.max(q[:, start : start + ORACLE_BLOCK].T @ qb[:, start:stop])))
     return 4.0 * best  # exact: a power of two

@@ -1,5 +1,6 @@
 import decimal
 import inspect
+import math
 import warnings
 
 import numpy as np
@@ -382,14 +383,50 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _plain_dephasing(name, v):
+    v = min(1.0, max(-1.0, v))
+    k_plus, k_minus = math.sqrt((1.0 + v) / 2.0), math.sqrt((1.0 - v) / 2.0)
+    return k_plus, 0.0, 0.0, k_plus, k_minus, 0.0, 0.0, -k_minus
+
+
+def _plain_gad(a, x):
+    sa, sb, sx, sp = math.sqrt(a), math.sqrt(1.0 - a), math.sqrt(x), math.sqrt(1.0 - x)
+    return sa, 0.0, 0.0, sa * sx, 0.0, sa * sp, 0.0, 0.0, sb * sx, 0.0, 0.0, sb, 0.0, 0.0, sb * sp, 0.0
+
+
+def _plain_gdc(*weights):
+    s0, s1, s2, s3 = map(math.sqrt, weights)
+    return s0, 0.0, 0.0, s0, 0.0, s1, s1, 0.0, 0.0, complex(0.0, -s2), complex(0.0, s2), 0.0, s3, 0.0, 0.0, -s3
+
+
+# One in-range point's row-major operator entries in plain float arithmetic, point by point: the reference for the
+# array builders of CHANNELS.
+PLAIN_ENTRIES = {
+    "rtn": lambda v: _plain_dephasing("lambda", v),
+    "nmd": lambda v: _plain_dephasing("omega", v),
+    "pd": lambda g: (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, 0.0, 0.0, math.sqrt(g)),
+    "ad": lambda g: (1.0, 0.0, 0.0, math.sqrt(1.0 - g), 0.0, math.sqrt(g), 0.0, 0.0),
+    "gad": _plain_gad,
+    "unruh": lambda r: (np.cos(r), 0.0, 0.0, 1.0, 0.0, 0.0, np.sin(r), 0.0),
+    "gdc": _plain_gdc,
+}
+
+
 @pytest.mark.parametrize("label", sorted(CHANNELS))
 @pytest.mark.parametrize("size", [1, 2, 101])
 def test_batch_is_bitwise_the_one_point_build(label, size):
+    # Every point of a block, its one-point build and the plain float arithmetic agree bit for bit, signed zeros too
+    # (gdc at p2 = 0 has the entry -0j).
+    spec = CHANNELS[label]
     points = [BATCH_POINTS[label](v) for v in np.linspace(0.0, 1.0, size)]
     for params, ch in zip(points, make_channels(label, points), strict=True):
-        alone = getattr(channel_module, label)(*(params[k] for k in CHANNELS[label].params))
-        assert ch.label == label and ch.params == alone.params
-        assert len(ch.ops) == len(alone.ops) and all(_same_bits(a, b) for a, b in zip(ch.ops, alone.ops))
+        values = [float(params[k]) for k in spec.params]
+        alone = getattr(channel_module, label)(*values)
+        plain = np.array(PLAIN_ENTRIES[label](*values), dtype=complex).reshape(-1, 2, 2)
+        assert ch.label == label and ch.params == alone.params == dict(zip(spec.params, values))
+        assert all(type(v) is float for v in ch.params.values())
+        assert len(ch.ops) == len(alone.ops) == len(plain)
+        assert all(_same_bits(a, b) and _same_bits(a, c) for a, b, c in zip(ch.ops, alone.ops, plain))
         assert all(not k.flags.writeable for k in ch.ops)
         assert all(_same_bits(a, b) for a, b in zip(bloch_map(ch), bloch_map(alone)))
 
@@ -421,12 +458,37 @@ def test_batch_raises_the_one_point_message_for_its_first_failing_channel():
         _transfer_matrices(np.array(good + [(np.diag([np.nan, 1.0]), np.zeros((2, 2)))], dtype=complex))
 
 
+# Per family, a block whose points fail from its third on: the third fails first on the family's first check (and
+# on a later one too where a family has two), so the block raises the one-point message of its third point.
+BAD_BLOCKS = {
+    "rtn": ([(0.5,), (1.0,), (1.5,), (np.nan,)], "invalid kernel value: lambda = 1.500000 is outside [-1, 1]"),
+    "nmd": ([(0.5,), (-1.0,), (-2.0,), (3.0,)], "invalid kernel value: omega = -2.000000 is outside [-1, 1]"),
+    "pd": ([(0.0,), (0.5,), (-0.5,), (2.0,)], "gamma must be in [0, 1], got -0.5"),
+    "ad": ([(0.0,), (0.5,), (1.5,), (np.nan,)], "gamma must be in [0, 1], got 1.5"),
+    "gad": ([(0.5, 0.5), (1.0, 0.0), (1.2, -0.1), (0.5, 2.0)], "alpha must be in [0, 1], got 1.2"),
+    "unruh": ([(0.0,), (0.5,), (1.0,), (-1.0,)], "r must be in [0, pi/4], got 1.0"),
+    "gdc": ([(1.0, 0.0, 0.0, 0.0), (0.25,) * 4, (0.5, 0.6, 0.2, -0.1), (0.5, 0.2, 0.2, 0.2)],
+            "negative weight in [0.5, 0.6, 0.2, -0.1]"),
+}
+
+
 def test_batch_checks_every_point_with_the_scalar_message():
-    points = [{"gamma": g} for g in (0.0, 0.5, 1.0, 1.5, 2.0)]
-    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
-        make_channels("ad", points)
+    for label, (values, message) in BAD_BLOCKS.items():
+        points = [dict(zip(CHANNELS[label].params, v)) for v in values]
+        with pytest.raises(ValueError) as alone:
+            getattr(channel_module, label)(*values[2])
+        with pytest.raises(ValueError) as block:
+            make_channels(label, points)
+        assert str(block.value) == str(alone.value) == message, label
+        assert len(make_channels(label, points[:2])) == 2
+    weights = [dict(zip(CHANNELS["gdc"].params, w)) for w in ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0))]
+    with pytest.raises(ValueError, match=r"^weights must sum to 1, got 1.5$"):
+        make_channels("gdc", weights)
     with pytest.raises(ValueError, match="does not take parameter"):
         make_channels("ad", [{"gamma": 0.5}, {"gamma": 0.5, "xi": 0.1}])
+    # an earlier point's bad value comes before a later point's bad names, as in one-point builds in order
+    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
+        make_channels("ad", [{"gamma": 0.5}, {"gamma": 1.5}, {"gamma": 0.5, "xi": 0.1}])
     with pytest.raises(ValueError, match="unknown channel"):
         make_channels("swap", [{}])
     assert make_channels("ad", []) == []
@@ -482,6 +544,59 @@ def test_rtn_kernel_rejects_an_overflowing_phase():
         with pytest.raises(ValueError, match=r"w t overflows at t=1e\+308, gamma=1e-310, b=1\.0"):
             rtn_kernel(1e308, 1e-310, 1.0)
         assert -1.0 <= rtn_kernel(1e300, 1e-300, 1.0) <= 1.0  # w t = 2e300 is finite
+
+
+def _plain_rtn_kernel(t, gamma, b):
+    """Lambda(t) in plain float arithmetic, one t at a time: the reference for the block kernel's numbers."""
+    disc, decay = 4.0 * b * b - gamma * gamma, np.exp(-gamma * t)
+    if disc < 0.0:
+        wh = math.sqrt(-disc)
+        slow = 4.0 * b * b / (wh + gamma)
+        val = 0.5 * ((1.0 + gamma / wh) * np.exp(-slow * t) - (slow / wh) * np.exp(-(wh + gamma) * t))
+    elif decay == 0.0:
+        val = 0.0
+    elif disc > 0.0:
+        w = math.sqrt(disc)
+        val = decay * (np.cos(w * t) + (gamma / w) * np.sin(w * t))
+    else:
+        val = (1.0 + gamma * t) * decay
+    return min(1.0, max(-1.0, float(val)))
+
+
+# oscillatory, damped, damped with b << gamma, critical
+@pytest.mark.parametrize("gamma, b", [(1.0, 2.0), (10.0, 1.0), (1e4, 1e-2), (10.0, 5.0)])
+def test_block_kernel_is_bitwise_the_scalar_kernel(gamma, b):
+    # The rtn-sweep workload's 101 values of t, then large ones: at t = 1e308 every regime underflows to its limit 0.
+    ts = [i * 0.05 for i in range(101)] + [1e3, 1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = rtn_kernel(np.array(ts), gamma, b)
+        scalars = [rtn_kernel(t, gamma, b) for t in ts]
+        evaluated = builtin_kernel("rtn-damped", {"gamma": gamma, "b": b}).evaluate(ts)
+    assert all(type(v) is float for v in scalars) and block.shape == (len(ts),) and block[-1] == 0.0
+    assert block.tobytes() == evaluated.tobytes() == np.array(scalars).tobytes()
+    assert scalars == [_plain_rtn_kernel(t, gamma, b) for t in ts]
+    ps = np.linspace(0.0, 1.0, 101)
+    assert nmd_kernel(ps).tobytes() == np.array([nmd_kernel(p) for p in ps]).tobytes()
+
+
+def test_block_kernel_raises_the_scalar_message_of_its_first_failing_point():
+    with pytest.raises(ValueError) as alone:
+        rtn_kernel(1e308, 1e-310, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as block:  # w t = 2e300 is finite, then it overflows from 1e308 on
+            rtn_kernel(np.array([0.0, 1e300, 1e308, 1.5e308]), 1e-310, 1.0)
+    assert str(block.value) == str(alone.value) and "t=1e+308" in str(alone.value)
+    with pytest.raises(ValueError, match="^t must be finite and nonnegative, got nan$"):
+        rtn_kernel(np.array([0.5, np.nan, -1.0]), 1.0, 2.0)
+    # one point checks its t, then the rates: bad rates fail the first point unless its t fails first
+    with pytest.raises(ValueError, match="^gamma and b must be positive"):
+        rtn_kernel(np.array([0.5, np.nan]), 1.0, np.nan)
+    with pytest.raises(ValueError, match="^t must be finite and nonnegative, got -1.0$"):
+        rtn_kernel(np.array([-1.0, 0.5]), 1.0, np.nan)
+    with pytest.raises(ValueError, match=r"^p must be in \[0, 1\], got 1.5$"):
+        nmd_kernel(np.array([0.5, 1.5, -1.0]))
 
 
 def _rtn_damped_reference(t, gamma, b):

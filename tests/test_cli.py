@@ -11,6 +11,7 @@ import pytest
 from qchan.cli import (
     MAX_SWEEP_POINTS,
     VALIDATION_POINTS,
+    SweepRow,
     SweepSpec,
     build_parser,
     main,
@@ -325,17 +326,36 @@ def test_readme_flags_are_the_parser_options():
     assert sorted(re.findall(r"`(--[a-z-]+)", sentence)) == sorted(options)
 
 
+def _per_cell_csv(spec, rows):
+    """The sweep CSV with each cell formatted on its own, through the csv module."""
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow((spec.sweep_param,) + SweepRow._fields[1:])
+    writer.writerows([["" if v is None else f"{v:.17g}" for v in row] for row in rows])
+    return expected.getvalue().encode()
+
+
 def test_sweep_blocks_do_not_change_the_csv(tmp_path, capsys, monkeypatch):
-    # 101 points in blocks of 7 (the last one holds 3) give the bytes of one block.
-    args = ["sweep", "--channel", "rtn", "--sweep", "t=0:5:0.05", "--set", "gamma=1,b=2"]
-    whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
-    assert run_cli(capsys, *args, "--out", str(whole))[0] == 0
-    monkeypatch.setattr(cli, "SWEEP_BLOCK", 7)
-    calls = []
-    monkeypatch.setattr(cli, "maximize_mu", lambda ch, cfg: calls.append(ch) or maximize_mu(ch, cfg))
-    assert run_cli(capsys, *args, "--out", str(blocked))[0] == 0
-    assert blocked.read_bytes() == whole.read_bytes() and len(whole.read_text().splitlines()) == 102
-    assert len(calls) == 101 and len(set(map(id, calls))) == 101
+    # 101 points in blocks of 7 (the last one holds 3) give the bytes of one block and of a per-cell writer: an rtn
+    # time sweep, whose rows have no empty cell, and a gad sweep, whose rows leave the closed-form and kernel cells
+    # empty.
+    sweeps = (
+        (["sweep", "--channel", "rtn", "--sweep", "t=0:5:0.05", "--set", "gamma=1,b=2"],
+         SweepSpec("rtn", {"gamma": 1.0, "b": 2.0}, "t", 0.0, 5.0, 0.05)),
+        (["sweep", "--channel", "gad", "--sweep", "xi=0:1:0.01", "--set", "alpha=0.5"],
+         SweepSpec("gad", {"alpha": 0.5}, "xi", 0.0, 1.0, 0.01)),
+    )
+    for args, spec in sweeps:
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        assert run_cli(capsys, *args, "--out", str(whole))[0] == 0
+        reference = _per_cell_csv(spec, run_sweep(spec, OptimizerConfig()))
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "SWEEP_BLOCK", 7)
+            calls = []
+            patch.setattr(cli, "maximize_mu", lambda ch, cfg: calls.append(ch) or maximize_mu(ch, cfg))
+            assert run_cli(capsys, *args, "--out", str(blocked))[0] == 0
+        assert blocked.read_bytes() == whole.read_bytes() == reference and len(reference.splitlines()) == 102
+        assert len(calls) == 101 and len(set(map(id, calls))) == 101
 
 
 def test_sweep_with_a_bad_point_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -356,18 +376,15 @@ def test_sweep_with_an_overflowing_rtn_phase_exits_2_and_writes_nothing(tmp_path
 
 
 def test_sweep_csv_writer_matches_csv_module():
-    # gad has no closed form: its mu_closed_form, abs_error and kernel_value cells are None.
+    # gad has no closed form: its mu_closed_form, abs_error and kernel_value cells are None. A last row without them
+    # takes the other format.
     spec = SweepSpec("gad", {"alpha": 0.5}, "xi", 0.0, 1.0, 0.125)
     rows = run_sweep(spec, OptimizerConfig())
     assert all(r.mu_closed_form is None and r.kernel_value is None for r in rows)
     rows.append(rows[0]._replace(mu_closed_form=-0.0, abs_error=float("nan"), kernel_value=1e-300))
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(("xi", "mu_numeric", "mu_closed_form", "abs_error", "kernel_value"))
-    writer.writerows([["" if v is None else f"{v:.17g}" for v in row] for row in rows])
     written = io.StringIO()
     write_sweep_csv(spec, rows, written)
-    assert written.getvalue() == expected.getvalue()
+    assert written.getvalue().encode() == _per_cell_csv(spec, rows)
 
 
 def test_sweep_io_failure(tmp_path, capsys):

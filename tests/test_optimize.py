@@ -190,6 +190,28 @@ def test_brute_force_matches_complex_row_oracle(domain, n):
         assert abs(brute_force_mu(ch, n, domain) - _complex_row_oracle(ch, n, domain)) <= 1e-14, ch.label
 
 
+def _full_table_oracle(ch, n):
+    """The all-pairs oracle with no sorting and no pruning: every pair of its states (each pole once), in row blocks."""
+    grid = optimize._grid(np.pi, n, n)
+    kraus = np.stack(ch.ops)
+    basis, pauli = optimize.TRACELESS_BASIS, optimize.PAULI
+    to_coords = 0.5 * np.einsum("pab,kbc,icd,kad->ip", basis, kraus, pauli, kraus.conj()).real
+    h = to_coords[1:].T @ grid.bloch[:, n - 1 : n * n - n + 1] + to_coords[0][:, None]
+    q = h[optimize.TRACE_PAIRS[0]] * h[optimize.TRACE_PAIRS[1]]
+    qb = optimize.TRACE_FORM @ q
+    return 4.0 * max(float(np.max(q[:, i : i + 256].T @ qb)) for i in range(0, q.shape[1], 256))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 24, 48])
+def test_pruned_oracle_matches_the_full_table(n):
+    # The oracle skips the pairs whose bound |h_i|^2 |h_j|^2 cannot pass its running maximum; its products run in
+    # other shapes than the full table's, so the values may differ by rounding alone.
+    # The maximum pair of gad(0.9, 0.3) lies beyond the first row blocks: at n = 24 a cut by the smallest |h_i|^2 of
+    # each block in place of its first loses 3.9e-4.
+    for ch in _ORACLE_CHANNELS + _benchmark_random_maps(1) + _benchmark_random_maps(2) + [gad(0.9, 0.3)]:
+        assert abs(brute_force_mu(ch, n, DOMAIN_ALL_PAIRS) - _full_table_oracle(ch, n)) <= 2.2e-16, (ch.label, n)
+
+
 def test_brute_force_never_uses_the_bloch_map(monkeypatch):
     def forbidden(ch):
         raise AssertionError("brute_force_mu must not use the affine Bloch route")
@@ -1220,6 +1242,8 @@ def test_envelope_terms_match_differences(seed):
 def _envelope_reference(a_mat, c_vec, a, b):
     """The terms of :func:`optimize._envelope_terms` by 3x3 and 2x2 matrices, and whether H_bb is negative definite.
 
+    H_bb counts as negative definite when its top eigenvalue is below -``DEFINITE_TOL`` times its largest entry.
+
     f = |u|^2 |v|^2 - (u.v)^2 for u = A a + c and v = A b + c: its Euclidean derivatives in u and v, carried to the
     tangent bases T_a and T_b through A, minus (x . grad_x f) I on each sphere's block; H_bb^{-1} H_ba by np.linalg.solve.
     """
@@ -1234,7 +1258,7 @@ def _envelope_reference(a_mat, c_vec, a, b):
     h_aa = m_a.T @ d_uu @ m_a - ((a_mat @ a) @ grad_u) * np.eye(2)
     h_bb = m_b.T @ d_vv @ m_b - ((a_mat @ b) @ grad_v) * np.eye(2)
     h_ab = m_a.T @ d_uv @ m_b
-    definite = bool(np.all(np.linalg.eigvalsh(h_bb) < 0.0))
+    definite = bool(np.linalg.eigvalsh(h_bb).max() < -optimize.DEFINITE_TOL * np.abs(h_bb).max())
     hess = h_aa - h_ab @ np.linalg.solve(h_bb, h_ab.T) if definite else h_aa
     return m_a.T @ grad_u, hess, definite
 
@@ -1242,7 +1266,7 @@ def _envelope_reference(a_mat, c_vec, a, b):
 def _envelope_cases():
     """(A, c, a, b, whether H_bb is negative definite, None if either): random maps at random points and both poles."""
     rng = np.random.default_rng(31)
-    for n_ops in (2, 3, 4, 2, 3, 4):  # not 1: a unitary map's H_bb is singular at the maximizer, its branch a rounding
+    for n_ops in (2, 3, 4, 2, 3, 4):  # not 1: a unitary map's H_bb is singular at the maximizer (see below)
         a_mat, c_vec = bloch_map(KrausChannel(random_kraus_ops(rng, n_ops), "random"))
         thetas = [*rng.uniform(0.1, 3.0, size=4), 0.0, np.pi]
         for a in bloch_vectors(np.array(thetas), rng.uniform(0.0, 2 * np.pi, size=len(thetas))).tolist():
@@ -1268,6 +1292,37 @@ def test_envelope_terms_match_a_matrix_reference():
         assert np.max(np.abs(np.array(grad) - ref_grad)) <= 1e-14
         assert np.max(np.abs(np.array([[h_00, h_01], [h_01, h_11]]) - ref_hess)) <= 1e-13 * scale, (a, b)
     assert 0 < branches.count(False) < branches.count(True)  # both branches, the Schur complement on most points
+
+
+def _near_unitary_maps():
+    """A unitary map, ad(1e-13) between two Haar unitaries, and maps of 2-4 operators within 1e-13 of a unitary one."""
+    rng = np.random.default_rng(41)
+    u, v = random_unitary(rng), random_unitary(rng)
+    yield KrausChannel((u,), "random")
+    yield KrausChannel(tuple(u @ k @ v for k in ad(1e-13).ops), "random")
+    for n_ops in (2, 3, 4):
+        big, small = math.sqrt(1.0 - 1e-13) * random_unitary(rng), random_kraus_ops(rng, n_ops - 1)
+        yield KrausChannel((big,) + tuple(math.sqrt(1e-13) * k for k in small), "random")
+
+
+def test_envelope_terms_take_the_hard_case_on_near_unitary_maps():
+    # At the inner maximizer of a map within 1e-13 of a unitary one, turning b about u changes f by that little: H_bb
+    # is singular to within about 1e-13 of its scale. Its branch is then the hard case, H_aa alone, decided by a
+    # margin and not by the rounding of det, which took the Schur complement with an inverse of order 1e13.
+    rng = np.random.default_rng(43)
+    for ch in _near_unitary_maps():
+        a_mat, c_vec = bloch_map(ch)
+        thetas = rng.uniform(0.1, 3.0, size=4)
+        for a in bloch_vectors(thetas, rng.uniform(0.0, 2 * np.pi, size=4)).tolist():
+            b = list(optimize._sphere_max(optimize._Floats, a_mat.tolist(), c_vec.tolist(), a)[1])
+            grad, (h_00, h_01, h_11) = optimize._envelope_terms(a_mat.tolist(), c_vec.tolist(), a, b)
+            ref_grad, ref_hess, ref_definite = _envelope_reference(a_mat, c_vec, a, b)
+            assert not ref_definite
+            scale = 1.0 + np.max(np.abs(ref_hess))
+            assert np.max(np.abs(np.array(grad) - ref_grad)) <= 1e-14
+            assert np.max(np.abs(np.array([[h_00, h_01], [h_01, h_11]]) - ref_hess)) <= 1e-13 * scale
+        res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
+        assert res.converged and res.mu >= brute_force_mu(ch, 24, DOMAIN_ALL_PAIRS) - 1e-12
 
 
 @pytest.mark.parametrize("gamma", [1e-7, 1e-9])

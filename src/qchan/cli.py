@@ -1,8 +1,8 @@
 """Command-line front end: measure, sweep, validate, visibility.
 
 Exit codes: 0 success (validate: all rows pass), 1 validation failure,
-2 usage error, 3 runtime or I/O failure. ``--grid`` is the one source of the grid size
-(default :data:`qchan.optimize.DEFAULT_GRID`).
+2 usage error, 3 runtime or I/O failure. Every channel the CLI builds is unital or
+axially symmetric, so each solve is a closed form and no command takes a grid size.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .channels import CHANNELS, KERNELS, apply, builtin_kernel, make_channel, make_channels
 from .measures import visibilities
-from .optimize import DEFAULT_GRID, DOMAIN_PROBE, DOMAINS, OptimizerConfig, check_grid, maximize_mu
+from .optimize import DOMAIN_PROBE, DOMAINS, OptimizerConfig, maximize_mu
 from .states import max_noncommuting_pair
 
 # Largest sweep; SweepSpec rejects a longer one before building its points.
@@ -227,10 +227,6 @@ def _parse_sweep(text: str) -> tuple[str, float, float, float]:
     return name, start, stop, step
 
 
-def _optimizer_config(args) -> OptimizerConfig:
-    return OptimizerConfig(check_grid(args.grid, "--grid"), args.domain)
-
-
 def _write_json(document: dict, path: Optional[str] = None) -> None:
     """``document`` as JSON indented by 2 and a newline, to the file at ``path`` or else to stdout."""
     text = json.dumps(document, indent=2) + "\n"
@@ -257,7 +253,7 @@ def _result_document(args, channel, result) -> dict:
 
 def _cmd_measure(args) -> int:
     channel = make_channel(args.channel, _parse_set(args.set))
-    result = maximize_mu(channel, _optimizer_config(args))
+    result = maximize_mu(channel, OptimizerConfig(domain=args.domain))
     _write_json(_result_document(args, channel, result))
     return 0
 
@@ -265,7 +261,7 @@ def _cmd_measure(args) -> int:
 def _cmd_sweep(args) -> int:
     sweep = _parse_sweep(args.sweep)  # (sweep_param, start, stop, step), in SweepSpec's field order
     spec = SweepSpec(args.channel, _parse_set(args.set), *sweep, args.kernel)
-    rows = run_sweep(spec, _optimizer_config(args))
+    rows = run_sweep(spec, OptimizerConfig(domain=args.domain))
     if args.format == "csv":
         with open(args.out, "w", newline="") as stream:
             write_sweep_csv(spec, rows, stream)
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", required=True, help=f"channel label ({', '.join(CHANNELS)})")
         p.add_argument("--set", default="", metavar="k=v[,k=v...]", help="channel/kernel parameters")
         if domain:
-            p.add_argument("--grid", type=int, default=DEFAULT_GRID, help=f"grid points per angle (default {DEFAULT_GRID})")
             p.add_argument(
                 "--domain",
                 choices=tuple(DOMAINS),

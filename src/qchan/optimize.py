@@ -17,15 +17,17 @@ Two optimization domains are supported, one entry each in :data:`DOMAINS`:
     most of that gap, since the full x-circle of maximally noncommuting pairs
     reaches 0.91337; only the rest comes from non-orthogonal pairs. Convexity
     of the objective in each Bloch argument pushes the maximum to pure states,
-    so this domain also dominates every mixed input pair. The closed forms do
-    not apply here, so its results carry no closed-form fields.
+    so this domain also dominates every mixed input pair. The closed forms of
+    :func:`qchan.channels.closed_form_mu` do not apply here, so its results
+    carry no closed-form fields.
 
 A domain's entry is its solve on the channel's affine Bloch map
 ``r -> A r + c``, which returns the reported :class:`StatePairParams`;
 :func:`maximize_mu` is ``bloch_map``, that solve, then, in the probe domain,
 the closed-form fields. Grid values within ``TIE_TOL`` of the grid maximum
 tie, and ties go to the lexicographically smallest angle tuple, outer axes
-first. Both solves end in :func:`_polish` and are deterministic.
+first. Each solve that is not a closed form ends in :func:`_polish`; all are
+deterministic.
 
 The probe solve uses that every probe pair has
 ``a x b = n(phi) = (sin phi, cos phi, 0)``, so the output cross product is
@@ -41,8 +43,9 @@ a trust-region subproblem in the plane normal to A a + c
 (:func:`_sphere_max`), and it polishes the envelope ``max_b`` over a; its
 grid stage (:func:`_grid_max`) bounds every grid point and solves exactly only
 those that can reach the maximum (k points tied within ``TIE_TOL`` cost k
-solves, about 12-16 us each). Unital channels, and axially symmetric ones in the
-probe domain, have closed forms. Each exact solve (:func:`_trust_region_2x2`,
+solves). Unital and axially symmetric channels have closed forms in both
+domains (:func:`_axial_pairs` in all-pairs), one evaluation each, and take no
+grid. Each exact solve (:func:`_trust_region_2x2`,
 :func:`_sphere_max`, :func:`_probe_circle`) is one routine, run on numpy
 arrays (``xp = numpy``: the probe x grid) or on one point's floats
 (``xp =`` :class:`_Floats`: polish trials, contenders). The all-pairs bound
@@ -51,13 +54,13 @@ building the maximizer, and its largest bound is solved first.
 
 The all-pairs grid over the first input and the oracle's input states come
 from one table, :func:`_grid`. An entry holds each grid point's polar angle,
-azimuth and three Bloch components as read-only float64 arrays. It is keyed by
-the polar range, n and the number of azimuths, so the axial grid (one azimuth)
-and the full one are separate entries. The table fills on first use, not at
-import, and keeps the ``GRID_CACHE_SIZE`` (4) most recently used entries of at
-most ``GRID_CACHE_POINTS`` (65,536) points; a larger grid is built for its call
-alone. One entry holds 40 bytes per point: about 23 KB for an n = 24 all-pairs
-grid and at most 2.6 MB, so the table retains at most about 10.5 MB.
+azimuth and three Bloch components as read-only float64 arrays, n polar angles
+by n azimuths. It is keyed by the polar range and n. The table fills on first
+use, not at import, and keeps the ``GRID_CACHE_SIZE`` (4) most recently used
+entries of at most ``GRID_CACHE_POINTS`` (65,536) points; a larger grid is
+built for its call alone. One entry holds 40 bytes per point: about 23 KB for
+an n = 24 all-pairs grid and at most 2.6 MB, so the table retains at most
+about 10.5 MB.
 """
 
 from __future__ import annotations
@@ -162,14 +165,14 @@ class QuantumnessResult:
     in the probe domain for every channel whose label has a closed form in
     :data:`qchan.channels.CHANNELS` (all but gad), and None otherwise and in
     all-pairs. ``evaluations`` counts the objective evaluations of the domain's
-    solve: 1 for a closed form (unital, or axial in the probe domain), else n
-    (probe) or n*n (all-pairs; n if axial) grid points plus one per polish
-    trial, each an exact solve over phi (probe) or over the second input
-    (all-pairs; a grid point by its upper bound, and exactly only where that
-    can reach the grid maximum). Both domains end in one polish, which stops
-    once a step moves at most ``REFINEMENT_TOLERANCE`` or gains at most one
-    ulp of the value; ``converged`` is False only when it stopped at
-    ``REFINEMENT_ITERATIONS`` instead. The best value seen is returned.
+    solve: 1 for a closed form (unital or axial, always converged), else n
+    (probe) or n*n (all-pairs) grid points plus one per polish trial, each an
+    exact solve over phi (probe) or over the second input (all-pairs; a grid
+    point by its upper bound, and exactly only where that can reach the grid
+    maximum). The polish stops once a step moves at most
+    ``REFINEMENT_TOLERANCE`` or gains at most one ulp of the value;
+    ``converged`` is False only when it stopped at ``REFINEMENT_ITERATIONS``
+    instead. The best value seen is returned.
     """
 
     mu: float
@@ -206,9 +209,9 @@ class _Grid(NamedTuple):
     bloch: np.ndarray  # (3, points)
 
 
-def _build_grid(polar_max: float, n: int, azimuths: int) -> _Grid:
-    """n polar angles in [0, polar_max] by ``azimuths`` in [0, 2 pi), polar angle major."""
-    thetas, phis = np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, azimuths, endpoint=False)
+def _build_grid(polar_max: float, n: int) -> _Grid:
+    """n polar angles in [0, polar_max] by n azimuths in [0, 2 pi), polar angle major."""
+    thetas, phis = np.linspace(0.0, polar_max, n), np.linspace(0.0, TWO_PI, n, endpoint=False)
     theta, phi = (axis.ravel() for axis in np.meshgrid(thetas, phis, indexing="ij"))
     grid = _Grid(theta, phi, np.ascontiguousarray(bloch_vectors(theta, phi).T))
     for array in grid:
@@ -219,9 +222,9 @@ def _build_grid(polar_max: float, n: int, azimuths: int) -> _Grid:
 _grid_table = functools.lru_cache(maxsize=GRID_CACHE_SIZE)(_build_grid)
 
 
-def _grid(polar_max: float, n: int, azimuths: int) -> _Grid:
+def _grid(polar_max: float, n: int) -> _Grid:
     """The grid of a domain (module docstring): from the table up to ``GRID_CACHE_POINTS`` points, else built anew."""
-    return (_grid_table if n * azimuths <= GRID_CACHE_POINTS else _build_grid)(polar_max, n, azimuths)
+    return (_grid_table if n * n <= GRID_CACHE_POINTS else _build_grid)(polar_max, n)
 
 
 def _grid_argmax(values) -> int:
@@ -243,7 +246,9 @@ def _cofactor(cols):
 
 
 def _probe_terms(cols, x: float, phi: float):
-    """Gradient (f_x, 0) and Hessian (F'', 0, 0), as in :func:`_envelope_terms`, of the probe envelope F = max_phi f.
+    """Gradient (f_x, 0) and Hessian (F'', 0, -1), as in :func:`_envelope_terms`, of the probe envelope F = max_phi f.
+
+    The unused second axis has no gradient and unit negative curvature, so :func:`_ascent_step` moves x alone.
 
     At the maximizer phi, ``F'' = f_xx - f_xphi^2 / f_phiphi`` (f_xx where f_phiphi >= 0). f = |cof(A) n + K d|^2 with
     ``cols`` the first two columns of cof(A) and the three of K as float triples; with m = dn/dphi =
@@ -262,15 +267,13 @@ def _probe_terms(cols, x: float, phi: float):
         f_xx += g_x * g_x - g * (s_minus * km + s_plus * k2[i])
         f_pp += g_p * g_p - g * (cn + s_minus * km)
         f_xp += g_x * g_p - g * s_plus * kn
-    return (2.0 * f_x, 0.0), (2.0 * (f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx), 0.0, 0.0)
+    return (2.0 * f_x, 0.0), (2.0 * (f_xx - f_xp * f_xp / f_pp if f_pp < 0.0 else f_xx), 0.0, -1.0)
 
 
-def _ascent_step(grad, hess, line):
-    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient; line: axis 0 only."""
+def _ascent_step(grad, hess):
+    """Newton step where the Hessian (h_00, h_01, h_11) is negative definite, else the gradient."""
     g_0, g_1 = grad
     h_00, h_01, h_11 = hess
-    if line:
-        return (-g_0 / h_00 if h_00 < 0.0 else g_0), 0.0
     det = h_00 * h_11 - h_01 * h_01
     if h_00 < 0.0 and det > 0.0:
         return (h_01 * g_1 - h_11 * g_0) / det, (h_01 * g_0 - h_00 * g_1) / det
@@ -371,19 +374,19 @@ def _probe_circle(xp, cols, x):
     return phi, _dot(g, g)
 
 
-def _polish(point, inner, value, terms, trial, move, line):
+def _polish(point, inner, value, terms, trial, move):
     """The envelope polish of both domains: ascent on F(point) = max_inner f from a grid point and its inner argmax.
 
-    Each iteration takes the :func:`_ascent_step` of ``terms(point, inner)``, F's gradient and Hessian (axis 0 alone if
-    ``line``), and halves it until the value does not drop; ``move(point, t, step)`` gives the point t step away and
-    the distance moved, ``trial(point)`` one exact inner solve as (value, inner). It stops, converged, once a step moves
+    Each iteration takes the :func:`_ascent_step` of ``terms(point, inner)``, F's gradient and Hessian, and halves it
+    until the value does not drop; ``move(point, t, step)`` gives the point t step away and the distance moved,
+    ``trial(point)`` one exact inner solve as (value, inner). It stops, converged, once a step moves
     at most ``REFINEMENT_TOLERANCE`` or gains at most one ulp of the value to first order, which no trial can show;
     else after ``REFINEMENT_ITERATIONS`` iterations. Returns (point, inner, value, trials, converged), the best seen.
     """
     trials = 0
     for _ in range(REFINEMENT_ITERATIONS):
         grad, hess = terms(point, inner)
-        step = _ascent_step(grad, hess, line)
+        step = _ascent_step(grad, hess)
         gain = grad[0] * step[0] + grad[1] * step[1]  # first-order gain of the full step
         t = 1.0
         while True:
@@ -413,11 +416,11 @@ def _probe_solve(a_mat, c_vec, n: int):
         mu, _, (v_cos, v_sin) = _eigen_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return probe_params(0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
     if _is_axial(a_mat, c_vec):
-        # At phi = 0 the output cross product is (-q, p, 0) (t + c_z (cos x - sin x)), and no phi does better:
-        # mu = (p^2 + q^2)(|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
-        (p, q, _), _, (_, _, t) = a_cols
-        x = 0.0 if abs(t + c[2]) >= abs(t - c[2]) else HALF_PI
-        return probe_params(x, 0.0), (p * p + q * q) * (abs(t) + abs(c[2])) ** 2, 1, True
+        # At phi = 0 the output cross product is s (-sin alpha, cos alpha, 0) (t + c_z (cos x - sin x)), and no phi does
+        # better: mu = s^2 (|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
+        s_sq, t, c_z = _axial_terms(a_mat, c_vec)
+        x = 0.0 if abs(t + c_z) >= abs(t - c_z) else HALF_PI
+        return probe_params(x, 0.0), s_sq * (abs(t) + abs(c_z)) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
     xs = np.linspace(0.0, HALF_PI, n)
     phis, values = _probe_circle(np, cols, xs)
@@ -429,7 +432,7 @@ def _probe_solve(a_mat, c_vec, n: int):
 
     x, phi, value, trials, converged = _polish(
         float(xs[k]), float(phis[k]), float(values[k]), functools.partial(_probe_terms, cols),
-        lambda x: _probe_circle(_Floats, cols, x)[::-1], move, line=True,
+        lambda x: _probe_circle(_Floats, cols, x)[::-1], move,
     )
     return probe_params(x, phi), value, n + trials, converged
 
@@ -443,6 +446,38 @@ def _is_axial(a_mat, c_vec) -> bool:
     (a00, a01, a02), (a10, a11, a12), (a20, a21, _) = a_mat.tolist()
     c_x, c_y, _ = c_vec.tolist()
     return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
+
+
+def _axial_terms(a_mat, c_vec):
+    """(s^2, t, c_z) of an axially symmetric map (:func:`_is_axial`): its xy block is s R_z(alpha) and A_zz = t."""
+    (p, _, _), (q, _, _), (_, _, t) = a_mat.tolist()
+    return p * p + q * q, t, float(c_vec[2])
+
+
+def _axial_pairs(s_sq, t, c):
+    """All-pairs maximum of the axially symmetric map of :func:`_axial_terms` (s^2, t, c != 0), exactly: (pair, value).
+
+    With x = cos theta and z = t x + c, an input has ``|A a + c|^2 = P(x) = s^2 (1 - x^2) + z^2``, and two inputs an
+    azimuth Delta apart have ``u.v = s^2 sin theta_a sin theta_b cos Delta + z_a z_b``. Maximized over Delta, the
+    objective is ``P_a P_b - max(0, |z_a z_b| - s^2 sin theta_a sin theta_b)^2``, which is C^1. Its maximum is one
+    of two candidates, each with theta_a = theta_b and phi_a = 0:
+    - product, where some Delta makes u.v = 0: a critical point of P_a P_b, so both x at P's critical point, with
+      the value P^2;
+    - meridian, Delta = pi, where the objective is ``s^2 (sin theta_a z_b + sin theta_b z_a)^2``: its critical points
+      have theta_a = theta_b and x a root of ``2 t x^2 + c x - t``. The roots have opposite signs, and the one with
+      x t c >= 0, in [-1/sqrt 2, 1/sqrt 2], gives the larger value 4 s^2 (1 - x^2) z^2.
+    The product candidate wins where it is within ``TIE_TOL`` of the meridian one. With a at a pole the objective is at
+    most s^2 (|t| + |c|)^2, the probe maximum; the meridian objective at x = sign(t c) / sqrt 2 is already
+    s^2 (|t| + sqrt 2 |c|)^2.
+    """
+    x = 2.0 * t / (c + math.copysign(math.sqrt(c * c + 8.0 * t * t), c))  # no cancellation
+    value, phi_b = 4.0 * s_sq * (1.0 - x * x) * (t * x + c) ** 2, math.pi
+    if t * t != s_sq:
+        y = -t * c / (t * t - s_sq)
+        side, z = s_sq * (1.0 - y * y), t * y + c
+        if z * z < side and (side + z * z) ** 2 >= value - TIE_TOL:  # z^2 < side also gives |y| < 1
+            x, value, phi_b = y, (side + z * z) ** 2, math.acos(-z * z / side)
+    return StatePairParams(math.acos(x), 0.0, math.acos(x), phi_b), value
 
 
 def _tangents(xp, n):
@@ -554,7 +589,7 @@ def _envelope_terms(rows, c, a, b):
 def _grid_max(rows, c, grid: _Grid, n: int):
     """Flat index, value and b of the first grid point whose :func:`_sphere_max` is within ``TIE_TOL`` of the maximum.
 
-    Every point of the grid (n polar angles in [0, pi] by its azimuths) is bounded in one pass, then solved in plain
+    Every point of the grid (n polar angles in [0, pi] by n azimuths) is bounded in one pass, then solved in plain
     floats in descending bound (ties in grid order) until no bound left can reach the tie window: k tied points cost k
     solves. The largest bound is solved first, and only the bounds within the window of its value are sorted.
     """
@@ -578,32 +613,31 @@ def _grid_max(rows, c, grid: _Grid, n: int):
 
 
 def _pairs_solve(a_mat, c_vec, n: int):
-    """Closed form for a unital channel, else :func:`_grid_max` over the first input and a polish of its envelope.
+    """Closed form for a unital or axially symmetric channel, else :func:`_grid_max` and a polish of the envelope.
 
-    Returns (StatePairParams, value, evaluations, converged). :func:`_polish` takes :func:`_envelope_terms`, trials of
-    :func:`_sphere_max` on floats, and moves of the unit first input a to ``a + t (s0 e1 + s1 e2)``, renormalized, for
-    its :func:`_tangents` (e1, e2); angles are formed only for the result. The grid is n x n, or n polar angles on an
-    axially symmetric map (:func:`_is_axial`), whose envelope is invariant under rotations about z: there phi_a = 0 is
-    exact, and the polish steps along e1 alone, in the xz plane, then folds a_x to |a_x| (a half turn about z).
+    Returns (StatePairParams, value, evaluations, converged). The unital solve is A's top two singular values and the
+    axial one :func:`_axial_pairs`, one evaluation each. Otherwise the grid is n x n first inputs, and :func:`_polish`
+    takes :func:`_envelope_terms`, trials of :func:`_sphere_max` on floats, and moves of the unit first input a to
+    ``a + t (s0 e1 + s1 e2)``, renormalized, for its :func:`_tangents` (e1, e2); angles are formed only for the result.
     """
     rows, c = a_mat.tolist(), c_vec.tolist()
     if math.hypot(*c) <= UNITAL_TOL:  # the probe solve's unital test
         _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
         pair = StatePairParams(*_bloch_angles(vt[0]), *_bloch_angles(vt[1]))
         return pair, float((sing[0] * sing[1]) ** 2), 1, True
-    axial = _is_axial(a_mat, c_vec)
-    grid = _grid(np.pi, n, 1 if axial else n)
+    if _is_axial(a_mat, c_vec):
+        return (*_axial_pairs(*_axial_terms(a_mat, c_vec)), 1, True)
+    grid = _grid(np.pi, n)
     k, value, b = _grid_max(rows, c, grid, n)
 
     def move(a, t, step):  # renormalized; the distance is t times the step's largest tangent component
         moved = [s + t * (step[0] * i + step[1] * j) for s, i, j in zip(a, *_tangents(_Floats, a))]
-        moved[0] = abs(moved[0]) if axial else moved[0]
         norm = math.sqrt(_dot(moved, moved))
         return [s / norm for s in moved], t * max(map(abs, step))
 
     a, b, value, trials, converged = _polish(
         grid.bloch[:, k].tolist(), b, value, functools.partial(_envelope_terms, rows, c),
-        functools.partial(_sphere_max, _Floats, rows, c), move, line=axial,
+        functools.partial(_sphere_max, _Floats, rows, c), move,
     )
     return StatePairParams(*_bloch_angles(a), *_bloch_angles(b)), value, grid.theta.size + trials, converged
 
@@ -660,7 +694,7 @@ def brute_force_mu(ch: KrausChannel, n: int, domain: str = DOMAIN_PROBE) -> floa
     pass the running maximum, and the loop stops at the first block where
     none can. The bound is nondecreasing under nested grid refinement.
     """
-    grid = _grid(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"), n)
+    grid = _grid(HALF_PI if _domain(domain) == DOMAIN_PROBE else np.pi, check_grid(n, "n"))
     kraus = np.stack(ch.ops)
     # R[i, p] = Tr[E_p sum_k K S_i K^dag] / 2: the input state (S_0 + x S_1 + y S_2 + z S_3) / 2 in, h_p out
     to_coords = 0.5 * np.einsum("pab,kbc,icd,kad->ip", TRACELESS_BASIS, kraus, PAULI, kraus.conj()).real

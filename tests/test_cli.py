@@ -21,7 +21,7 @@ from qchan.cli import (
     write_sweep_csv,
 )
 from qchan import cli
-from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig, maximize_mu
+from qchan.optimize import OptimizerConfig, maximize_mu
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -80,11 +80,10 @@ def test_measure_gad_has_no_closed_form(capsys):
         (["validate", "--tol", "nan"], "positive and finite"),
         (["validate", "--tol", "inf"], "positive and finite"),
         (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:1e-12"], "too many points"),
-        (["measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs", "--grid", "100000"], "between 2 and"),
     ],
     ids=[
         "lambda-nan", "gamma-nan", "b-overflow", "stop-inf", "start-nan", "step-underflow", "tol-nan", "tol-inf",
-        "sweep-points", "grid-flag",
+        "sweep-points",
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, argv, message):
@@ -194,11 +193,14 @@ def test_sweep_identical_runs_are_byte_identical(tmp_path, capsys):
         (["sweep", "--channel", "pd", "--sweep", "gamma=0:1:0.25"], "--jobs"),
         (["validate"], "--seed"),
         (["validate"], "--grid"),
+        (["measure", "--channel", "ad", "--set", "gamma=0.25", "--domain", "all-pairs"], "--grid"),
+        (["sweep", "--channel", "ad", "--sweep", "gamma=0:1:0.25", "--domain", "all-pairs"], "--grid"),
     ],
-    ids=["measure-seed", "sweep-seed", "sweep-jobs", "validate-seed", "validate-grid"],
+    ids=["measure-seed", "sweep-seed", "sweep-jobs", "validate-seed", "validate-grid", "measure-grid", "sweep-grid"],
 )
 def test_removed_settings_are_usage_errors(tmp_path, capsys, argv, flag):
-    # Nothing in qchan is random or parallel, and validate solves every point exactly: these flags set nothing.
+    # Nothing in qchan is random or parallel, and every channel the CLI builds is unital or axially symmetric, so
+    # each solve is a closed form in both domains: these flags set nothing.
     out_path = tmp_path / "out"
     out_args = [] if argv[0] == "measure" else ["--out", str(out_path)]
     code, out, err = run_cli(capsys, *argv, flag, "5", *out_args)
@@ -459,43 +461,30 @@ def test_visibility_identity_like_channel(capsys):
 
 
 def test_grid_env_var(capsys, monkeypatch):
-    # Every named channel takes a one-evaluation probe solve; ad's all-pairs solve scans
-    # n polar angles (it is axially symmetric) and polishes the best one. --grid alone sets n:
-    # QCHAN_DEFAULT_GRID is not read, whatever it holds.
-    argv = ["measure", "--channel", "ad", "--set", "gamma=0.5", "--domain", "all-pairs"]
-    plain = run_cli(capsys, *argv)
+    # No command takes a grid size, and QCHAN_DEFAULT_GRID is not read, whatever it holds: every named channel
+    # takes a one-evaluation closed form in both domains. --domain still acts: ad's all-pairs maximum exceeds
+    # its probe one.
+    argv = ["measure", "--channel", "ad", "--set", "gamma=0.5"]
+    plain, pairs = run_cli(capsys, *argv), run_cli(capsys, *argv, "--domain", "all-pairs")
     monkeypatch.setenv("QCHAN_DEFAULT_GRID", "banana")
-    assert run_cli(capsys, *argv) == plain and plain[0] == 0
-    assert json.loads(plain[1])["evaluations"] > 24
-    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
-    assert code == 0 and 8 < json.loads(out)["evaluations"] < 24  # 8-point grid plus refinement
-    code, out, _ = run_cli(capsys, *argv, "--grid", "30")
-    assert code == 0 and json.loads(out)["evaluations"] > 30
-
-
-@pytest.mark.parametrize("value, ok", [("1", False), ("2", True), (str(MAX_GRID_POINTS), True), (str(MAX_GRID_POINTS + 1), False)])
-@pytest.mark.parametrize("source", ["--grid"])
-def test_grid_bounds_name_their_source(capsys, source, value, ok):
-    code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", source, value)
-    if ok:
-        assert code == 0 and err == ""
-    else:
-        assert code == 2 and out == ""
-        assert err == f"error: {source} must be between 2 and {MAX_GRID_POINTS}, got {value}\n"
+    assert run_cli(capsys, *argv) == plain and run_cli(capsys, *argv, "--domain", "all-pairs") == pairs
+    assert plain[0] == pairs[0] == 0
+    probe, all_pairs = json.loads(plain[1]), json.loads(pairs[1])
+    assert probe["evaluations"] == all_pairs["evaluations"] == 1 and all_pairs["mu"] > probe["mu"]
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):
     assert build_parser() is build_parser()
-    argv = ["measure", "--channel", "ad", "--set", "gamma=0.25", "--domain", "all-pairs"]
-    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
+    argv = ["measure", "--channel", "ad", "--set", "gamma=0.25"]
+    code, out, _ = run_cli(capsys, *argv, "--domain", "all-pairs")
     assert code == 0
-    coarse = json.loads(out)["evaluations"]
+    all_pairs = json.loads(out)["mu"]
     code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["evaluations"] != coarse
+    assert code == 0 and json.loads(out)["mu"] != all_pairs  # the default domain, probe
     # a usage error leaves nothing behind for the next call
     assert run_cli(capsys, "measure", "--channel", "ad", "--bogus")[0] == 2
-    code, out, _ = run_cli(capsys, *argv, "--grid", "8")
-    assert code == 0 and json.loads(out)["evaluations"] == coarse
+    code, out, _ = run_cli(capsys, *argv, "--domain", "all-pairs")
+    assert code == 0 and json.loads(out)["mu"] == all_pairs
     assert run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=2")[0] == 2
     assert run_cli(capsys, "measure", "--channel", "pd", "--set", "gamma=0.25")[0] == 0
 

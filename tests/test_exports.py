@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import qchan
-from qchan import builtin_kernel, cli, measures, optimize
+from qchan import builtin_kernel, measures, optimize
 from qchan.channels import make_channel
 
 INIT = Path(qchan.__file__)
@@ -42,10 +42,18 @@ def test_closed_forms_live_with_the_registry():
 
 
 def test_grid_contract_is_defined_once():
-    assert cli.DEFAULT_GRID is optimize.DEFAULT_GRID == optimize.OptimizerConfig().grid_points_per_angle
-    for source in ("--grid", "grid_points_per_angle", "n"):
-        with pytest.raises(ValueError, match=rf"^{source} must be between 2 and {optimize.MAX_GRID_POINTS}, got 1$"):
-            optimize.check_grid(1, source)
+    # The library's two grid sizes, OptimizerConfig's and brute_force_mu's n, take one check whose message names its
+    # source; the CLI takes no grid size.
+    assert optimize.DEFAULT_GRID == optimize.OptimizerConfig().grid_points_per_angle
+    top = optimize.MAX_GRID_POINTS
+    for value in (1, top + 1):
+        with pytest.raises(ValueError, match=rf"^grid_points_per_angle must be between 2 and {top}, got {value}$"):
+            optimize.OptimizerConfig(grid_points_per_angle=value)
+        with pytest.raises(ValueError, match=rf"^n must be between 2 and {top}, got {value}$"):
+            optimize.brute_force_mu(qchan.pd(0.25), value)
+    for value in (2, top):
+        assert optimize.check_grid(value, "n") == value
+        assert optimize.OptimizerConfig(grid_points_per_angle=value).grid_points_per_angle == value
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from qchan.cli import (
     write_sweep_csv,
 )
 from qchan import cli
-from qchan.optimize import OptimizerConfig, maximize_mu
+from qchan.optimize import MAX_GRID_POINTS, OptimizerConfig, check_grid, maximize_mu
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -471,6 +471,26 @@ def test_grid_env_var(capsys, monkeypatch):
     assert plain[0] == pairs[0] == 0
     probe, all_pairs = json.loads(plain[1]), json.loads(pairs[1])
     assert probe["evaluations"] == all_pairs["evaluations"] == 1 and all_pairs["mu"] > probe["mu"]
+
+
+@pytest.mark.parametrize("value, ok", [(1, False), (2, True), (MAX_GRID_POINTS, True), (MAX_GRID_POINTS + 1, False)])
+@pytest.mark.parametrize("source", ["--grid"])
+def test_grid_bounds_name_their_source(capsys, source, value, ok):
+    # The CLI takes no grid size: the removed flag is a usage error at every value, in or out of bounds, and no
+    # bound message names it. The bound lives in the library alone, and its message names the library's source.
+    code, out, err = run_cli(capsys, "measure", "--channel", "ad", "--set", "gamma=0.5", source, str(value))
+    assert code == 2 and out == "" and f"unrecognized arguments: {source} {value}" in err
+    assert "must be between" not in err
+    for library_source, check in [
+        ("grid_points_per_angle", lambda: OptimizerConfig(grid_points_per_angle=value).grid_points_per_angle),
+        ("n", lambda: check_grid(value, "n")),
+    ]:
+        if ok:
+            assert check() == value
+        else:
+            message = rf"^{library_source} must be between 2 and {MAX_GRID_POINTS}, got {value}$"
+            with pytest.raises(ValueError, match=message):
+                check()
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

@@ -22,8 +22,9 @@ any other map into [-1, 1].
 :data:`CHANNELS` is the one table of per-label facts: constructor, Kraus
 builder, parameter names, closed forms and sweep kernel. Everything that
 dispatches on a channel label reads it. Every constructor is the one-point
-case of :func:`make_channels`, which builds a batch of one family's points
-from arrays of their parameters, with one contraction and one CPTP check.
+case of :func:`make_channels`, which builds a block of one family's points
+from one float or 1-D sequence per parameter, with one contraction and one
+CPTP check.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _adopt(channels: list, label: str, stacks: np.ndarray, params: list) -> list
 class KrausChannel:
     """A qubit channel rho -> sum_i K_i rho K_i^dag with validated completeness.
 
-    Every operator must be 2x2. ``ops`` are read-only complex128 views of one
+    Every operator goes through :func:`~qchan.linalg.as_matrix`, so it is a
+    finite 2x2 matrix. ``ops`` are read-only complex128 views of one
     stacked copy of the given operators, so later changes to the caller's
     arrays do not reach the channel. The channel builds its Pauli transfer
     matrix T[i, j] = Tr(s_i Phi(s_j))/2 once, here, as the one-channel case of
@@ -117,20 +119,12 @@ class KrausChannel:
         mats = [as_matrix(k) for k in self.ops]
         if not mats:
             raise ValueError("channel needs at least one Kraus operator")
-        if any(m.shape != (2, 2) for m in mats):
-            raise ValueError("Kraus operators must be 2x2: a channel acts on one qubit")
         _adopt([self], self.label, np.array(mats)[None], [dict(self.params)])
-
-    @property
-    def dim(self) -> int:
-        return self.ops[0].shape[0]
 
 
 def apply(ch: KrausChannel, rho) -> DensityMatrix:
     """Apply the channel: sum_i K_i rho K_i^dag."""
     state = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    if state.dim != ch.dim:
-        raise ValueError(f"dimension mismatch: channel {ch.dim}, state {state.dim}")
     out = sum(k @ state.mat @ k.conj().T for k in ch.ops)
     return DensityMatrix(out)
 
@@ -470,34 +464,37 @@ def closed_form_mu(label: str, params: Mapping[str, float]) -> float:
     return spec.closed_form(*args)
 
 
-def make_channels(label: str, points: Sequence[Mapping[str, float]]) -> list[KrausChannel]:
-    """One channel per mapping in ``points``, each from exactly its named parameters.
+def make_channels(label: str, params: Mapping) -> list[KrausChannel]:
+    """One channel per point of a block of the family ``label``, from exactly its named parameters.
 
-    The points' values go to the family's builder as one array per parameter, and its operators, stacked as
-    (P, k, 2, 2), through one contraction and one CPTP check; channel i is bitwise the channel built alone, and a
-    block raises the one-point message of its first failing point.
+    Each value in ``params`` is a float or a 1-D sequence, the sequences of one length P; a float stands for P equal
+    values. The names are checked once per block. The values go to the family's builder as one contiguous float array
+    per parameter, which checks them point by point, and its operators, stacked as (P, k, 2, 2), through one
+    contraction and one CPTP check: channel i is bitwise the channel built alone, and a block raises the one-point
+    message of its first failing point. An empty sequence gives [].
     """
-    args = []
-    for params in points:
-        try:
-            spec, values = channel_args(label, params)
-        except ValueError:
-            if args:  # an earlier point's value checks come first
-                spec.kraus(*_columns(args))
-            raise
-        args.append(values)
-    if not args:
-        return []
-    stacks, records = spec.kraus(*_columns(args))
-    return _adopt([object.__new__(KrausChannel) for _ in records], label, stacks, records)
-
-
-def _columns(args: list) -> np.ndarray:
-    """One contiguous float array per parameter from the points' value lists: each ufunc then runs the loop it runs
-    on one point."""
-    return np.array(list(zip(*args)), dtype=float)
+    return _block(label, params, 1)
 
 
 def make_channel(label: str, params: Mapping[str, float]) -> KrausChannel:
-    """Build a channel from its label and exactly its named parameters: the one-point :func:`make_channels`."""
-    return make_channels(label, (params,))[0]
+    """Build a channel from its label and exactly its named parameters, one float each: the one-point
+    :func:`make_channels`."""
+    return _block(label, params, 0)[0]
+
+
+def _block(label: str, params: Mapping, ndim: int) -> list[KrausChannel]:
+    """:func:`make_channels` with values of at most ``ndim`` dimensions."""
+    spec, _ = channel_args(label, dict.fromkeys(params, 0.0))  # the names alone: the values are not floats yet
+    values = [np.asarray(params[k], dtype=float) for k in spec.params]
+    shapes = {v.shape for v in values} - {()}
+    if len(shapes) > 1 or max(v.ndim for v in values) > ndim:
+        takes = "floats and 1-D sequences of one length" if ndim else "one float per parameter"
+        got = ", ".join(f"{k} of shape {v.shape}" for k, v in zip(spec.params, values))
+        raise ValueError(f"channel {label} takes {takes}, got {got}")
+    columns = np.empty((len(values), *(shapes.pop() if shapes else (1,))))
+    if not columns.size:
+        return []
+    for column, value in zip(columns, values):  # contiguous rows: each ufunc then runs the loop it runs on one point
+        column[...] = value
+    stacks, records = spec.kraus(*columns)
+    return _adopt([object.__new__(KrausChannel) for _ in records], label, stacks, records)

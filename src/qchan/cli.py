@@ -76,8 +76,8 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     """Evaluate every sweep point; rows follow ascending sweep values.
 
     The points go in blocks of ``SWEEP_BLOCK``: a kernel sweep evaluates each block's kernel values in one kernel call,
-    and :func:`make_channels` builds each block's channels from arrays of their parameters. Each channel then gets one
-    :func:`maximize_mu`.
+    and :func:`make_channels` builds each block's channels from one mapping, the fixed parameters with the block's
+    values of the swept one, or the kernel values alone. Each channel then gets one :func:`maximize_mu`.
     """
     entry = CHANNELS.get(spec.channel_label)
     if entry is None or spec.sweep_param not in entry.params + (entry.kernel_param,):
@@ -93,13 +93,11 @@ def run_sweep(spec: SweepSpec, cfg: OptimizerConfig) -> list[SweepRow]:
     for start in range(0, len(values), SWEEP_BLOCK):
         block = values[start : start + SWEEP_BLOCK]
         if kernel is None:
-            kernel_values = [None] * len(block)
-            points = [{**spec.fixed_params, spec.sweep_param: value} for value in block]
+            kernel_values, params = [None] * len(block), {**spec.fixed_params, spec.sweep_param: block}
         else:
-            kernel_values = kernel.evaluate(block).tolist()
-            points = [{entry.params[0]: kernel_value} for kernel_value in kernel_values]
-        channels = make_channels(spec.channel_label, points)
-        for value, kernel_value, channel in zip(block, kernel_values, channels):
+            column = kernel.evaluate(block)
+            kernel_values, params = column.tolist(), {entry.params[0]: column}
+        for value, kernel_value, channel in zip(block, kernel_values, make_channels(spec.channel_label, params)):
             result = maximize_mu(channel, cfg)
             rows.append(SweepRow(value, result.mu, result.closed_form, result.abs_error, kernel_value))
     return rows
@@ -151,14 +149,14 @@ class ValidationReport:
         return self.asserted > 0 and all(r.passed for r in self.rows if r.passed is not None)
 
 
-def _family(label: str, *points: tuple) -> tuple[str, tuple]:
-    """(label, points) with each point's values named in the family's ``params`` order."""
-    return label, tuple(dict(zip(CHANNELS[label].params, values)) for values in points)
+def _family(label: str, *points: tuple) -> tuple[str, dict]:
+    """(label, columns): the points' values as one tuple per parameter, keyed by the family's ``params`` names."""
+    return label, dict(zip(CHANNELS[label].params, zip(*points)))
 
 
 _QUARTERS = ((0.0,), (0.25,), (0.5,), (0.75,), (1.0,))
-# The validate points, one family per entry. gdc's ten weight vectors are nonincreasing, though its closed form
-# holds for every order of the weights; gad has no closed form, so its rows are informational.
+# The validate points, one family per entry, each a make_channels block. gdc's ten weight vectors are nonincreasing,
+# though its closed form holds for every order of the weights; gad has no closed form, so its rows are informational.
 VALIDATION_POINTS = (
     _family("rtn", *_QUARTERS),
     _family("nmd", *_QUARTERS),
@@ -186,11 +184,11 @@ def run_validation(tolerance: float = 1e-4) -> ValidationReport:
     if not 0.0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance!r}")
     rows = []
-    for label, points in VALIDATION_POINTS:
-        for params, channel in zip(points, make_channels(label, points)):
+    for label, columns in VALIDATION_POINTS:
+        for channel in make_channels(label, columns):
             result = maximize_mu(channel)
             passed = None if result.closed_form is None else result.abs_error <= tolerance
-            rows.append(ValidationRow(label, dict(params), result.mu, result.closed_form, result.abs_error, passed))
+            rows.append(ValidationRow(label, channel.params, result.mu, result.closed_form, result.abs_error, passed))
     return ValidationReport(rows=tuple(rows), tolerance=tolerance)
 
 

@@ -1,9 +1,11 @@
-"""Dense complex matrix helpers and validated qubit state representations.
+"""Qubit matrix helpers and validated qubit state representations.
 
-Matrices are plain ``numpy.ndarray`` values of dtype complex128. Quantum
-states get a thin validated wrapper (:class:`DensityMatrix`) so that every
-downstream computation can rely on Hermiticity, unit trace and positivity.
-All values are immutable after construction and all functions are pure.
+Matrices are plain 2x2 ``numpy.ndarray`` values of dtype complex128, and
+:func:`as_matrix` is the one check of a matrix's shape: every input matrix
+enters through it. Quantum states get a thin validated wrapper
+(:class:`DensityMatrix`) so that every downstream computation can rely on
+Hermiticity, unit trace and positivity. All values are immutable after
+construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 
 def as_matrix(a) -> np.ndarray:
-    """Coerce a DensityMatrix or array-like to a square complex ndarray."""
+    """Coerce a DensityMatrix or array-like to a 2x2 complex ndarray with finite entries."""
     if isinstance(a, DensityMatrix):
         return a.mat
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix: qchan acts on one qubit, got shape {m.shape}")
     if not np.all(np.isfinite(m.view(float))):
         raise ValueError("matrix entries must be finite")
     return m
@@ -44,8 +46,6 @@ def as_matrix(a) -> np.ndarray:
 def commutator(a, b) -> np.ndarray:
     """Commutator AB - BA. Anti-Hermitian whenever A and B are Hermitian."""
     ma, mb = as_matrix(a), as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     return ma @ mb - mb @ ma
 
 
@@ -71,21 +71,15 @@ class BlochVector(NamedTuple):
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    Uses the analytic 2x2 formula in dimension 2 (deterministic, no iterative
-    solver) and a symmetric eigensolver otherwise.
-    """
-    if mat.shape == (2, 2):
-        half_tr = 0.5 * (mat[0, 0] + mat[1, 1]).real
-        det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
-        disc = max(half_tr * half_tr - det, 0.0)
-        return float(half_tr - np.sqrt(disc))
-    return float(np.linalg.eigvalsh(mat)[0])
+    """Smallest eigenvalue of a Hermitian 2x2 matrix, by the analytic formula (deterministic, no iterative solver)."""
+    half_tr = 0.5 * (mat[0, 0] + mat[1, 1]).real
+    det = (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]).real
+    disc = max(half_tr * half_tr - det, 0.0)
+    return float(half_tr - np.sqrt(disc))
 
 
 class DensityMatrix:
-    """Validated quantum state: Hermitian, unit trace, positive semidefinite.
+    """Validated qubit state: a 2x2 matrix, Hermitian, unit trace, positive semidefinite.
 
     Construction rejects matrices violating any invariant:
     max |M - M^dag| <= 1e-12, |Tr M - 1| <= 1e-12, min eigenvalue >= -1e-10.
@@ -106,13 +100,6 @@ class DensityMatrix:
         if lam < EIGENVALUE_FLOOR:
             raise ValueError(f"not positive semidefinite: min eigenvalue = {lam:.3e}")
         self.mat = _readonly(m.copy())
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
 
 
 def bloch_array(v) -> np.ndarray:
@@ -136,8 +123,6 @@ def from_bloch(v) -> DensityMatrix:
 def to_bloch(rho) -> BlochVector:
     """Bloch vector of a qubit state; inverse of :func:`from_bloch`."""
     m = as_matrix(rho)
-    if m.shape != (2, 2):
-        raise ValueError(f"unsupported dimension {m.shape[0]}: Bloch form is qubit-only")
     x = float((m[0, 1] + m[1, 0]).real)
     y = float((1j * (m[0, 1] - m[1, 0])).real)
     z = float((m[0, 0] - m[1, 1]).real)
@@ -145,5 +130,5 @@ def to_bloch(rho) -> BlochVector:
 
 
 def purity(rho) -> float:
-    """Tr(rho^2), in [1/dim, 1]; equals 1 exactly for pure states."""
+    """Tr(rho^2), in [1/2, 1] for a qubit state; equals 1 exactly for pure states."""
     return hs_norm_sq(rho)

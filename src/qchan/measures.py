@@ -1,10 +1,11 @@
 """Incompatibility of state pairs; the channel closed forms live in :mod:`qchan.channels`.
 
-The central quantity is the squared Hilbert-Schmidt norm of the commutator,
+The central quantity is the squared Hilbert-Schmidt norm of the commutator of
+two qubit states (2x2 matrices, checked by :func:`qchan.linalg.as_matrix`),
 
     M(rho, sigma) = 2 Tr(C^dag C),   C = rho sigma - sigma rho,
 
-which for qubits equals |a x b|^2 of the Bloch vectors and has the exact
+which equals |a x b|^2 of the Bloch vectors and has the exact
 trace rewriting 4 (Tr[rho^2 sigma^2] - Tr[(rho sigma)^2]). The two trace
 factors are the interferometric visibilities: M = 4 (v1 - v2).
 """
@@ -30,21 +31,12 @@ def _real_trace(value: complex, what: str) -> float:
     return float(value.real)
 
 
-def _pair(rho, sigma):
-    a, b = as_matrix(rho), as_matrix(sigma)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def incompatibility(rho, sigma) -> float:
     """M(rho, sigma) = 2 Tr(C^dag C) with C = [rho, sigma].
 
-    Symmetric, zero exactly when the states commute, and bounded by 1 for
-    qubit pairs.
+    Symmetric, zero exactly when the states commute, and bounded by 1.
     """
-    a, b = _pair(rho, sigma)
-    return 2.0 * hs_norm_sq(commutator(a, b))
+    return 2.0 * hs_norm_sq(commutator(rho, sigma))
 
 
 def incompatibility_bloch(a, b) -> float:
@@ -71,7 +63,7 @@ class VisibilityPair(NamedTuple):
 
 def visibilities(rho, sigma) -> VisibilityPair:
     """The two trace quantities whose difference gives M = 4 (v1 - v2)."""
-    a, b = _pair(rho, sigma)
+    a, b = as_matrix(rho), as_matrix(sigma)
     ab = a @ b
     v1 = _real_trace(np.trace(a @ a @ b @ b), "Tr[rho^2 sigma^2]")
     v2 = _real_trace(np.trace(ab @ ab), "Tr[(rho sigma)^2]")
@@ -100,7 +92,7 @@ def check_outer_inequality(rho0, rhot, tol: float = 1e-10) -> OuterInequalityChe
     not computed.
     """
     m0 = as_matrix(rho0)
-    off = float(np.max(np.abs(m0 - np.diag(np.diag(m0))))) if m0.size else 0.0
+    off = float(np.max(np.abs(m0 - np.diag(np.diag(m0)))))
     if off > DIAGONAL_TOL:
         raise ValueError(
             f"hypothesis violation: rho0 must be diagonal, off-diagonal max {off:.3e}"

@@ -415,10 +415,10 @@ def _probe_solve(a_mat, c_vec, n: int):
         c0, c1 = _cofactor(a_cols)
         mu, _, (v_cos, v_sin) = _eigen_2x2(_Floats, _dot(c1, c1), _dot(c0, c1), _dot(c0, c0))
         return probe_params(0.0, math.atan2(v_sin, v_cos) % math.pi), mu, 1, True
-    if _is_axial(a_mat, c_vec):
+    if _is_axial(a_cols, c):
         # At phi = 0 the output cross product is s (-sin alpha, cos alpha, 0) (t + c_z (cos x - sin x)), and no phi does
         # better: mu = s^2 (|t| + |c_z|)^2 at x = 0 or x = pi/2, whichever end has |t + c_z (cos x - sin x)| larger.
-        s_sq, t, c_z = _axial_terms(a_mat, c_vec)
+        s_sq, t, c_z = _axial_terms(a_cols, c)
         x = 0.0 if abs(t + c_z) >= abs(t - c_z) else HALF_PI
         return probe_params(x, 0.0), s_sq * (abs(t) + abs(c_z)) ** 2, 1, True
     cols = (*_cofactor(a_cols), *(_cross(col, c) for col in a_cols))
@@ -437,21 +437,23 @@ def _probe_solve(a_mat, c_vec, n: int):
     return probe_params(x, phi), value, n + trials, converged
 
 
-def _is_axial(a_mat, c_vec) -> bool:
-    """Whether ``r -> A r + c`` commutes with rotations about z, within ``UNITAL_TOL``.
+def _is_axial(rows, c) -> bool:
+    """Whether ``r -> A r + c`` commutes with rotations about z, within ``UNITAL_TOL``, from A's float rows or columns.
 
     That is, A is block-diagonal with xy block ``[[p, -q], [q, p]]`` and
     c = (0, 0, c_z), as for ad, gad and unruh and their z-rotated copies.
+    The test reads the same values from A and from A^T.
     """
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, _) = a_mat.tolist()
-    c_x, c_y, _ = c_vec.tolist()
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, _) = rows
+    c_x, c_y, _ = c
     return max(map(abs, (a00 - a11, a01 + a10, a02, a12, a20, a21, c_x, c_y))) <= UNITAL_TOL
 
 
-def _axial_terms(a_mat, c_vec):
-    """(s^2, t, c_z) of an axially symmetric map (:func:`_is_axial`): its xy block is s R_z(alpha) and A_zz = t."""
-    (p, _, _), (q, _, _), (_, _, t) = a_mat.tolist()
-    return p * p + q * q, t, float(c_vec[2])
+def _axial_terms(cols, c):
+    """(s^2, t, c_z) of an axially symmetric map (:func:`_is_axial`) from A's float columns: its xy block is
+    s R_z(alpha) with first column (p, q), and A_zz = t."""
+    (p, q, _), _, (_, _, t) = cols
+    return p * p + q * q, t, c[2]
 
 
 def _axial_pairs(s_sq, t, c):
@@ -625,8 +627,8 @@ def _pairs_solve(a_mat, c_vec, n: int):
         _, sing, vt = np.linalg.svd(a_mat)  # |cof(A)(a x b)|^2 <= (s1 s2)^2, attained at the top right singular vectors
         pair = StatePairParams(*_bloch_angles(vt[0]), *_bloch_angles(vt[1]))
         return pair, float((sing[0] * sing[1]) ** 2), 1, True
-    if _is_axial(a_mat, c_vec):
-        return (*_axial_pairs(*_axial_terms(a_mat, c_vec)), 1, True)
+    if _is_axial(rows, c):
+        return (*_axial_pairs(*_axial_terms(zip(*rows), c)), 1, True)
     grid = _grid(np.pi, n)
     k, value, b = _grid_max(rows, c, grid, n)
 

@@ -1,5 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+
+
+def not_qubit_matrix(shape):
+    """A full-match pattern for linalg.as_matrix's one message on an array of ``shape``."""
+    return "^" + re.escape(f"expected a 2x2 matrix: qchan acts on one qubit, got shape {shape}") + "$"
 
 
 @pytest.fixture

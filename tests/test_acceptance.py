@@ -26,7 +26,7 @@ from qchan.channels import ad, gad, gdc, nmd, pd, unruh
 from qchan.cli import (
     VALIDATION_POINTS,
     SweepSpec,
-    make_channel,
+    make_channels,
     run_sweep,
     run_validation,
     write_sweep_csv,
@@ -97,7 +97,7 @@ def test_criterion_3_visibility_identity():
 def test_criterion_4_cptp_validation():
     def completeness(ch):
         total = sum(k.conj().T @ k for k in ch.ops)
-        return float(np.max(np.abs(total - np.eye(ch.dim))))
+        return float(np.max(np.abs(total - np.eye(2))))
 
     worst_completeness = 0.0
     for v in np.linspace(-1, 1, 51):
@@ -204,9 +204,8 @@ def test_criterion_7_outer_inequality():
 def test_criterion_8_oracle_dominance_and_determinism(tmp_path):
     cfg = OptimizerConfig()
     worst_gap = np.inf
-    for label, points in VALIDATION_POINTS:
-        for params in points:
-            ch = make_channel(label, params)
+    for label, columns in VALIDATION_POINTS:
+        for ch in make_channels(label, columns):
             gap = maximize_mu(ch, cfg).mu - brute_force_mu(ch, cfg.grid_points_per_angle)
             worst_gap = min(worst_gap, gap)
     dominance = worst_gap >= -1e-12

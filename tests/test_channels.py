@@ -1,6 +1,7 @@
 import decimal
 import inspect
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from qchan import (
 from qchan import channels as channel_module
 from qchan.channels import CHANNELS, KERNELS, _transfer_matrices, make_channels
 from qchan.linalg import PAULIS
-from conftest import random_kraus_ops, sample_ball
+from conftest import not_qubit_matrix, random_kraus_ops, sample_ball
 
 ALL_CONSTRUCTORS = {
     "rtn": lambda: rtn(0.5),
@@ -44,7 +45,7 @@ ALL_CONSTRUCTORS = {
 
 def completeness_deviation(ch):
     total = sum(k.conj().T @ k for k in ch.ops)
-    return float(np.max(np.abs(total - np.eye(ch.dim))))
+    return float(np.max(np.abs(total - np.eye(2))))
 
 
 def test_rtn_scales_off_diagonals():
@@ -186,10 +187,10 @@ def test_kraus_channel_rejects_incomplete_sets():
 @pytest.mark.parametrize(
     "ops, message",
     [
-        ((np.ones((2, 3)),), "expected a square matrix"),
-        ((np.eye(2), np.eye(3)), "^Kraus operators must be 2x2: a channel acts on one qubit$"),
-        ((np.eye(3),), "^Kraus operators must be 2x2: a channel acts on one qubit$"),
-        ((np.ones((1, 1)),), "^Kraus operators must be 2x2: a channel acts on one qubit$"),
+        ((np.ones((2, 3)),), not_qubit_matrix((2, 3))),
+        ((np.eye(2), np.eye(3)), not_qubit_matrix((3, 3))),
+        ((np.eye(3),), not_qubit_matrix((3, 3))),
+        ((np.ones((1, 1)),), not_qubit_matrix((1, 1))),
         ((np.diag([np.nan, 1.0]),), "must be finite"),
         ((np.diag([1.0, np.inf]),), "must be finite"),
     ],
@@ -286,7 +287,7 @@ def test_apply_outputs_are_valid_states(rng):
         ch = build()
         for v in vs:
             out = apply(ch, from_bloch(v))
-            assert out.dim == 2, name
+            assert out.mat.shape == (2, 2), name
 
 
 def test_unital_and_nonunital_channels():
@@ -307,9 +308,9 @@ def test_dephasing_channels_preserve_diagonal_commutativity():
 
 
 def test_apply_dimension_mismatch():
-    rho3 = DensityMatrix(np.eye(3) / 3)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        apply(pd(0.2), rho3)
+    # a qutrit state is no DensityMatrix, so no channel meets one
+    with pytest.raises(ValueError, match=not_qubit_matrix((3, 3))):
+        apply(pd(0.2), np.eye(3) / 3)
 
 
 def test_bloch_map_matches_apply(rng):
@@ -419,7 +420,8 @@ def test_batch_is_bitwise_the_one_point_build(label, size):
     # (gdc at p2 = 0 has the entry -0j).
     spec = CHANNELS[label]
     points = [BATCH_POINTS[label](v) for v in np.linspace(0.0, 1.0, size)]
-    for params, ch in zip(points, make_channels(label, points), strict=True):
+    block = {k: [params[k] for params in points] for k in spec.params}
+    for params, ch in zip(points, make_channels(label, block), strict=True):
         values = [float(params[k]) for k in spec.params]
         alone = getattr(channel_module, label)(*values)
         plain = np.array(PLAIN_ENTRIES[label](*values), dtype=complex).reshape(-1, 2, 2)
@@ -474,24 +476,66 @@ BAD_BLOCKS = {
 
 def test_batch_checks_every_point_with_the_scalar_message():
     for label, (values, message) in BAD_BLOCKS.items():
-        points = [dict(zip(CHANNELS[label].params, v)) for v in values]
+        block = dict(zip(CHANNELS[label].params, zip(*values)))
         with pytest.raises(ValueError) as alone:
             getattr(channel_module, label)(*values[2])
-        with pytest.raises(ValueError) as block:
-            make_channels(label, points)
-        assert str(block.value) == str(alone.value) == message, label
-        assert len(make_channels(label, points[:2])) == 2
-    weights = [dict(zip(CHANNELS["gdc"].params, w)) for w in ((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0))]
+        with pytest.raises(ValueError) as raised:
+            make_channels(label, block)
+        assert str(raised.value) == str(alone.value) == message, label
+        assert len(make_channels(label, {k: column[:2] for k, column in block.items()})) == 2
+    weights = dict(zip(CHANNELS["gdc"].params, zip((1.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.0))))
     with pytest.raises(ValueError, match=r"^weights must sum to 1, got 1.5$"):
         make_channels("gdc", weights)
-    with pytest.raises(ValueError, match="does not take parameter"):
-        make_channels("ad", [{"gamma": 0.5}, {"gamma": 0.5, "xi": 0.1}])
-    # an earlier point's bad value comes before a later point's bad names, as in one-point builds in order
-    with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\], got 1.5$"):
-        make_channels("ad", [{"gamma": 0.5}, {"gamma": 1.5}, {"gamma": 0.5, "xi": 0.1}])
+    with pytest.raises(ValueError, match=r"^channel ad does not take parameter\(s\): xi$"):
+        make_channels("ad", {"gamma": [0.5, 0.5], "xi": 0.1})
     with pytest.raises(ValueError, match="unknown channel"):
-        make_channels("swap", [{}])
-    assert make_channels("ad", []) == []
+        make_channels("swap", {})
+    assert make_channels("ad", {"gamma": []}) == []
+
+
+def test_block_broadcasts_floats_against_its_sequences():
+    # gad with a fixed alpha and a swept xi: every point is bitwise its one-point build
+    xis = np.linspace(0.0, 1.0, 11)
+    for xi, ch in zip(xis.tolist(), make_channels("gad", {"alpha": 0.3, "xi": xis}), strict=True):
+        alone = gad(0.3, xi)
+        assert ch.params == alone.params == {"alpha": 0.3, "xi": xi}
+        assert all(_same_bits(a, b) for a, b in zip(ch.ops, alone.ops))
+    assert make_channels("gad", {"alpha": 0.3, "xi": ()}) == []
+    # all floats is a one-point block, as make_channel builds it
+    (ch,) = make_channels("gdc", {"p0": 0.7, "p1": 0.1, "p2": 0.1, "p3": 0.1})
+    assert all(_same_bits(a, b) for a, b in zip(ch.ops, gdc(0.7, 0.1, 0.1, 0.1).ops))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_channels("gad", {"alpha": [0.3, 0.4], "xi": [0.1, 0.2, 0.3]}),
+         "channel gad takes floats and 1-D sequences of one length, got alpha of shape (2,), xi of shape (3,)"),
+        (lambda: make_channels("ad", {"gamma": [[0.1, 0.2]]}),
+         "channel ad takes floats and 1-D sequences of one length, got gamma of shape (1, 2)"),
+        (lambda: channel_module.make_channel("ad", {"gamma": [0.1]}),
+         "channel ad takes one float per parameter, got gamma of shape (1,)"),
+        (lambda: channel_module.make_channel("gad", {"alpha": 0.5, "xi": np.array([0.1, 0.2])}),
+         "channel gad takes one float per parameter, got alpha of shape (), xi of shape (2,)"),
+    ],
+    ids=["lengths", "2-D", "make_channel-sequence", "make_channel-array"],
+)
+def test_block_shapes_are_checked_naming_the_channel(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build()
+
+
+def test_block_checks_its_names_once(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return named_values(*args)
+
+    named_values = channel_module.named_values
+    monkeypatch.setattr(channel_module, "named_values", counting)
+    assert len(make_channels("rtn", {"lambda": np.linspace(-1.0, 1.0, 101)})) == 101
+    assert calls == ["rtn"]
 
 
 # -- memory kernels ---------------------------------------------------------

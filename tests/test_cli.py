@@ -16,6 +16,7 @@ from qchan.cli import (
     build_parser,
     main,
     make_channel,
+    make_channels,
     run_sweep,
     run_validation,
     write_sweep_csv,
@@ -536,18 +537,17 @@ def test_make_channel_registry():
 def test_validation_weights_are_sorted():
     # Nonincreasing weights give |l1| >= |l2| in the gdc closed form
     # max(l1^2, l2^2) l3^2, so every row takes its l1^2 l3^2 branch.
-    for params in dict(VALIDATION_POINTS)["gdc"]:
-        weights = list(params.values())
-        assert list(params) == ["p0", "p1", "p2", "p3"]
+    columns = dict(VALIDATION_POINTS)["gdc"]
+    assert list(columns) == ["p0", "p1", "p2", "p3"]
+    for weights in map(list, zip(*columns.values())):
         assert weights == sorted(weights, reverse=True)
         assert abs(sum(weights) - 1.0) < 1e-12
 
 
 def test_validation_rows_do_not_depend_on_the_grid():
     # Every validate point is unital or axial, so each probe solve is exact in one evaluation.
-    for label, points in VALIDATION_POINTS:
-        for params in points:
-            channel = make_channel(label, params)
+    for label, columns in VALIDATION_POINTS:
+        for channel in make_channels(label, columns):
             assert maximize_mu(channel, OptimizerConfig(2)) == maximize_mu(channel)
     report = run_validation()
     assert report.asserted == 34 and len(report.rows) == 40

@@ -7,16 +7,25 @@ from qchan import (
     BlochVector,
     DensityMatrix,
     IDENTITY2,
+    KrausChannel,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    apply,
+    check_outer_inequality,
+    coherence_l1,
     commutator,
     from_bloch,
     hs_norm_sq,
+    incompatibility,
+    incompatibility_trace_form,
+    pd,
     purity,
     to_bloch,
+    visibilities,
 )
-from conftest import random_unitary, sample_ball
+from qchan.linalg import as_matrix
+from conftest import not_qubit_matrix, random_unitary, sample_ball
 
 
 def test_pauli_self_commutator_is_zero():
@@ -43,8 +52,39 @@ def test_max_noncommuting_pair_commutator_matrix():
 
 
 def test_commutator_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match=not_qubit_matrix((3, 3))):
         commutator(np.eye(2), np.eye(3))
+
+
+_STATE = np.eye(2) / 2
+# Every public entry point that takes a matrix, called with one argument replaced by ``m``.
+MATRIX_ENTRY_POINTS = {
+    "as_matrix": as_matrix,
+    "DensityMatrix": DensityMatrix,
+    "commutator-first": lambda m: commutator(m, _STATE),
+    "commutator-second": lambda m: commutator(_STATE, m),
+    "hs_norm_sq": hs_norm_sq,
+    "purity": purity,
+    "to_bloch": to_bloch,
+    "incompatibility-first": lambda m: incompatibility(m, _STATE),
+    "incompatibility-second": lambda m: incompatibility(_STATE, m),
+    "incompatibility_trace_form": lambda m: incompatibility_trace_form(_STATE, m),
+    "visibilities": lambda m: visibilities(m, _STATE),
+    "coherence_l1": coherence_l1,
+    "check_outer_inequality-rho0": lambda m: check_outer_inequality(m, _STATE),
+    "check_outer_inequality-rhot": lambda m: check_outer_inequality(_STATE, m),
+    "apply": lambda m: apply(pd(0.2), m),
+    "KrausChannel": lambda m: KrausChannel((m,), "x"),
+    "KrausChannel-second": lambda m: KrausChannel((np.eye(2), m), "x"),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (2, 3), (2, 2, 2)], ids=["1x1", "3x3", "2x3", "2x2x2"])
+@pytest.mark.parametrize("entry", sorted(MATRIX_ENTRY_POINTS))
+def test_every_matrix_entry_point_takes_only_qubit_matrices(entry, shape):
+    # linalg.as_matrix is the one shape check: anything but a 2x2 array fails there, with one message.
+    with pytest.raises(ValueError, match=not_qubit_matrix(shape)):
+        MATRIX_ENTRY_POINTS[entry](np.full(shape, 0.25))
 
 
 def test_hs_norm_sq_values():
@@ -100,7 +140,7 @@ def test_to_bloch_examples():
 
 
 def test_to_bloch_rejects_other_dimensions():
-    with pytest.raises(ValueError, match="unsupported dimension"):
+    with pytest.raises(ValueError, match=not_qubit_matrix((3, 3))):
         to_bloch(np.eye(3) / 3)
 
 
@@ -120,7 +160,7 @@ def test_positivity_accepts_whole_ball_boundary(rng):
     d = rng.normal(size=(50, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     for v in d:
-        assert from_bloch(v).dim == 2
+        assert from_bloch(v).mat.shape == (2, 2)
         with pytest.raises(ValueError):
             from_bloch(1.01 * v)
 

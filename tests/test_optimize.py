@@ -1014,7 +1014,7 @@ def test_axial_all_pairs_branches(a_mat, c_vec, branch, mu):
     assert abs(value - mu) <= 4e-16
     assert abs(_bloch_pair_value(a_mat, c_vec, pair) - value) <= 1e-15
     # the meridian value at cos theta = +-1/sqrt 2 bounds mu below by s^2 (|t| + sqrt 2 |c|)^2, above the pole value
-    s_sq, t, c_z = optimize._axial_terms(a_mat, c_vec)
+    s_sq, t, c_z = optimize._axial_terms(a_mat.T.tolist(), c_vec.tolist())
     assert value >= s_sq * (abs(t) + math.sqrt(2.0) * abs(c_z)) ** 2 - 1e-15
 
 
@@ -1445,7 +1445,7 @@ def test_all_pairs_results_carry_no_closed_form(label):
     # The closed forms are probe-domain maxima; an all-pairs result reports neither them nor a gap to them.
     from qchan.cli import VALIDATION_POINTS
 
-    ch = channels.make_channel(label, dict(VALIDATION_POINTS)[label][1])
+    ch = channels.make_channels(label, dict(VALIDATION_POINTS)[label])[1]
     res = maximize_mu(ch, OptimizerConfig(domain=DOMAIN_ALL_PAIRS))
     assert res.closed_form is None and res.abs_error is None
     assert (maximize_mu(ch).closed_form is None) == (channels.CHANNELS[label].closed_form is None)
